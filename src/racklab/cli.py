@@ -15,7 +15,8 @@ import os
 import sys
 
 from . import analysis, codec, enumeration
-from .codec import AuditFail, CodecParams, CorruptStream, InconsistentDecode
+from .codec import (AuditFail, CodecParams, CorruptStream, EncodeConsistencyError,
+                    InconsistentDecode)
 from .core import (AxiomReport, NotARackError, Rack, RackParseError,
                    conjugation_quandle, dihedral_quandle, format_rack,
                    parse_rack_table, rack_from_table, symmetric_group_table,
@@ -153,7 +154,11 @@ def cmd_encode(args) -> int:
     except NotARackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    data = codec.encode(rack, _params(args, rack.n))
+    try:
+        data = codec.encode(rack, _params(args, rack.n))
+    except EncodeConsistencyError as exc:
+        print(f"error: inconsistent encoding: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     out = args.out or (os.path.splitext(args.path)[0] + ".rke")
     with open(out, "wb") as fh:
         fh.write(data)
@@ -228,7 +233,7 @@ def cmd_audit(args) -> int:
     try:
         report = codec.merge_bound_audit(rack, params)
         codec.build_info(rack, params)  # runs the invariance checks
-    except AuditFail as exc:
+    except (AuditFail, EncodeConsistencyError) as exc:
         print(f"error: audit failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     regular = component_out_degree_constant(rack, range(rack.n))

@@ -182,7 +182,7 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     low_set = set(s_low)
     for imgs in t_restrictions:
         if any(img not in low_set for img in imgs):
-            raise RuntimeError("low-degree set is not closed under the translations")
+            raise EncodeConsistencyError("low-degree set is not closed under the translations")
 
     s_low_minus_t = tuple(j for j in s_low if j not in t_set)
     merge_lists = []
@@ -197,12 +197,12 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     for j in range(n):
         merged = set(_merged_part_indices(struct, rack.maps[j]))
         if j in t_set and merged:
-            raise RuntimeError(f"colour {j} in T merges components of its own graph")
+            raise EncodeConsistencyError(f"colour {j} in T merges components of its own graph")
         for ci, part in enumerate(struct.parts):
             if ci in merged:
                 continue
             if {rack.maps[j][v] for v in part} != set(part):
-                raise RuntimeError(f"colour {j} moves an unmerged component")
+                raise EncodeConsistencyError(f"colour {j} moves an unmerged component")
 
     return InfoTuple(
         n=n, delta=params.delta, cap_l=params.cap_l,

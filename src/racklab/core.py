@@ -210,6 +210,15 @@ class Rack:
         self.table = table
 
     @classmethod
+    def _unchecked(cls, maps, table) -> "Rack":
+        """A rack from tuple maps and table whose axioms the caller has just checked."""
+        rack = cls.__new__(cls)
+        rack.n = len(maps)
+        rack.maps = maps
+        rack.table = table
+        return rack
+
+    @classmethod
     def from_table(cls, table):
         n = table_order(table)
         return cls(_columns(table, n))
@@ -248,7 +257,8 @@ def rack_from_table(table):
     """
     report = axiom_report(table)
     if report.is_rack:
-        return Rack.from_table(table)
+        return Rack._unchecked(tuple(_columns(table, report.n)),
+                               tuple(tuple(row) for row in table))
     return report
 
 

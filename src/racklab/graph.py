@@ -10,6 +10,7 @@ for raw undirected edge multisets.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .perms import is_permutation
@@ -39,13 +40,6 @@ class UnionFind:
         self.size[x] += self.size[y]
         self.count -= 1
         return True
-
-    def copy(self) -> "UnionFind":
-        other = UnionFind.__new__(UnionFind)
-        other.parent = list(self.parent)
-        other.size = list(self.size)
-        other.count = self.count
-        return other
 
 
 class ColoredDigraph:
@@ -228,33 +222,48 @@ def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
 
     cp_sequence[i] is the component count after the first i+1 picks; ties are
     broken by the smallest colour label, so the result is deterministic.
+
+    Picks are evaluated lazily (Minoux's accelerated greedy): a colour's drop
+    in component count is n minus a graphic-matroid rank, which is submodular,
+    so the drop only shrinks as picks accumulate.  Stale heap keys
+    (-drop, colour) are therefore bounds, and the re-evaluated top colour is
+    the eager pick as soon as its fresh key still beats the next stale one.
+    A key of 0 is exact, so zero-drop colours come out in label order.
     """
     remaining = sorted(candidates)
     for c in remaining:
         if not is_permutation(maps_by_color[c], n):
             raise ValueError(f"colour {c}: not a permutation of [{n}]")
     current = UnionFind(n)
+    find = current.find
+    heap = [(-n, c) for c in remaining]  # sorted, hence already a heap
     order = []
     cps = []
-    while remaining:
-        best_c = None
-        best_cp = None
-        for c in remaining:
-            trial = current.copy()
+    while heap:
+        key, c = heapq.heappop(heap)
+        if key:
             p = maps_by_color[c]
-            for u in range(n):
-                if p[u] != u:
-                    trial.union(u, p[u])
-            if best_cp is None or trial.count < best_cp:
-                best_cp = trial.count
-                best_c = c
-        p = maps_by_color[best_c]
-        for u in range(n):
-            if p[u] != u:
-                current.union(u, p[u])
-        order.append(best_c)
+            # merges of this colour's edges, on a dict overlaying the roots
+            overlay = {}
+            drop = 0
+            for u, v in enumerate(p):
+                if u != v:
+                    a, b = find(u), find(v)
+                    while a in overlay:
+                        a = overlay[a]
+                    while b in overlay:
+                        b = overlay[b]
+                    if a != b:
+                        overlay[a] = b
+                        drop += 1
+            if heap and (-drop, c) > heap[0]:
+                heapq.heappush(heap, (-drop, c))
+                continue
+            for u, v in enumerate(p):
+                if u != v:
+                    current.union(u, v)
+        order.append(c)
         cps.append(current.count)
-        remaining.remove(best_c)
     return tuple(order), tuple(cps)
 
 

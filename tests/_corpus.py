@@ -51,6 +51,18 @@ def family_racks(max_n: int = 8):
     return racks
 
 
+def unchecked_non_rack() -> Rack:
+    """A permutation family that is not a rack, built without the axiom check.
+
+    f_0 = (0 1), f_1 = (0 2), f_2 = id: vertex 0 has out-degree 2, so with
+    delta = 1 the low set is {1, 2}, T = (1,), and f_0 sends 1 to the
+    high-degree vertex 0.
+    """
+    maps = ((1, 0, 2), (2, 1, 0), (0, 1, 2))
+    table = tuple(tuple(maps[y][x] for y in range(3)) for x in range(3))
+    return Rack._unchecked(maps, table)
+
+
 def param_grid(n: int):
     """Parameter choices that exercise all parts of the information tuple."""
     grid = [CodecParams.default(n)]

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from racklab import dihedral_quandle, format_rack, trivial_rack
+from racklab import cli
 from racklab.cli import main
+
+from _corpus import unchecked_non_rack
 
 
 @pytest.fixture
@@ -107,6 +110,19 @@ def test_audit_rejects_corrupt_table(capsys, tmp_path):
     assert code == 1
 
 
+def test_encoder_inconsistency_exits_with_domain_code(capsys, monkeypatch, tmp_path):
+    # a family that passed no axiom check reaches build_info's consistency checks
+    monkeypatch.setattr(cli, "_load_rack_arg", lambda path: unchecked_non_rack())
+    code, _, err = run(capsys, "audit", "any.rack", "--delta", "1", "--cap-l", "1")
+    assert code == 1
+    assert "not closed" in err
+    rke = tmp_path / "out.rke"
+    code, _, err = run(capsys, "encode", "any.rack", "--delta", "1", "--cap-l", "1",
+                       "--out", str(rke))
+    assert code == 1
+    assert "not closed" in err and not rke.exists()
+
+
 def test_enumerate_with_oracle(capsys, tmp_path):
     wit = str(tmp_path / "wit")
     code, out, _ = run(capsys, "enumerate", "--n", "2", "--oracle",
@@ -141,6 +157,15 @@ def test_analyze_zeta_sweep(capsys):
     code, out, _ = run(capsys, "analyze", "zeta-sweep", "--n", "6", "--format", "json")
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_analyze_zeta_sweep_sampled_without_equality_case(capsys):
+    # 2000 samples at n = 12 miss the all-2 composition; that is no failure
+    code, out, _ = run(capsys, "analyze", "zeta-sweep", "--n", "12", "--trials", "2000",
+                       "--seed", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] and payload["statistic"]["equality_cases"] == []
 
 
 def test_analyze_chernoff(capsys):

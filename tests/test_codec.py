@@ -10,12 +10,13 @@ from racklab import (CodecParams, CorruptStream, EncodeConsistencyError,
                      extract_residual, greedy_T, is_subrack, merge_bound_audit,
                      permutation_rack, rack_graph, symmetric_group_table,
                      trivial_rack)
+from racklab import core
 from racklab.bits import BitWriter
 from racklab.codec import MAGIC
 from racklab.graph import components
 from racklab.perms import compose, from_cycles, identity, inverse
 
-from _corpus import family_racks, param_grid, random_relabeling
+from _corpus import family_racks, param_grid, random_relabeling, unchecked_non_rack
 
 # encode(trivial_rack(3)) with default parameters (delta=4, cap_l=2), frozen
 CONFORMANCE_TRIVIAL_3 = bytes.fromhex("524b4531000300040002f0e1c3840000")
@@ -308,3 +309,32 @@ def test_invariance_checked_during_build_info():
                 for ci, part in enumerate(struct.parts):
                     if ci not in merged:
                         assert {rack.maps[j][v] for v in part} == set(part)
+
+
+def test_each_rack_checked_once(monkeypatch):
+    corpus = [rack for _, rack in family_racks(8)]
+    streams = [encode(rack) for rack in corpus]
+    calls = []
+    original = core.axiom_report
+
+    def counting(table, *args, **kwargs):
+        calls.append(len(table))
+        return original(table, *args, **kwargs)
+
+    monkeypatch.setattr(core, "axiom_report", counting)
+    for rack in corpus:
+        assert core.rack_from_table(rack.table) == rack
+    assert len(calls) == len(corpus)
+    calls.clear()
+    for rack, data in zip(corpus, streams):
+        assert decode(data) == rack
+    assert len(calls) == len(corpus)
+
+
+def test_build_info_inconsistency_is_typed():
+    rack = unchecked_non_rack()
+    params = CodecParams(1, 1)
+    with pytest.raises(EncodeConsistencyError, match="not closed"):
+        build_info(rack, params)
+    with pytest.raises(EncodeConsistencyError):
+        encode(rack, params)

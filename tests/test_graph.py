@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racklab import (build_graph, component_out_degree_constant, components,
-                     count_components_with, dihedral_quandle, directed_path_exists,
-                     enumerate_labeled, is_subrack, merged_components,
+                     count_components_with, degree_split, dihedral_quandle,
+                     directed_path_exists, enumerate_labeled, is_subrack,
+                     merge_bound_audit, merged_components,
                      multigraph_component_count, multigraph_merged_parts,
                      out_degree, out_degrees, rack_graph, reduced_graph, to_dot,
                      trivial_rack)
-from racklab.graph import greedy_merge_order
+from racklab.graph import UnionFind, greedy_merge_order
 from racklab.perms import from_cycles, identity
 
-from _corpus import family_racks, orbit_closure
+from _corpus import family_racks, orbit_closure, param_grid
 
 
 def test_build_graph_edges():
@@ -194,6 +197,87 @@ def test_greedy_merge_order_ties_by_label():
     order, cps = greedy_merge_order(n, maps, range(n))
     assert order == (0, 1, 2, 3, 4)
     assert cps == (5, 5, 5, 5, 5)
+
+
+def _copy_union_find(uf):
+    other = UnionFind(len(uf.parent))
+    other.parent, other.size, other.count = list(uf.parent), list(uf.size), uf.count
+    return other
+
+
+def eager_greedy_merge_order(n, maps_by_color, candidates):
+    """Reference: the eager greedy, replaying every remaining colour at every pick."""
+    remaining = sorted(candidates)
+    current = UnionFind(n)
+    order = []
+    cps = []
+    while remaining:
+        best_c = None
+        best_cp = None
+        for c in remaining:
+            trial = _copy_union_find(current)
+            p = maps_by_color[c]
+            for u in range(n):
+                if p[u] != u:
+                    trial.union(u, p[u])
+            if best_cp is None or trial.count < best_cp:
+                best_cp = trial.count
+                best_c = c
+        p = maps_by_color[best_c]
+        for u in range(n):
+            if p[u] != u:
+                current.union(u, p[u])
+        order.append(best_c)
+        cps.append(current.count)
+        remaining.remove(best_c)
+    return tuple(order), tuple(cps)
+
+
+@st.composite
+def permutation_families(draw):
+    """(n, maps_by_color, candidates) with identities, repeats and transpositions."""
+    n = draw(st.integers(1, 10))
+
+    def transposition(ij):
+        p = list(range(n))
+        p[ij[0]], p[ij[1]] = p[ij[1]], p[ij[0]]
+        return tuple(p)
+
+    k = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True))
+    maps = {}
+    for c in labels:
+        kinds = [st.permutations(range(n)).map(tuple), st.just(identity(n)),
+                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(transposition)]
+        if maps:
+            kinds.append(st.sampled_from(sorted(maps.values())))
+        maps[c] = draw(st.one_of(kinds))
+    candidates = draw(st.sets(st.sampled_from(labels)))
+    return n, maps, candidates
+
+
+@settings(max_examples=400, deadline=None)
+@given(permutation_families())
+def test_lazy_greedy_matches_eager(family):
+    n, maps, candidates = family
+    assert greedy_merge_order(n, maps, candidates) == eager_greedy_merge_order(n, maps, candidates)
+
+
+def test_lazy_greedy_matches_eager_on_labeled_racks():
+    for rack in enumerate_labeled(4):
+        maps = dict(enumerate(rack.maps))
+        assert greedy_merge_order(4, maps, range(4)) == eager_greedy_merge_order(4, maps, range(4))
+
+
+def test_lazy_greedy_matches_eager_on_corpus():
+    for _, rack in family_racks(8):
+        maps = dict(enumerate(rack.maps))
+        for params in param_grid(rack.n):
+            low, _ = degree_split(rack, params.delta)
+            expected = eager_greedy_merge_order(rack.n, maps, low)
+            assert greedy_merge_order(rack.n, maps, low) == expected
+            report = merge_bound_audit(rack, params)
+            assert (report.order, report.cp_seq) == expected
 
 
 def test_to_dot():
