@@ -5,9 +5,9 @@ from .analysis import (EtaSequence, WSearchResult, chernoff_check, claim_calc_ga
                        zeta_of_exact)
 from .codec import (AuditFail, CodecParams, CodecStats, CorruptStream,
                     EncodeConsistencyError, InconsistentDecode, InfoTuple,
-                    MergeAuditReport, Residual, build_info, decode, degree_split,
-                    encode, encode_with_stats, encoding_stats, extract_residual,
-                    greedy_T, greedy_order, merge_bound_audit)
+                    MergeAuditReport, OrderTooLargeForHeader, Residual, build_info,
+                    decode, degree_split, encode, encode_with_stats, encoding_stats,
+                    extract_residual, greedy_T, greedy_order, merge_bound_audit)
 from .core import (AxiomReport, MalformedTableError, NotAbelianError,
                    NotAGroupError, NotARackError, NotAutomorphismError, Rack,
                    RackParseError, Violation, alexander_quandle, axiom_report,

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .codec import degree_split
+from .codec import _zeta, degree_split
 from .core import Rack
-from .graph import components, out_degrees, rack_graph
-from .perms import compose, conjugate, identity
+from .graph import (component_structure, components, out_degrees, path_words,
+                    rack_graph, successors)
+from .perms import conjugate
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class EtaSequence:
 
 def zeta_of(eta: EtaSequence) -> float:
     """(sum_p eta_p/p) * (sum_q eta_q log2(q)/q)."""
-    inv = sum(e / q for q, e in enumerate(eta.eta, start=1))
-    logs = sum(e * math.log2(q) / q for q, e in enumerate(eta.eta, start=1))
-    return inv * logs
+    return _zeta(eta.eta)
 
 
 def zeta_of_exact(eta: EtaSequence):
@@ -86,22 +84,25 @@ def _weak_compositions(total, parts):
 def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
     """Max of zeta over compositions of n: exhaustive for n <= 10, else sampled.
 
-    Equality with n^2/4 is decided in exact rational arithmetic; the report
-    records every composition attaining it.  Either mode fails on a value above
-    the bound or an equality case other than the all-2 composition; only the
-    exhaustive one also requires that case to be found.
+    The exhaustive mode walks every weak composition of n into n parts.  The
+    sampled mode draws component histograms of the graph of a uniform random
+    permutation of [n] (its cycle type), so every sampled eta_q is a multiple
+    of q, as for the T-graph of a rack.  Equality with n^2/4 is decided in
+    exact rational arithmetic; the report records every composition attaining
+    it.  Either mode fails on a value above the bound or an equality case other
+    than the all-2 composition; only the exhaustive one also requires that
+    case to be found.
     """
     bound = Fraction(n * n, 4)
     if n <= 10:
         source = _weak_compositions(n, n)
         mode = "exhaustive"
-        count = 0
     else:
         rng = np.random.default_rng(seed)
-        source = (tuple(np.bincount(rng.integers(0, n, size=n), minlength=n).tolist())
+        source = (component_structure(n, enumerate(rng.permutation(n).tolist())).eta
                   for _ in range(trials))
         mode = "sampled"
-        count = 0
+    count = 0
     max_zeta = -1.0
     argmax = None
     equality = []
@@ -358,34 +359,13 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         reps = tuple(part[0] for part in inside)
         w = tuple(sorted(set(x) | set(reps)))
 
-        succ = [[] for _ in range(n)]
-        for c in x:
-            perm = rack.maps[c]
-            for u in range(n):
-                if perm[u] != u:
-                    succ[u].append((perm[u], c))
+        succ = successors(g_x)
         match = True
         for part in inside:
-            v = part[0]
-            word = {v: identity(n)}
-            seen = {v}
-            queue = deque([v])
-            while queue:
-                a = queue.popleft()
-                for u, colour in succ[a]:
-                    if u in seen:
-                        continue
-                    word[u] = compose(word[a], rack.maps[colour])
-                    seen.add(u)
-                    queue.append(u)
-            if len(seen) != len(part):
-                match = False
-                break
-            fv = rack.maps[v]
-            for u in part:
-                if conjugate(fv, word[u]) != rack.maps[u]:
-                    match = False
-                    break
+            fv = rack.maps[part[0]]
+            word = path_words(g_x, succ, part[0])
+            match = len(word) == len(part) and all(
+                conjugate(fv, word[u]) == rack.maps[u] for u in part)
             if not match:
                 break
         return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,

@@ -2,7 +2,10 @@
 
 Subcommands: check, enumerate, encode, decode, stats, audit, analyze.
 Exit codes: 0 success, 1 domain failure (axiom/audit/check), 2 I/O or
-parse error, 3 resource cap.  JSON output is canonical (sorted keys) and
+parse error, 3 resource cap.  A command returns 0 or 1 itself.  What it
+raises is looked up in one table, ERRORS, in main: each row maps an
+exception type to its exit code and the prefix of the one stderr line
+"error: <prefix><message>".  JSON output is canonical (sorted keys) and
 independent of the thread count; timing appears only in witness summary
 files, never on stdout.
 """
@@ -16,14 +19,27 @@ import sys
 
 from . import analysis, codec, enumeration
 from .codec import (AuditFail, CodecParams, CorruptStream, EncodeConsistencyError,
-                    InconsistentDecode)
+                    InconsistentDecode, OrderTooLargeForHeader)
 from .core import (AxiomReport, NotARackError, Rack, RackParseError,
-                   conjugation_quandle, dihedral_quandle, format_rack,
+                   conjugation_quandle, dihedral_quandle, format_rack, load_rack,
                    parse_rack_table, rack_from_table, symmetric_group_table,
                    trivial_rack)
 from .graph import component_out_degree_constant, rack_graph, to_dot
 
 EXIT_OK, EXIT_DOMAIN, EXIT_IO, EXIT_RESOURCE = 0, 1, 2, 3
+
+# (exception type, exit code, message prefix); the first row that matches wins
+ERRORS = (
+    (OSError, EXIT_IO, ""),
+    (RackParseError, EXIT_IO, ""),
+    (NotARackError, EXIT_DOMAIN, ""),
+    (CorruptStream, EXIT_IO, "corrupt stream: "),
+    (InconsistentDecode, EXIT_DOMAIN, "inconsistent stream: "),
+    (EncodeConsistencyError, EXIT_DOMAIN, "inconsistent encoding: "),
+    (AuditFail, EXIT_DOMAIN, "audit failed: "),
+    (OrderTooLargeForHeader, EXIT_RESOURCE, ""),
+    (enumeration.OrderTooLarge, EXIT_RESOURCE, ""),
+)
 
 
 def _default_threads() -> int:
@@ -58,19 +74,6 @@ def _render_text(payload, prefix="") -> list:
     return lines
 
 
-def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_rack_arg(path) -> Rack:
-    table = parse_rack_table(_read_text(path))
-    result = rack_from_table(table)
-    if isinstance(result, AxiomReport):
-        raise NotARackError(result)
-    return result
-
-
 def _params(args, n: int) -> CodecParams:
     default = CodecParams.default(n)
     delta = args.delta if args.delta is not None else default.delta
@@ -89,15 +92,8 @@ def _report_dict(report: AxiomReport) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        table = parse_rack_table(_read_text(args.path))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RackParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    result = rack_from_table(table)
+    with open(args.path, encoding="utf-8") as fh:
+        result = rack_from_table(parse_rack_table(fh.read()))
     if isinstance(result, Rack):
         payload = _report_dict(AxiomReport(result.n, True, result.is_quandle, ()))
         if args.dot:
@@ -109,11 +105,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        report = enumeration.enumerate_classes(args.n, jobs=args.threads)
-    except enumeration.OrderTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    report = enumeration.enumerate_classes(args.n, jobs=args.threads)
     payload = {
         "n": args.n,
         "labeled": report.labeled_count,
@@ -126,11 +118,7 @@ def cmd_enumerate(args) -> int:
     }
     status = EXIT_OK
     if args.oracle:
-        try:
-            oracle = enumeration.oracle_enumerate(args.n)
-        except enumeration.OrderTooLarge as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        oracle = enumeration.oracle_enumerate(args.n)
         agree = (oracle.labeled_count == report.labeled_count
                  and oracle.class_count == report.class_count
                  and oracle.quandle_class_count == report.quandle_class_count
@@ -146,19 +134,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    try:
-        rack = _load_rack_arg(args.path)
-    except (OSError, RackParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NotARackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        data = codec.encode(rack, _params(args, rack.n))
-    except EncodeConsistencyError as exc:
-        print(f"error: inconsistent encoding: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    rack = load_rack(args.path)
+    data = codec.encode(rack, _params(args, rack.n))
     out = args.out or (os.path.splitext(args.path)[0] + ".rke")
     with open(out, "wb") as fh:
         fh.write(data)
@@ -167,20 +144,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    try:
-        with open(args.path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        rack = codec.decode(data)
-    except CorruptStream as exc:
-        print(f"error: corrupt stream: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except InconsistentDecode as exc:
-        print(f"error: inconsistent stream: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    with open(args.path, "rb") as fh:
+        rack = codec.decode(fh.read())
     text = format_rack(rack)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -191,14 +156,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        rack = _load_rack_arg(args.path)
-    except (OSError, RackParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NotARackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    rack = load_rack(args.path)
     params = _params(args, rack.n)
     stats = codec.encoding_stats(rack, params)
     payload = {
@@ -221,21 +179,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        rack = _load_rack_arg(args.path)
-    except (OSError, RackParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NotARackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    rack = load_rack(args.path)
     params = _params(args, rack.n)
-    try:
-        report = codec.merge_bound_audit(rack, params)
-        codec.build_info(rack, params)  # runs the invariance checks
-    except (AuditFail, EncodeConsistencyError) as exc:
-        print(f"error: audit failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = codec.merge_bound_audit(rack, params)
+    codec.build_info(rack, params)  # runs the invariance checks
     regular = component_out_degree_constant(rack, range(rack.n))
     payload = {
         "n": report.n,
@@ -256,7 +203,7 @@ def cmd_audit(args) -> int:
 
 def _analysis_rack(args) -> Rack:
     if args.rack:
-        return _load_rack_arg(args.rack)
+        return load_rack(args.rack)
     family = args.family or "dihedral"
     if family == "trivial":
         return trivial_rack(args.n)
@@ -268,49 +215,37 @@ def _analysis_rack(args) -> Rack:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        if args.kind == "zeta-sweep":
-            report = analysis.zeta_bound_sweep(args.n, trials=args.trials, seed=args.seed)
-        elif args.kind == "chernoff":
-            report = analysis.chernoff_check(args.n, args.p, args.eps,
-                                             trials=args.trials, seed=args.seed,
-                                             threads=args.threads)
-        elif args.kind == "claim-calc":
-            grid = [i / 2 for i in range(11)]
-            worst_gap = min(analysis.claim_calc_gap(x, y) for x in grid for y in grid)
-            worst_err = max(abs(analysis.claim_calc_gap(x, y) - (x - 3 * y) ** 2 / 72)
-                            for x in grid for y in grid)
-            report = {
-                "check": "claim-calc",
-                "params": {"grid": "0..5 step 0.5"},
-                "seed": args.seed,
-                "statistic": {"min_gap": worst_gap, "max_identity_error": worst_err},
-                "bound": 0.0,
-                "pass": worst_gap >= 0 and worst_err <= 1e-12,
-            }
-        elif args.kind == "random-subset":
-            rack = _analysis_rack(args)
-            report = analysis.random_subset_check(rack, args.p, args.eps,
-                                                  trials=args.trials, seed=args.seed,
-                                                  threads=args.threads)
-        elif args.kind == "find-w":
-            rack = _analysis_rack(args)
-            result = analysis.find_W(rack, args.delta or 1, args.p,
-                                     bad_threshold=args.threshold,
-                                     max_attempts=args.attempts, seed=args.seed)
-            report = result.to_report()
-            report["seed"] = args.seed
-            _emit(report, args)
-            return EXIT_OK  # non-certification is reported, not fatal
-        else:
-            print(f"error: unknown check {args.kind!r}", file=sys.stderr)
-            return EXIT_IO
-    except (OSError, RackParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NotARackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if args.kind == "find-w":
+        result = analysis.find_W(_analysis_rack(args), args.delta or 1, args.p,
+                                 bad_threshold=args.threshold,
+                                 max_attempts=args.attempts, seed=args.seed)
+        report = result.to_report()
+        report["seed"] = args.seed
+        _emit(report, args)
+        return EXIT_OK  # non-certification is reported, not fatal
+    if args.kind == "zeta-sweep":
+        report = analysis.zeta_bound_sweep(args.n, trials=args.trials, seed=args.seed)
+    elif args.kind == "chernoff":
+        report = analysis.chernoff_check(args.n, args.p, args.eps,
+                                         trials=args.trials, seed=args.seed,
+                                         threads=args.threads)
+    elif args.kind == "claim-calc":
+        grid = [i / 2 for i in range(11)]
+        worst_gap = min(analysis.claim_calc_gap(x, y) for x in grid for y in grid)
+        worst_err = max(abs(analysis.claim_calc_gap(x, y) - (x - 3 * y) ** 2 / 72)
+                        for x in grid for y in grid)
+        report = {
+            "check": "claim-calc",
+            "params": {"grid": "0..5 step 0.5"},
+            "seed": args.seed,
+            "statistic": {"min_gap": worst_gap, "max_identity_error": worst_err},
+            "bound": 0.0,
+            "pass": worst_gap >= 0 and worst_err <= 1e-12,
+        }
+    else:  # random-subset; argparse admits no other kind
+        report = analysis.random_subset_check(_analysis_rack(args), args.p, args.eps,
+                                              trials=args.trials, seed=args.seed,
+                                              threads=args.threads)
     _emit(report, args)
     return EXIT_OK if report.get("pass") else EXIT_DOMAIN
 
@@ -340,26 +275,31 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
-    for name, func in (("encode", cmd_encode), ("decode", cmd_decode)):
-        p = sub.add_parser(name, help=f"{name} between .rack and .rke")
-        p.add_argument("path")
+    def codec_params(p):
         p.add_argument("--delta", type=int, default=None)
         p.add_argument("--cap-l", dest="cap_l", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+
+    p = sub.add_parser("encode", help="encode a .rack file to .rke")
+    p.add_argument("path")
+    codec_params(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_encode)
+
+    p = sub.add_parser("decode", help="decode a .rke file to .rack")
+    p.add_argument("path")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stats", help="encoding statistics of a .rack file")
     p.add_argument("path")
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--cap-l", dest="cap_l", type=int, default=None)
+    codec_params(p)
     p.add_argument("--dot", action="store_true")
     common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("audit", help="greedy merge audit and invariance checks")
     p.add_argument("path")
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--cap-l", dest="cap_l", type=int, default=None)
+    codec_params(p)
     common(p)
     p.set_defaults(func=cmd_audit)
 
@@ -385,7 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(kind for kind, _, _ in ERRORS) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in ERRORS
+                            if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

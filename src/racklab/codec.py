@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 import struct as _struct
-from collections import deque
 from dataclasses import dataclass
 
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import (ColoredDigraph, components, count_components_with,
-                    greedy_merge_order, out_degrees, rack_graph)
-from .perms import compose, conjugate, identity, is_permutation, lehmer_rank, lehmer_unrank
+from .graph import (ColoredDigraph, bfs_tree, components, count_components_with,
+                    greedy_merge_order, merged_part_indices, out_degrees,
+                    path_words, rack_graph, successors)
+from .perms import conjugate, is_permutation, lehmer_rank, lehmer_unrank
 
 MAGIC = b"RKE1"
 
@@ -53,6 +53,10 @@ class InconsistentDecode(CodecError):
 
 class EncodeConsistencyError(CodecError):
     """The supplied info tuple does not belong to the rack being encoded."""
+
+
+class OrderTooLargeForHeader(CodecError):
+    """The order does not fit the u16 field of the RKE1 header."""
 
 
 class AuditFail(CodecError):
@@ -90,10 +94,17 @@ def degree_split(rack: Rack, delta: int):
     return low, high
 
 
+def _greedy_pass(rack: Rack, delta: int):
+    """(s_low, s_high, order, cps): the degree split, then the greedy ordering of s_low."""
+    s_low, s_high = degree_split(rack, delta)
+    order, cps = greedy_merge_order(rack.n, dict(enumerate(rack.maps)), s_low)
+    return s_low, s_high, order, cps
+
+
 def greedy_order(rack: Rack, delta: int):
     """Full greedy ordering of the low-degree set with its component counts."""
-    low, _ = degree_split(rack, delta)
-    return greedy_merge_order(rack.n, dict(enumerate(rack.maps)), low)
+    _, _, order, cps = _greedy_pass(rack, delta)
+    return order, cps
 
 
 def greedy_T(rack: Rack, delta: int, cap_l: int) -> tuple:
@@ -143,26 +154,12 @@ class InfoTuple:
         return tuple(self.gt_components[ci] for ci in self.merge_lists[pos])
 
 
-def _merged_part_indices(struct, perm) -> tuple:
-    """Indices of components having an edge of this permutation to their complement."""
-    merged = set()
-    for u, v in enumerate(perm):
-        if v == u:
-            continue
-        iu, iv = struct.part_index[u], struct.part_index[v]
-        if iu != iv:
-            merged.add(iu)
-            merged.add(iv)
-    return tuple(sorted(merged))
-
-
 def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     """Assemble the full information tuple of a rack."""
     n = rack.n
     if params is None:
         params = CodecParams.default(n)
-    s_low, s_high = degree_split(rack, params.delta)
-    order, _ = greedy_merge_order(n, dict(enumerate(rack.maps)), s_low)
+    s_low, s_high, order, _ = _greedy_pass(rack, params.delta)
     t_order = order[:min(params.cap_l, len(order))]
     t_set = set(t_order)
     t_sorted = tuple(sorted(t_set))
@@ -188,14 +185,14 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     merge_lists = []
     merged_restrictions = []
     for j in s_low_minus_t:
-        merged = _merged_part_indices(struct, rack.maps[j])
+        merged = merged_part_indices(struct, enumerate(rack.maps[j]))
         block = sorted(v for ci in merged for v in struct.parts[ci])
         merge_lists.append(merged)
         merged_restrictions.append(tuple(rack.maps[j][v] for v in block))
 
     # unmerged components must be preserved setwise by every colour
     for j in range(n):
-        merged = set(_merged_part_indices(struct, rack.maps[j]))
+        merged = set(merged_part_indices(struct, enumerate(rack.maps[j])))
         if j in t_set and merged:
             raise EncodeConsistencyError(f"colour {j} in T merges components of its own graph")
         for ci, part in enumerate(struct.parts):
@@ -305,6 +302,8 @@ def encode_with_stats(rack: Rack, params: CodecParams | None = None):
     n = rack.n
     if params is None:
         params = CodecParams.default(n)
+    if n > 0xFFFF:
+        raise OrderTooLargeForHeader(f"order {n} exceeds the u16 header limit 65535")
     head = MAGIC + _struct.pack(">HHH", n, params.delta, params.cap_l)
     if n == 1:
         stats = CodecStats(n=1, delta=params.delta, cap_l=params.cap_l, eta=(1,),
@@ -438,12 +437,7 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     merged_index = dict(zip(s_low_minus_t, merge_lists))
 
     # directed adjacency of the T-graph, used by both propagation passes
-    succ = [[] for _ in range(n)]
-    for i in t_sorted:
-        p = known[i]
-        for u in range(n):
-            if p[u] != u:
-                succ[u].append((p[u], i))
+    succ = successors(g_t)
     t_pos = {i: k for k, i in enumerate(t_sorted)}
 
     for part in parts:
@@ -466,18 +460,11 @@ def _decode_body(n: int, r: BitReader) -> Rack:
             base = dpart[0]
             images[base] = dpart[idx]
             # (u)f_v = ((w)f_v) f_k with k = (i)f_v, along each edge w -> u of colour i
-            seen = {base}
-            queue = deque([base])
-            while queue:
-                x = queue.popleft()
-                for u, colour in succ[x]:
-                    if u in seen:
-                        continue
-                    k = restr[t_pos[colour]]
-                    images[u] = known[k][images[x]]
-                    seen.add(u)
-                    queue.append(u)
-            if len(seen) != len(dpart):
+            reached = 1
+            for x, u, colour in bfs_tree(succ, base):
+                images[u] = known[restr[t_pos[colour]]][images[x]]
+                reached += 1
+            if reached != len(dpart):
                 raise InconsistentDecode("component is not reachable by directed edges")
         if any(img is None for img in images):
             raise InconsistentDecode(f"map {v} not fully determined")
@@ -494,26 +481,11 @@ def _decode_body(n: int, r: BitReader) -> Rack:
 
     # conjugate all remaining maps from their component representatives
     for part in parts:
-        v = part[0]
-        if len(part) == 1:
-            continue
-        word = {v: identity(n)}
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for u, colour in succ[x]:
-                if u in seen:
-                    continue
-                word[u] = compose(word[x], known[colour])
-                seen.add(u)
-                queue.append(u)
-        if len(seen) != len(part):
+        word = path_words(g_t, succ, part[0])
+        if len(word) != len(part):
             raise InconsistentDecode("component is not reachable by directed edges")
-        fv = known[v]
-        for u in part:
-            if u == v:
-                continue
+        fv = known[part[0]]
+        for u in part[1:]:
             fu = conjugate(fv, word[u])
             if u in known:
                 if known[u] != fu:
@@ -562,8 +534,7 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     n = rack.n
     if params is None:
         params = CodecParams.default(n)
-    s_low, _ = degree_split(rack, params.delta)
-    order, cps = greedy_merge_order(n, dict(enumerate(rack.maps)), s_low)
+    s_low, _, order, cps = _greedy_pass(rack, params.delta)
     x_seq = []
     prev = n
     for cp in cps:
@@ -588,7 +559,7 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
             continue
         edges = [(u, rack.maps[j][u]) for u in range(n) if rack.maps[j][u] != u]
         drop = cp_t - count_components_with(g_t, edges)
-        merged = _merged_part_indices(struct, rack.maps[j])
+        merged = merged_part_indices(struct, enumerate(rack.maps[j]))
         post.append((j, drop, len(merged)))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)

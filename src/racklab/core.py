@@ -95,20 +95,17 @@ def _columns(table, n):
     return [tuple(table[x][y] for x in range(n)) for y in range(n)]
 
 
-def _bijection_violations_checked(table, n) -> list:
+def _bijection_violations(table, n) -> list:
     return [Violation("NotBijective", (y,))
             for y, col in enumerate(_columns(table, n)) if not is_permutation(col, n)]
-
-
-def bijection_violations(table) -> list:
-    """Columns of the table that are not bijections."""
-    return _bijection_violations_checked(table, table_order(table))
 
 
 _VECTOR_CHECK_MIN_ORDER = 64
 
 
 def _conjugation_violations_slow(table, n) -> list:
+    # first witness (x, y, z) per failing (y, z) pair, in row-major order;
+    # requires bijective columns
     maps = _columns(table, n)
     invs = [inverse(m) for m in maps]
     out = []
@@ -139,17 +136,6 @@ def _conjugation_violations_fast(table, n) -> list:
     return out
 
 
-def conjugation_violations(table) -> list:
-    """First witness (x, y, z) per failing (y, z) pair, scanned in row-major order.
-
-    Requires bijective columns; call bijection_violations first.
-    """
-    n = table_order(table)
-    if n >= _VECTOR_CHECK_MIN_ORDER:
-        return _conjugation_violations_fast(table, n)
-    return _conjugation_violations_slow(table, n)
-
-
 def self_distributivity_violations(table) -> list:
     """First witness (x, y, z) per failing (y, z) pair of (x>y)>z = (x>z)>(y>z)."""
     n = table_order(table)
@@ -171,7 +157,7 @@ def axiom_report(table, method="conjugation") -> AxiomReport:
     identity directly.  Both accept exactly the same tables.
     """
     n = table_order(table)
-    violations = _bijection_violations_checked(table, n)
+    violations = _bijection_violations(table, n)
     if method == "conjugation":
         if not violations:
             if n >= _VECTOR_CHECK_MIN_ORDER:

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import AxiomReport, Rack, canonical_form, format_rack, rack_from_table
-from .perms import all_permutations, compose, inverse
+from .perms import all_permutations, conjugate
 
 MAX_ORDER = 7        # hard cap; orders above 6 are slow in practice
 ORACLE_MAX_ORDER = 3
@@ -41,11 +41,6 @@ class EnumReport:
     quandle_class_count: int
     elapsed: float
     witnesses: tuple  # canonical tables, sorted
-
-
-def _conj(p, q):
-    # q^-1 p q
-    return compose(compose(inverse(q), p), q)
 
 
 def _propagate(known, col, perm):
@@ -71,8 +66,8 @@ def _propagate(known, col, perm):
             fq = known[q]
             if fq is None:
                 continue
-            queue.append((fq[c], _conj(p, fq)))
-            queue.append((p[q], _conj(fq, p)))
+            queue.append((fq[c], conjugate(p, fq)))
+            queue.append((p[q], conjugate(fq, p)))
     return trail
 
 

@@ -11,9 +11,10 @@ for raw undirected edge multisets.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
-from .perms import is_permutation
+from .perms import compose, identity, is_permutation
 
 
 class UnionFind:
@@ -68,11 +69,6 @@ class ColoredDigraph:
             out.extend((u, p[u], c) for u in range(self.n) if p[u] != u)
         return out
 
-    def edge_set(self, c) -> tuple:
-        """The directed pairs of colour c (the non-fixed part of its permutation)."""
-        p = self._sigma[c]
-        return tuple((u, p[u]) for u in range(self.n) if p[u] != u)
-
     def undirected_support(self) -> list:
         """One undirected pair per edge, multiplicities kept."""
         return [(u, v) for u, v, _ in self.edges()]
@@ -108,9 +104,6 @@ class ComponentStructure:
     cp: int             # number of parts
     part_index: tuple   # vertex -> index into parts
 
-    def part_of(self, v: int) -> tuple:
-        return self.parts[self.part_index[v]]
-
 
 def component_structure(n: int, pairs) -> ComponentStructure:
     """Components of the undirected multigraph on [n] with the given pairs."""
@@ -145,24 +138,46 @@ def out_degrees(graph: ColoredDigraph) -> tuple:
     return tuple(out_degree(graph, v) for v in range(graph.n))
 
 
+def successors(graph: ColoredDigraph) -> list:
+    """succ[u]: the (head, colour) pairs of the edges leaving u, colours ascending."""
+    succ = [[] for _ in range(graph.n)]
+    for u, v, c in graph.edges():
+        succ[u].append((v, c))
+    return succ
+
+
+def bfs_tree(succ, root: int):
+    """Yield the (tail, head, colour) edges of the directed BFS tree from root.
+
+    Vertices leave the queue first in, first out; successors follow succ's order.
+    """
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for u, colour in succ[x]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+                yield x, u, colour
+
+
+def path_words(graph: ColoredDigraph, succ, root: int) -> dict:
+    """word[u]: product of the colour maps along the BFS tree path root -> u.
+
+    Only vertices reachable from root get a word; in a rack f_u = word[u]^-1 f_root word[u].
+    """
+    word = {root: identity(graph.n)}
+    for x, u, colour in bfs_tree(succ, root):
+        word[u] = compose(word[x], graph.perm(colour))
+    return word
+
+
 def directed_path_exists(graph: ColoredDigraph, u: int, v: int) -> bool:
     """True iff v is reachable from u following edge directions."""
     if u == v:
         raise ValueError("endpoints must be distinct")
-    succ = [set() for _ in range(graph.n)]
-    for a, b, _ in graph.edges():
-        succ[a].add(b)
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in succ[x]:
-            if y == v:
-                return True
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
+    return any(head == v for _, head, _ in bfs_tree(successors(graph), u))
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +203,25 @@ def multigraph_component_count(n: int, *edge_sets) -> int:
     return uf.count
 
 
+def merged_part_indices(structure: ComponentStructure, pairs) -> tuple:
+    """Ascending indices of the parts that some pair (u, v) joins to another part."""
+    merged = set()
+    for u, v in pairs:
+        iu, iv = structure.part_index[u], structure.part_index[v]
+        if iu != iv:
+            merged.add(iu)
+            merged.add(iv)
+    return tuple(sorted(merged))
+
+
 def multigraph_merged_parts(n: int, base_edges, extra_edges) -> tuple:
     """Components of (n, base_edges) having an extra edge to their complement.
 
     Only the support of extra_edges matters, but multiplicities are accepted.
     """
     structure = component_structure(n, validate_edges(n, base_edges))
-    merged = set()
-    for u, v in validate_edges(n, extra_edges):
-        iu, iv = structure.part_index[u], structure.part_index[v]
-        if iu != iv:
-            merged.add(iu)
-            merged.add(iv)
-    return tuple(structure.parts[i] for i in sorted(merged))
+    merged = merged_part_indices(structure, validate_edges(n, extra_edges))
+    return tuple(structure.parts[i] for i in merged)
 
 
 def count_components_with(graph: ColoredDigraph, extra_edges) -> int:

@@ -71,6 +71,19 @@ def test_zeta_sweep_sampled():
     assert report["statistic"]["max_zeta"] <= report["bound"] + 1e-9
 
 
+def test_zeta_sweep_sampled_draws_component_histograms():
+    # a component histogram has eta_q = q * (number of components of size q)
+    equality = []
+    for seed in range(1, 6):
+        report = zeta_bound_sweep(12, trials=2000, seed=seed)
+        assert report["pass"], report
+        stat = report["statistic"]
+        equality += stat["equality_cases"]
+        for eta in [stat["argmax"]] + stat["equality_cases"]:
+            assert all(e % q == 0 for q, e in enumerate(eta, start=1)), eta
+    assert equality  # some seed meets the all-2 case, so equality cases are checked too
+
+
 def test_chernoff_check():
     report = chernoff_check(400, 0.2, 0.5, trials=20_000, seed=11)
     assert report["pass"], report

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from racklab import dihedral_quandle, format_rack, trivial_rack
+from racklab import CodecParams, Rack, dihedral_quandle, encode, format_rack, trivial_rack
 from racklab import cli
 from racklab.cli import main
 
@@ -112,7 +112,7 @@ def test_audit_rejects_corrupt_table(capsys, tmp_path):
 
 def test_encoder_inconsistency_exits_with_domain_code(capsys, monkeypatch, tmp_path):
     # a family that passed no axiom check reaches build_info's consistency checks
-    monkeypatch.setattr(cli, "_load_rack_arg", lambda path: unchecked_non_rack())
+    monkeypatch.setattr(cli, "load_rack", lambda path: unchecked_non_rack())
     code, _, err = run(capsys, "audit", "any.rack", "--delta", "1", "--cap-l", "1")
     assert code == 1
     assert "not closed" in err
@@ -121,6 +121,53 @@ def test_encoder_inconsistency_exits_with_domain_code(capsys, monkeypatch, tmp_p
                        "--out", str(rke))
     assert code == 1
     assert "not closed" in err and not rke.exists()
+
+
+def _flipped_stream():
+    # bit 95 (byte 11, mask 0x01) of this stream lies in a restriction image
+    data = bytearray(encode(trivial_rack(4), CodecParams(2, 2)))
+    data[11] ^= 0x01
+    return bytes(data)
+
+
+NOT_A_RACK = "2\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize("argv, content, code, message", [
+    (("encode",), None, 2, "No such file"),
+    (("stats",), None, 2, "No such file"),
+    (("audit",), None, 2, "No such file"),
+    (("analyze", "random-subset", "--rack"), None, 2, "No such file"),
+    (("encode",), NOT_A_RACK, 1, "not a rack"),
+    (("stats",), NOT_A_RACK, 1, "not a rack"),
+    (("analyze", "random-subset", "--rack"), NOT_A_RACK, 1, "not a rack"),
+    (("decode",), _flipped_stream(), 1, "inconsistent stream"),
+])
+def test_error_table_exit_codes(capsys, tmp_path, argv, content, code, message):
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    rc, out, err = run(capsys, *argv, str(path))
+    assert rc == code
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+
+
+def test_encode_order_over_header_limit_exits_with_resource_code(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "load_rack", lambda path: Rack._unchecked([()] * 65536, None))
+    rke = tmp_path / "big.rke"
+    code, _, err = run(capsys, "encode", "any.rack", "--out", str(rke))
+    assert code == 3
+    assert "u16 header limit" in err and not rke.exists()
+
+
+def test_decode_takes_no_codec_parameters(capsys):
+    for flag in ("--delta", "--cap-l"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "any.rke", flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_enumerate_with_oracle(capsys, tmp_path):

@@ -2,17 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racklab import (CodecParams, CorruptStream, EncodeConsistencyError,
-                     InconsistentDecode, build_info, conjugation_quandle,
-                     decode, degree_split, dihedral_quandle, encode,
-                     encode_with_stats, encoding_stats, enumerate_labeled,
+                     InconsistentDecode, OrderTooLargeForHeader, Rack, build_info,
+                     conjugation_quandle, decode, degree_split, dihedral_quandle,
+                     encode, encode_with_stats, encoding_stats, enumerate_labeled,
                      extract_residual, greedy_T, is_subrack, merge_bound_audit,
                      permutation_rack, rack_graph, symmetric_group_table,
                      trivial_rack)
-from racklab import core
+from racklab import codec, core
 from racklab.bits import BitWriter
-from racklab.codec import MAGIC
+from racklab.codec import MAGIC, CodecError
 from racklab.graph import components
 from racklab.perms import compose, from_cycles, identity, inverse
 
@@ -338,3 +340,48 @@ def test_build_info_inconsistency_is_typed():
         build_info(rack, params)
     with pytest.raises(EncodeConsistencyError):
         encode(rack, params)
+
+
+def test_encode_order_over_header_limit_is_typed():
+    # n = 65536 does not fit the u16 header field; nothing is computed first
+    stub = Rack._unchecked([()] * 65536, None)
+    with pytest.raises(OrderTooLargeForHeader, match="u16 header limit 65535"):
+        encode(stub)
+
+
+def test_one_greedy_pass_per_encode(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(codec, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("degree_split", "greedy_merge_order"):
+        monkeypatch.setattr(codec, name, counting(name))
+    for _, rack in family_racks(8):
+        if rack.n == 1:
+            continue  # the header alone encodes order 1
+        for params in param_grid(rack.n):
+            calls.clear()
+            data, _ = encode_with_stats(rack, params)
+            assert sorted(calls) == ["degree_split", "greedy_merge_order"]
+            calls.clear()
+            assert decode(data) == rack
+            assert calls == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+       st.binary(max_size=96))
+def test_decode_gives_rack_or_codec_error(n, delta, cap_l, body):
+    # small n keeps math.factorial(n) cheap; any body bytes are allowed
+    data = MAGIC + n.to_bytes(2, "big") + delta.to_bytes(2, "big") + cap_l.to_bytes(2, "big")
+    try:
+        result = decode(data + body)
+    except CodecError:
+        return
+    assert isinstance(result, Rack) and result.n == n
