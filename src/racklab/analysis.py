@@ -26,6 +26,10 @@ from .graph import (component_structure, components, out_degrees, path_words,
 from .perms import conjugate
 
 
+class CheckParameterError(ValueError):
+    """An argument outside the range a Monte Carlo check accepts."""
+
+
 @dataclass(frozen=True)
 class EtaSequence:
     """Non-negative integers eta_1..eta_n with total n (eta[q-1] is eta_q)."""
@@ -173,7 +177,9 @@ def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
                    chunk: int = 10_000, threads: int = 1) -> dict:
     """Binomial tail estimates against exp(-eps^2 np/3) and exp(-eps^2 np/2)."""
     if not (0 < p < 1 and 0 < eps <= 1):
-        raise ValueError("p in (0,1) and eps in (0,1] required")
+        raise CheckParameterError("p in (0,1) and eps in (0,1] required")
+    if n < 0 or trials < 1:
+        raise CheckParameterError("n >= 0 and trials >= 1 required")
     mean = n * p
 
     def worker(idx, b):
@@ -232,7 +238,9 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     out-degree towards X is also tallied directly.
     """
     if not (0 < p <= 1 and 0 < eps <= 1):
-        raise ValueError("p in (0,1] and eps in (0,1] required")
+        raise CheckParameterError("p in (0,1] and eps in (0,1] required")
+    if trials < 1:
+        raise CheckParameterError("trials >= 1 required")
     n = rack.n
     witness = _witness_colours(rack)
     d = np.array([len(w) for w in witness], dtype=np.float64)

@@ -39,6 +39,7 @@ ERRORS = (
     (AuditFail, EXIT_DOMAIN, "audit failed: "),
     (OrderTooLargeForHeader, EXIT_RESOURCE, ""),
     (enumeration.OrderTooLarge, EXIT_RESOURCE, ""),
+    (analysis.CheckParameterError, EXIT_IO, ""),
 )
 
 
@@ -158,7 +159,7 @@ def cmd_decode(args) -> int:
 def cmd_stats(args) -> int:
     rack = load_rack(args.path)
     params = _params(args, rack.n)
-    stats = codec.encoding_stats(rack, params)
+    _, stats, info = codec._encode_with_info(rack, params)
     payload = {
         "n": stats.n,
         "delta": stats.delta,
@@ -172,7 +173,8 @@ def cmd_stats(args) -> int:
         "total_bytes": stats.total_bytes,
     }
     if args.dot:
-        t = codec.greedy_T(rack, params.delta, params.cap_l)
+        # order 1 has no info tuple, and no edges whatever T is
+        t = info.t_order if info is not None else ()
         payload["dot"] = to_dot(rack_graph(rack, t))
     _emit(payload, args)
     return EXIT_OK
@@ -181,8 +183,7 @@ def cmd_stats(args) -> int:
 def cmd_audit(args) -> int:
     rack = load_rack(args.path)
     params = _params(args, rack.n)
-    report = codec.merge_bound_audit(rack, params)
-    codec.build_info(rack, params)  # runs the invariance checks
+    report = codec._audit_with_invariance(rack, params)
     regular = component_out_degree_constant(rack, range(rack.n))
     payload = {
         "n": report.n,

@@ -156,10 +156,15 @@ class InfoTuple:
 
 def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     """Assemble the full information tuple of a rack."""
-    n = rack.n
     if params is None:
-        params = CodecParams.default(n)
-    s_low, s_high, order, _ = _greedy_pass(rack, params.delta)
+        params = CodecParams.default(rack.n)
+    return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))
+
+
+def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
+    """build_info on the result of _greedy_pass(rack, params.delta)."""
+    n = rack.n
+    s_low, s_high, order, _ = greedy
     t_order = order[:min(params.cap_l, len(order))]
     t_set = set(t_order)
     t_sorted = tuple(sorted(t_set))
@@ -299,6 +304,12 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
 
 def encode_with_stats(rack: Rack, params: CodecParams | None = None):
     """Serialize a rack; returns (bytes, CodecStats)."""
+    data, stats, _ = _encode_with_info(rack, params)
+    return data, stats
+
+
+def _encode_with_info(rack: Rack, params: CodecParams | None):
+    """(bytes, CodecStats, InfoTuple); the info is None for n = 1, whose stream is empty."""
     n = rack.n
     if params is None:
         params = CodecParams.default(n)
@@ -309,7 +320,7 @@ def encode_with_stats(rack: Rack, params: CodecParams | None = None):
         stats = CodecStats(n=1, delta=params.delta, cap_l=params.cap_l, eta=(1,),
                            cp=1, zeta=0.0, residual_bits=0, header_bits=0,
                            bound=0.25, total_bytes=len(head))
-        return head, stats
+        return head, stats, None
     info = build_info(rack, params)
     residual = extract_residual(rack, info)
     w = BitWriter()
@@ -329,7 +340,7 @@ def encode_with_stats(rack: Rack, params: CodecParams | None = None):
         residual_bits=residual_bits, header_bits=header_bits,
         bound=n * n / 4, total_bytes=len(data),
     )
-    return data, stats
+    return data, stats, info
 
 
 def encode(rack: Rack, params: CodecParams | None = None) -> bytes:
@@ -368,14 +379,6 @@ def decode(data: bytes) -> Rack:
 
 def _decode_body(n: int, r: BitReader) -> Rack:
     w_vertex = uint_width(n)
-    w_perm = perm_width(n)
-    nfact = math.factorial(n)
-
-    def read_perm():
-        rank = r.read(w_perm)
-        if rank >= nfact:
-            raise CorruptStream(f"permutation rank {rank} out of range")
-        return lehmer_unrank(rank, n)
 
     def read_vertex():
         v = r.read(w_vertex)
@@ -384,6 +387,17 @@ def _decode_body(n: int, r: BitReader) -> Rack:
         return v
 
     s_low = r.read_bitmap(n)
+    # n! only after the first field has been read, so a stream too short
+    # for its header's n fails without computing it
+    nfact = math.factorial(n)
+    w_perm = uint_width(nfact)
+
+    def read_perm():
+        rank = r.read(w_perm)
+        if rank >= nfact:
+            raise CorruptStream(f"permutation rank {rank} out of range")
+        return lehmer_unrank(rank, n)
+
     low_set = set(s_low)
     s_high = tuple(v for v in range(n) if v not in low_set)
     known = {j: read_perm() for j in s_high}
@@ -531,10 +545,15 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     reached no remaining low colour merges more than the next pick would
     have.  Raises AuditFail at the first violated index.
     """
-    n = rack.n
     if params is None:
-        params = CodecParams.default(n)
-    s_low, _, order, cps = _greedy_pass(rack, params.delta)
+        params = CodecParams.default(rack.n)
+    return _audit_from_pass(rack, params, _greedy_pass(rack, params.delta))
+
+
+def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditReport:
+    """merge_bound_audit on the result of _greedy_pass(rack, params.delta)."""
+    n = rack.n
+    s_low, _, order, cps = greedy
     x_seq = []
     prev = n
     for cp in cps:
@@ -570,3 +589,11 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
         order=order, cp_seq=cps, x_seq=tuple(x_seq), t=t, cp_t=cp_t,
         sum_x=sum(x_seq), x_after_t=x_after_t, post_t_drops=tuple(post),
     )
+
+
+def _audit_with_invariance(rack: Rack, params: CodecParams) -> MergeAuditReport:
+    """merge_bound_audit, then build_info's invariance checks, on one greedy pass."""
+    greedy = _greedy_pass(rack, params.delta)
+    report = _audit_from_pass(rack, params, greedy)
+    _info_from_pass(rack, params, greedy)
+    return report

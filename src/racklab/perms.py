@@ -72,12 +72,28 @@ def from_cycles(n: int, cycles) -> tuple:
 
 
 def lehmer_rank(p) -> int:
-    """Rank of p among the permutations of its length in lexicographic order."""
+    """Rank of p among the permutations of its length in lexicographic order.
+
+    Scans right to left; a Fenwick tree over the values already passed
+    counts those smaller than the current one, which is its Lehmer digit,
+    weighted by k! for the k values to its right.  O(n log n) steps.
+    """
     n = len(p)
+    tree = [0] * (n + 1)
     rank = 0
-    for i, v in enumerate(p):
-        smaller = sum(1 for w in p[i + 1:] if w < v)
-        rank = rank * (n - i) + smaller
+    weight = 1
+    for k, v in enumerate(reversed(p)):
+        smaller = 0
+        i = v
+        while i:
+            smaller += tree[i]
+            i &= i - 1
+        i = v + 1
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+        rank += smaller * weight
+        weight *= k + 1
     return rank
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from racklab import CodecParams, Rack, dihedral_quandle, encode, format_rack, trivial_rack
-from racklab import cli
+from racklab import cli, codec
 from racklab.cli import main
 
 from _corpus import unchecked_non_rack
@@ -219,6 +219,39 @@ def test_analyze_chernoff(capsys):
     code, out, _ = run(capsys, "analyze", "chernoff", "--n", "200", "--p", "0.2",
                        "--eps", "0.5", "--trials", "5000", "--format", "json")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("chernoff", "--p", "2"),
+    ("chernoff", "--eps", "0"),
+    ("chernoff", "--trials", "0"),
+    ("chernoff", "--n", "-5"),
+    ("random-subset", "--n", "5", "--p", "0"),
+    ("random-subset", "--n", "5", "--eps", "1.5"),
+    ("random-subset", "--n", "5", "--trials", "0"),
+])
+def test_analyze_parameter_out_of_range_exits_with_io_code(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "required" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [("audit",), ("stats", "--dot")])
+def test_one_greedy_pass_per_command(capsys, monkeypatch, tmp_path, command):
+    path = tmp_path / "d8.rack"
+    path.write_text(format_rack(dihedral_quandle(8)))
+    calls = []
+    original = codec.greedy_merge_order
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "greedy_merge_order", counting)
+    code, out, _ = run(capsys, *command, str(path), "--delta", "7", "--cap-l", "2",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)
+    assert calls == [8]
 
 
 def test_analyze_find_w_reports_without_failing(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -194,6 +195,36 @@ def test_conformance_vector():
     data = encode(trivial_rack(3))
     assert data == CONFORMANCE_TRIVIAL_3
     assert decode(CONFORMANCE_TRIVIAL_3) == trivial_rack(3)
+
+
+# sha256 of encode(dihedral_quandle(n), params), whose Lehmer ranks are far
+# wider than 64 bits and start at all eight bit offsets of a byte; frozen
+FROZEN_DIHEDRAL_STREAMS = [
+    (64, None, "472e8f6d4665d11bfd4b43a33bbc8426ea6f0295543d4595c814de57981bb225"),
+    (64, CodecParams(1, 1), "711fd1c8588919b7e384ed3e1c52a27a1c1a6872b5ac379a9fe4611fca101780"),
+    (97, None, "04778d0fc181e67178b0a4080dee8d244ddec131d94bcb55db88ed776d68e7a6"),
+    (97, CodecParams(1, 1), "f1bbc1c24224d402d37f95e61897bbf80319f3f47fea04f82f100f42835a3df5"),
+]
+
+
+@pytest.mark.parametrize("n, params, digest", FROZEN_DIHEDRAL_STREAMS)
+def test_frozen_dihedral_streams(n, params, digest):
+    rack = dihedral_quandle(n)
+    data = encode(rack, params)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert decode(data) == rack
+
+
+def test_short_stream_with_huge_order_fails_before_factorial(monkeypatch):
+    # the header claims n = 65535, but 4 body bytes cannot hold the n-bit
+    # low-degree bitmap; n! must not be computed to find that out
+    def no_factorial(k):
+        raise AssertionError(f"factorial({k}) computed")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    data = MAGIC + bytes.fromhex("ffff00010001") + bytes(4)
+    with pytest.raises(CorruptStream, match="^need 1 bits at position 32$"):
+        decode(data)
 
 
 def test_decode_corrupt_streams():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racklab.perms import (all_permutations, compose, conjugate, cycle_count,
                            from_cycles, identity, inverse, is_permutation,
@@ -48,6 +50,27 @@ def test_lehmer_round_trip_and_order():
             assert lehmer_unrank(rank, n) == p
     with pytest.raises(ValueError):
         lehmer_unrank(24, 4)
+
+
+def reference_lehmer_rank(p):
+    """The O(n^2) rank that lehmer_rank replaced, kept as a test oracle."""
+    n = len(p)
+    rank = 0
+    for i, v in enumerate(p):
+        smaller = sum(1 for w in p[i + 1:] if w < v)
+        rank = rank * (n - i) + smaller
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))))
+@example(list(range(300)))            # rank 0
+@example(list(range(299, -1, -1)))    # rank 300! - 1
+def test_lehmer_rank_matches_reference(perm):
+    p = tuple(perm)
+    rank = lehmer_rank(p)
+    assert rank == reference_lehmer_rank(p)
+    assert lehmer_unrank(rank, len(p)) == p
 
 
 def test_is_permutation():
