@@ -1,8 +1,8 @@
 """racklab: finite racks as graphs, a lossless codec, and small-order enumeration."""
 
-from .analysis import (CheckParameterError, EtaSequence, WSearchResult,
-                       chernoff_check, claim_calc_gap, find_W, random_subset_check,
-                       zeta_bound_sweep, zeta_of, zeta_of_exact)
+from .analysis import (CheckParameterError, DegreeSplitError, EtaSequence,
+                       WSearchResult, chernoff_check, claim_calc_gap, find_W,
+                       random_subset_check, zeta_bound_sweep, zeta_of, zeta_of_exact)
 from .codec import (AuditFail, CodecParams, CodecStats, CorruptStream,
                     EncodeConsistencyError, InconsistentDecode, InfoTuple,
                     MergeAuditReport, OrderTooLargeForHeader, Residual, build_info,

@@ -27,7 +27,11 @@ from .perms import conjugate
 
 
 class CheckParameterError(ValueError):
-    """An argument outside the range a Monte Carlo check accepts."""
+    """An argument outside the range a check accepts."""
+
+
+class DegreeSplitError(RuntimeError):
+    """find_W met a sampled component holding high- and low-degree vertices."""
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,15 @@ def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
     than the all-2 composition; only the exhaustive one also requires that
     case to be found.
     """
+    if n < 1:
+        raise CheckParameterError("n >= 1 required")
     bound = Fraction(n * n, 4)
     if n <= 10:
         source = _weak_compositions(n, n)
         mode = "exhaustive"
     else:
+        if trials < 1:
+            raise CheckParameterError("trials >= 1 required when n > 10")
         rng = np.random.default_rng(seed)
         source = (component_structure(n, enumerate(rng.permutation(n).tolist())).eta
                   for _ in range(trials))
@@ -363,7 +371,7 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         inside = [part for part in struct.parts if part[0] in high]
         for part in inside:
             if not all(u in high for u in part):
-                raise RuntimeError("degree split is not separated in the sampled graph")
+                raise DegreeSplitError("degree split is not separated in the sampled graph")
         reps = tuple(part[0] for part in inside)
         w = tuple(sorted(set(x) | set(reps)))
 

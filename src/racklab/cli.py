@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,6 +41,7 @@ ERRORS = (
     (OrderTooLargeForHeader, EXIT_RESOURCE, ""),
     (enumeration.OrderTooLarge, EXIT_RESOURCE, ""),
     (analysis.CheckParameterError, EXIT_IO, ""),
+    (analysis.DegreeSplitError, EXIT_DOMAIN, ""),
 )
 
 
@@ -112,6 +114,8 @@ def cmd_enumerate(args) -> int:
         "labeled": report.labeled_count,
         "classes": report.class_count,
         "quandle_classes": report.quandle_class_count,
+        # the quantity the paper bounds by 1/4 + o(1)
+        "log2_classes_over_n2": math.log2(report.class_count) / args.n ** 2,
         "reference_unverified": {
             "classes": enumeration.REFERENCE_RACK_CLASSES.get(args.n),
             "quandle_classes": enumeration.REFERENCE_QUANDLE_CLASSES.get(args.n),

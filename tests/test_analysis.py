@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from racklab import (EtaSequence, chernoff_check, claim_calc_gap,
+from racklab import analysis
+from racklab import (CheckParameterError, DegreeSplitError, EtaSequence,
+                     chernoff_check, claim_calc_gap,
                      conjugation_quandle, dihedral_quandle, find_W,
                      random_subset_check, symmetric_group_table, trivial_rack,
                      zeta_bound_sweep, zeta_of, zeta_of_exact)
@@ -156,6 +158,25 @@ def test_find_w_s3():
     assert result.attempts <= 100
     report = result.to_report()
     assert report["pass"]
+
+
+def test_find_w_unseparated_split_is_typed(monkeypatch):
+    # D_5 is one component under all colours: with vertex 0 alone called
+    # high, the sampled component of 0 holds low-degree vertices too
+    monkeypatch.setattr(analysis, "degree_split",
+                        lambda rack, delta: (tuple(range(1, rack.n)), (0,)))
+    with pytest.raises(DegreeSplitError, match="not separated"):
+        find_W(dihedral_quandle(5), delta=1, p=1.0, bad_threshold=0, seed=0)
+
+
+@pytest.mark.parametrize("n, trials, message", [
+    (0, 0, "n >= 1 required"),
+    (-3, 0, "n >= 1 required"),
+    (12, 0, "trials >= 1 required"),
+])
+def test_zeta_sweep_parameters_out_of_range_are_typed(n, trials, message):
+    with pytest.raises(CheckParameterError, match=message):
+        zeta_bound_sweep(n, trials=trials)
 
 
 def test_find_w_exhausts_honestly():

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from racklab import CodecParams, Rack, dihedral_quandle, encode, format_rack, trivial_rack
-from racklab import cli, codec
+from racklab import analysis, cli, codec
 from racklab.cli import main
 
 from _corpus import unchecked_non_rack
@@ -194,6 +195,15 @@ def test_json_output_thread_independent(capsys):
     assert out1 == out2
 
 
+def test_enumerate_reports_the_bounded_quantity(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    # log2 of the class count over n^2, which the paper bounds by 1/4 + o(1)
+    assert payload["classes"] == 6
+    assert payload["log2_classes_over_n2"] == pytest.approx(math.log2(6) / 9)
+
+
 def test_analyze_claim_calc(capsys):
     code, out, _ = run(capsys, "analyze", "claim-calc", "--format", "json")
     assert code == 0
@@ -234,6 +244,28 @@ def test_analyze_parameter_out_of_range_exits_with_io_code(capsys, argv):
     code, out, err = run(capsys, "analyze", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "required" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "0"), "n >= 1 required"),
+    (("--n", "-3"), "n >= 1 required"),
+    (("--n", "12", "--trials", "0"), "trials >= 1 required when n > 10"),
+])
+def test_analyze_zeta_sweep_out_of_range_exits_with_io_code(capsys, argv, message):
+    code, out, err = run(capsys, "analyze", "zeta-sweep", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_analyze_find_w_unseparated_split_exits_with_domain_code(capsys, monkeypatch):
+    # D_5 is one component under all colours; calling vertex 0 alone high
+    # splits that component, which find_W reports as a typed error
+    monkeypatch.setattr(analysis, "degree_split",
+                        lambda rack, delta: (tuple(range(1, rack.n)), (0,)))
+    code, out, err = run(capsys, "analyze", "find-w", "--family", "dihedral", "--n", "5",
+                         "--p", "1", "--threshold", "0")
+    assert code == 1 and out == ""
+    assert err == "error: degree split is not separated in the sampled graph\n"
 
 
 @pytest.mark.parametrize("command", [("audit",), ("stats", "--dot")])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from racklab import (canonical_form, component_out_degree_constant, decode,
                      encode, enumerate_classes, enumerate_labeled,
                      oracle_enumerate)
 from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, OrderTooLarge,
-                                 REFERENCE_RACK_CLASSES)
+                                 REFERENCE_RACK_CLASSES, _tables)
+from racklab.perms import all_permutations, conjugate
 
 from _corpus import random_relabeling
 
@@ -95,3 +97,46 @@ def test_reference_values_are_informational():
     # the published sequence is surfaced but the trusted source is the oracle
     assert oracle_enumerate(3).class_count == enumerate_classes(3).class_count
     assert 3 in REFERENCE_RACK_CLASSES
+
+
+# sha256 of repr([rack.maps for rack in enumerate_labeled(n)]) and of
+# repr(enumerate_classes(n).witnesses), computed before enumeration moved to
+# permutation ranks; the stream order and the classes must not change
+STREAM_SHA256 = {
+    4: "c90e03616bc8b04ddbdd3d5dd25452564e3bcff757b51bccfe5649158bd00d87",
+    5: "9e8aa589336b71adce378cdf5e18cd6f29608932f0dff3ac11ec54584348afd4",
+}
+WITNESS_SHA256 = {
+    4: "5fa2fcf0e1600762fd5fb6d5031cb9445f026fa8fe9e58a60fe118ac7c42d602",
+    5: "5079829637025310fe531e447acb132cfc3c50f82969ac7f0f75f821a370ebc0",
+}
+
+
+def _sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_stream_and_witnesses_are_pinned(n):
+    stream = [r.maps for r in enumerate_labeled(n)]
+    assert _sha256(stream) == STREAM_SHA256[n]
+    rep = enumerate_classes(n)
+    assert rep.labeled_count == len(stream)
+    assert _sha256(rep.witnesses) == WITNESS_SHA256[n]
+
+
+def test_conjugation_table_matches_conjugate():
+    for n in range(1, 5):
+        perms, conj = _tables(n)
+        assert perms == all_permutations(n)
+        rank = {p: r for r, p in enumerate(perms)}
+        for r, f in enumerate(perms):
+            assert [conj[r][s] for s in range(len(perms))] == [
+                rank[conjugate(f, g)] for g in perms]
+
+
+def test_one_class_per_canonical_form_n4():
+    keys = {canonical_form(rack) for rack in enumerate_labeled(4)}
+    rep = enumerate_classes(4)
+    assert keys == set(rep.witnesses)
+    assert rep.class_count == len(keys)
