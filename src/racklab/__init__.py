@@ -16,8 +16,8 @@ from .core import (AxiomReport, MalformedTableError, NotAbelianError,
                    find_isomorphism, format_rack, is_subrack, load_rack,
                    parse_rack_table, permutation_rack, rack_from_table,
                    symmetric_group_table, trivial_rack)
-from .enumeration import (EnumReport, OrderTooLarge, enumerate_classes,
-                          enumerate_labeled, oracle_enumerate,
+from .enumeration import (EnumReport, OrderOutOfRange, OrderTooLarge,
+                          enumerate_classes, enumerate_labeled, oracle_enumerate,
                           oracle_labeled_tables, write_witnesses)
 from .graph import (ColoredDigraph, ComponentStructure, build_graph,
                     component_out_degree_constant, components,

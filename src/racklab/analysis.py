@@ -11,6 +11,7 @@ are one-sided guarantees and sampling noise must not flake the checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -80,13 +81,50 @@ def claim_calc_gap(x: float, y: float) -> float:
     return (x + y) ** 2 / 8 - x ** 2 / 9 - x * y / 3
 
 
-def _weak_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+ZETA_BLOCK_ENTRIES = 1 << 15  # rows x n entries scored at once by the zeta sweep
+
+
+def _row_blocks(rows, width: int, size: int):
+    """int64 arrays of at most size rows each, from an iterator of width-long rows."""
+    while chunk := list(itertools.islice(rows, size)):
+        flat = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int64,
+                           count=len(chunk) * width)
+        yield flat.reshape(len(chunk), width)
+
+
+def _score_block(eta: np.ndarray):
+    """(zeta, exact, equal, over) for each row of an int array of eta sequences.
+
+    zeta is codec._zeta's float, summed column by column in its order.  A row
+    is exact when every active q is a power of two: with L the largest power
+    of two <= n, A = sum eta_q L/q and B = sum eta_q log2(q) L/q are integers,
+    zeta = AB/L^2 (correctly rounded), and equal and over compare 4AB with
+    (nL)^2 in Python ints.  Other rows have irrational zeta, over n^2/4 only
+    beyond 1e-9.
+    """
+    rows, n = eta.shape
+    inv = np.zeros(rows)
+    logs = np.zeros(rows)
+    # every term is >= 0, so skipping all-zero columns leaves the sums bit-equal
+    for q in (np.flatnonzero(eta.any(axis=0)) + 1).tolist():
+        col = eta[:, q - 1]
+        inv += col / q
+        logs += col * math.log2(q) / q
+    zeta = inv * logs
+    over = zeta > n * n / 4 + 1e-9
+    equal = np.zeros(rows, dtype=bool)
+    pow2 = np.array([q & (q - 1) == 0 for q in range(1, n + 1)])
+    exact = ~eta[:, ~pow2].any(axis=1)
+    top = 1 << (n.bit_length() - 1)
+    weights = [top >> k for k in range(n.bit_length())]  # L/q at q = 2^k
+    target = (n * top) ** 2
+    for i, row in zip(np.flatnonzero(exact).tolist(), eta[exact][:, pow2].tolist()):
+        a = sum(e * w for e, w in zip(row, weights))
+        b = sum(k * e * w for k, (e, w) in enumerate(zip(row, weights)))
+        over[i] = 4 * a * b > target
+        equal[i] = 4 * a * b == target
+        zeta[i] = a * b / (top * top)
+    return zeta, exact, equal, over
 
 
 def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
@@ -95,62 +133,58 @@ def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
     The exhaustive mode walks every weak composition of n into n parts.  The
     sampled mode draws component histograms of the graph of a uniform random
     permutation of [n] (its cycle type), so every sampled eta_q is a multiple
-    of q, as for the T-graph of a rack.  Equality with n^2/4 is decided in
-    exact rational arithmetic; the report records every composition attaining
-    it.  Either mode fails on a value above the bound or an equality case other
-    than the all-2 composition; only the exhaustive one also requires that
-    case to be found.
+    of q, as for the T-graph of a rack.  One numpy scorer takes both in
+    blocks and decides equality with n^2/4 in exact integers; the report
+    records every composition attaining it.  Either mode fails on a value
+    above the bound or an equality case other than the all-2 composition;
+    only the exhaustive one also requires that case to be found.
     """
     if n < 1:
         raise CheckParameterError("n >= 1 required")
-    bound = Fraction(n * n, 4)
+    size = max(1, ZETA_BLOCK_ENTRIES // n)
     if n <= 10:
-        source = _weak_compositions(n, n)
+        # stars and bars: the (n-1)-subsets of 2n - 1 slots in lexicographic
+        # order give the compositions in lexicographic order
+        bars = _row_blocks(itertools.combinations(range(2 * n - 1), n - 1), n - 1, size)
+        blocks = (np.diff(np.pad(b, ((0, 0), (1, 1)), constant_values=(-1, 2 * n - 1))) - 1
+                  for b in bars)
         mode = "exhaustive"
     else:
         if trials < 1:
             raise CheckParameterError("trials >= 1 required when n > 10")
         rng = np.random.default_rng(seed)
-        source = (component_structure(n, enumerate(rng.permutation(n).tolist())).eta
-                  for _ in range(trials))
+        rows = (component_structure(n, enumerate(rng.permutation(n).tolist())).eta
+                for _ in range(trials))
+        blocks = _row_blocks(rows, n, size)
         mode = "sampled"
-    count = 0
+    count = violations = 0
     max_zeta = -1.0
     argmax = None
     equality = []
-    violations = 0
-    for raw in source:
-        count += 1
-        eta = EtaSequence(n=n, eta=tuple(raw))
-        exact = zeta_of_exact(eta)
-        if exact is not None:
-            if exact > bound:
-                violations += 1
-            if exact == bound:
-                equality.append(eta.eta)
-            z = float(exact)
-        else:
-            z = zeta_of(eta)
-            if z > float(bound) + 1e-9:
-                violations += 1
-        if z > max_zeta:
-            max_zeta = z
-            argmax = eta.eta
-    two_only = tuple(0 if q != 2 else n for q in range(1, n + 1))
+    for eta in blocks:
+        zeta, _, equal, over = _score_block(eta)
+        count += len(eta)
+        violations += int(over.sum())
+        equality += eta[equal].tolist()
+        i = int(zeta.argmax())
+        if zeta[i] > max_zeta:  # the first maximum wins, as in a row-by-row scan
+            max_zeta, argmax = float(zeta[i]), eta[i].tolist()
+    bound = n * n / 4
+    two_only = [0 if q != 2 else n for q in range(1, n + 1)]
     if mode == "sampled":
         # a sample need not contain the all-2 composition
         ok = violations == 0 and all(e == two_only for e in equality)
     else:
         ok = violations == 0 and equality == ([two_only] if n >= 2 else [])
         if n >= 2:
-            ok = ok and abs(max_zeta - float(bound)) <= 1e-9
+            ok = ok and abs(max_zeta - bound) <= 1e-9
     return {
         "check": "zeta-sweep",
         "params": {"n": n, "mode": mode, "count": count, "trials": trials},
         "seed": seed,
-        "statistic": {"max_zeta": max_zeta, "argmax": list(argmax),
-                      "equality_cases": [list(e) for e in equality]},
-        "bound": float(bound),
+        "statistic": {"max_zeta": max_zeta, "argmax": argmax,
+                      "equality_cases": equality},
+        "bound": bound,
         "pass": ok,
     }
 
@@ -159,22 +193,13 @@ def _tail_se(est: float, trials: int) -> float:
     return math.sqrt(max(est * (1 - est), 0.0) / trials)
 
 
-def _chunk_sizes(trials: int, chunk: int):
-    sizes = []
-    done = 0
-    while done < trials:
-        sizes.append(min(chunk, trials - done))
-        done += sizes[-1]
-    return sizes
-
-
 def _run_chunks(worker, trials: int, chunk: int, threads: int):
     """Run worker(index, size) over fixed chunks; schedule-independent results.
 
     The chunk layout and per-chunk seeds depend only on trials and chunk, so
     the aggregate is identical for any thread count.
     """
-    sizes = _chunk_sizes(trials, chunk)
+    sizes = [min(chunk, trials - done) for done in range(0, trials, chunk)]
     if threads <= 1:
         return [worker(i, b) for i, b in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

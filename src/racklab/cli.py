@@ -40,6 +40,7 @@ ERRORS = (
     (AuditFail, EXIT_DOMAIN, "audit failed: "),
     (OrderTooLargeForHeader, EXIT_RESOURCE, ""),
     (enumeration.OrderTooLarge, EXIT_RESOURCE, ""),
+    (enumeration.OrderOutOfRange, EXIT_IO, ""),
     (analysis.CheckParameterError, EXIT_IO, ""),
     (analysis.DegreeSplitError, EXIT_DOMAIN, ""),
 )
@@ -108,6 +109,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # the oracle runs first: its order cap is far below the engine's
+    oracle = enumeration.oracle_enumerate(args.n) if args.oracle else None
     report = enumeration.enumerate_classes(args.n, jobs=args.threads)
     payload = {
         "n": args.n,
@@ -122,8 +125,7 @@ def cmd_enumerate(args) -> int:
         },
     }
     status = EXIT_OK
-    if args.oracle:
-        oracle = enumeration.oracle_enumerate(args.n)
+    if oracle is not None:
         agree = (oracle.labeled_count == report.labeled_count
                  and oracle.class_count == report.class_count
                  and oracle.quandle_class_count == report.quandle_class_count

@@ -40,6 +40,10 @@ class OrderTooLarge(Exception):
     pass
 
 
+class OrderOutOfRange(ValueError):
+    """An order below 1."""
+
+
 @dataclass(frozen=True)
 class EnumReport:
     n: int
@@ -59,7 +63,8 @@ def _tables(n):
     are uint16 arrays: 1 MB in all at n = 6, 50 MB at n = 7.
     """
     if not 1 <= n <= MAX_ORDER:
-        raise OrderTooLarge(f"order {n} outside 1..{MAX_ORDER}")
+        raise (OrderOutOfRange if n < 1 else OrderTooLarge)(
+            f"order {n} outside 1..{MAX_ORDER}")
     perms = all_permutations(n)
     a = np.array(perms, dtype=np.intp)
     inv = np.argsort(a, axis=1)
@@ -202,7 +207,8 @@ def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
 def oracle_labeled_tables(n: int) -> list:
     """Tables of every rack on [n] by brute force over all (n!)^n map tuples."""
     if not 1 <= n <= ORACLE_MAX_ORDER:
-        raise OrderTooLarge(f"oracle order {n} outside 1..{ORACLE_MAX_ORDER}")
+        raise (OrderOutOfRange if n < 1 else OrderTooLarge)(
+            f"oracle order {n} outside 1..{ORACLE_MAX_ORDER}")
     perms = list(itertools.permutations(range(n)))
     tables = []
     for maps in itertools.product(perms, repeat=n):

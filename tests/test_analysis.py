@@ -1,7 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racklab import analysis
 from racklab import (CheckParameterError, DegreeSplitError, EtaSequence,
@@ -84,6 +89,105 @@ def test_zeta_sweep_sampled_draws_component_histograms():
         for eta in [stat["argmax"]] + stat["equality_cases"]:
             assert all(e % q == 0 for q, e in enumerate(eta, start=1)), eta
     assert equality  # some seed meets the all-2 case, so equality cases are checked too
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _assert_native(value):
+    # numpy scalars would break canonical JSON and `report["pass"] is True`
+    if isinstance(value, dict):
+        for item in value.values():
+            _assert_native(item)
+    elif isinstance(value, list):
+        for item in value:
+            _assert_native(item)
+    else:
+        assert type(value) in (bool, int, float, str), (type(value), value)
+
+
+def test_zeta_sweep_reports_are_pinned():
+    # sha256 of the canonical JSON of the reports of the Fraction-per-row sweep
+    exhaustive = [zeta_bound_sweep(n) for n in range(1, 11)]
+    assert _digest(exhaustive) == \
+        "970f95ac9e9325fd863c27fa175d9d1cd7075158744e4b447ed69f5edc120db2"
+    sampled = [zeta_bound_sweep(12, trials=2000, seed=s) for s in range(1, 6)]
+    sampled.append(zeta_bound_sweep(16, trials=300, seed=9))
+    assert _digest(sampled) == \
+        "887b3da89d689fa8df46b168b8c6f607690e60883621aadd88fe08e513c58d82"
+    for report in exhaustive + sampled:
+        _assert_native(report)
+
+
+def _weak_compositions(total, parts):
+    # reference order: the first part varies slowest
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _assert_scored_like_reference(rows):
+    n = len(rows[0])
+    zeta, exact, equal, over = analysis._score_block(np.array(rows, dtype=np.int64))
+    for row, z, is_exact, is_equal, is_over in zip(rows, zeta.tolist(), exact.tolist(),
+                                                  equal.tolist(), over.tolist()):
+        eta = EtaSequence(n, tuple(row))
+        ref = zeta_of_exact(eta)
+        assert is_exact == (ref is not None), row
+        if ref is None:
+            ref_z = zeta_of(eta)
+            assert not is_equal and is_over == (ref_z > n * n / 4 + 1e-9), row
+        else:
+            bound = Fraction(n * n, 4)
+            ref_z = float(ref)
+            assert (is_equal, is_over) == (ref == bound, ref > bound), row
+        assert z.hex() == ref_z.hex(), row
+
+
+def test_score_block_matches_the_reference_on_every_composition():
+    for n in range(1, 9):
+        _assert_scored_like_reference(list(_weak_compositions(n, n)))
+
+
+def test_zeta_sweep_does_not_depend_on_the_block_size(monkeypatch):
+    cases = [(n, 0, 0) for n in range(1, 7)] + [(12, 300, 4)]
+    reports = [zeta_bound_sweep(*case) for case in cases]
+    monkeypatch.setattr(analysis, "ZETA_BLOCK_ENTRIES", 7)  # one row per block at n >= 4
+    assert [zeta_bound_sweep(*case) for case in cases] == reports
+
+
+@st.composite
+def _compositions(draw):
+    n = draw(st.integers(1, 64))
+    sizes = range(1, n + 1)
+    if draw(st.booleans()):  # the exact path: every active size a power of two
+        sizes = [q for q in sizes if q & (q - 1) == 0]
+    eta = [0] * n
+    for q in draw(st.lists(st.sampled_from(sizes), min_size=n, max_size=n)):
+        eta[q - 1] += 1
+    return eta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compositions())
+@example([0, 64] + [0] * 62)
+@example([0, 0, 0, 16] + [0] * 12)
+def test_score_block_matches_the_reference_on_random_compositions(eta):
+    _assert_scored_like_reference([eta])
+
+
+def test_score_block_decides_equality_past_int64():
+    # (nL)^2 = 2^64 here, so 4AB = (nL)^2 is compared in Python ints
+    n = 1 << 16
+    row = np.zeros((1, n), dtype=np.int64)
+    row[0, 1] = n
+    zeta, exact, equal, over = analysis._score_block(row)
+    assert exact[0] and equal[0] and not over[0]
+    assert zeta[0] == n * n / 4
 
 
 def test_chernoff_check():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from racklab import CodecParams, Rack, dihedral_quandle, encode, format_rack, trivial_rack
-from racklab import analysis, cli, codec
+from racklab import analysis, cli, codec, enumeration
 from racklab.cli import main
 
 from _corpus import unchecked_non_rack
@@ -185,6 +185,22 @@ def test_enumerate_with_oracle(capsys, tmp_path):
 def test_enumerate_too_large(capsys):
     code, _, _ = run(capsys, "enumerate", "--n", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_enumerate_non_positive_order_exits_with_io_code(capsys, n):
+    code, out, err = run(capsys, "enumerate", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: order {n} outside 1..7\n"
+
+
+def test_enumerate_oracle_cap_is_checked_before_enumerating(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the oracle cap was checked")
+    monkeypatch.setattr(enumeration, "enumerate_classes", never)
+    code, out, err = run(capsys, "enumerate", "--n", "4", "--oracle")
+    assert code == 3 and out == ""
+    assert err == "error: oracle order 4 outside 1..3\n"
 
 
 def test_json_output_thread_independent(capsys):

@@ -6,8 +6,8 @@ import pytest
 from racklab import (canonical_form, component_out_degree_constant, decode,
                      encode, enumerate_classes, enumerate_labeled,
                      oracle_enumerate)
-from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, OrderTooLarge,
-                                 REFERENCE_RACK_CLASSES, _tables)
+from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, OrderOutOfRange,
+                                 OrderTooLarge, REFERENCE_RACK_CLASSES, _tables)
 from racklab.perms import all_permutations, conjugate
 
 from _corpus import random_relabeling
@@ -72,10 +72,12 @@ def test_enumerated_racks_regular_and_round_trip():
 def test_order_caps():
     with pytest.raises(OrderTooLarge):
         list(enumerate_labeled(MAX_ORDER + 1))
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderOutOfRange):
         list(enumerate_labeled(0))
     with pytest.raises(OrderTooLarge):
         oracle_enumerate(ORACLE_MAX_ORDER + 1)
+    with pytest.raises(OrderOutOfRange):
+        oracle_enumerate(0)
 
 
 def test_parallel_matches_serial():
