@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -194,12 +195,13 @@ def _tail_se(est: float, trials: int) -> float:
 
 
 def _run_chunks(worker, trials: int, chunk: int, threads: int):
-    """Run worker(index, size) over fixed chunks; schedule-independent results.
+    """Run worker(index, size) over fixed chunks on at most one thread per CPU.
 
     The chunk layout and per-chunk seeds depend only on trials and chunk, so
     the aggregate is identical for any thread count.
     """
     sizes = [min(chunk, trials - done) for done in range(0, trials, chunk)]
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return [worker(i, b) for i, b in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

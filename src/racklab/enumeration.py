@@ -153,6 +153,7 @@ def _branch(n, rank):
 def _labeled_ranks(n, jobs):
     """Rank tuples (r_0, ..., r_{n-1}) of every rack on [n], in stream order."""
     perms, conj = _tables(n)
+    jobs = min(jobs, os.cpu_count() or 1)    # a fork pool starts all workers at once
     if jobs <= 1:
         yield from _search(n, perms, conj, [None] * n, 0)
         return

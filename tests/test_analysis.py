@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,35 @@ def test_analysis_thread_count_does_not_change_results():
     ra = random_subset_check(s3, 0.5, 0.5, trials=2_000, seed=5, chunk=250, threads=1)
     rb = random_subset_check(s3, 0.5, 0.5, trials=2_000, seed=5, chunk=250, threads=3)
     assert ra == rb
+
+
+def test_thread_pool_is_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        # records the pool size and runs each chunk here; starts no thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    serial = chernoff_check(100, 0.3, 0.5, trials=5_000, seed=3, chunk=500)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert chernoff_check(100, 0.3, 0.5, trials=5_000, seed=3, chunk=500,
+                          threads=100_000) == serial
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert chernoff_check(100, 0.3, 0.5, trials=5_000, seed=3, chunk=500,
+                          threads=100_000) == serial
+    assert sizes == [3]
 
 
 def test_random_subset_trivial_rack_vacuous():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      NotAGroupError, NotARackError, NotAutomorphismError, Rack,
@@ -10,8 +12,7 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      dihedral_quandle, find_isomorphism, format_rack, is_subrack,
                      parse_rack_table, permutation_rack, rack_from_table,
                      symmetric_group_table, trivial_rack)
-from racklab.core import _conjugation_violations_fast, _conjugation_violations_slow
-from racklab.perms import compose, inverse
+from racklab.perms import compose, inverse, is_permutation
 
 from _corpus import family_racks, random_relabeling, random_table
 
@@ -189,21 +190,94 @@ def test_axiom_methods_agree_random():
         assert axiom_report(rack.table, "self-distributive").is_rack
 
 
+def reference_violations(table):
+    """Every column checked, in tuples: the violations axiom_report must give."""
+    n = len(table)
+    maps = [tuple(table[x][y] for x in range(n)) for y in range(n)]
+    out = [Violation("NotBijective", (y,)) for y, m in enumerate(maps)
+           if not is_permutation(m, n)]
+    if out:
+        return out
+    invs = [inverse(m) for m in maps]
+    for y in range(n):
+        for z in range(n):
+            lhs = maps[table[y][z]]
+            rhs = compose(compose(invs[z], maps[y]), maps[z])
+            if lhs != rhs:
+                x = next(i for i in range(n) if lhs[i] != rhs[i])
+                out.append(Violation("ConjugationFail", (x, y, z)))
+    return out
+
+
+def swapped(table, y, pairs):
+    """The table with entries x1 and x2 of column y swapped, for each pair."""
+    out = [list(row) for row in table]
+    for x1, x2 in pairs:
+        out[x1][y], out[x2][y] = out[x2][y], out[x1][y]
+    return tuple(tuple(row) for row in out)
+
+
 def test_fast_and_slow_conjugation_checks_match():
-    # both checks require bijective columns, so perturb by swapping two
-    # entries inside one column
+    # swaps inside one column keep every column bijective
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randrange(2, 9)
         perm = tuple(rng.sample(range(n), n))
-        table = [list(row) for row in permutation_rack(perm).table]
+        table = permutation_rack(perm).table
         if rng.random() < 0.8:
-            y = rng.randrange(n)
-            x1, x2 = rng.randrange(n), rng.randrange(n)
-            table[x1][y], table[x2][y] = table[x2][y], table[x1][y]
-        slow = _conjugation_violations_slow(table, n)
-        fast = _conjugation_violations_fast(table, n)
-        assert slow == fast
+            table = swapped(table, rng.randrange(n), [(rng.randrange(n), rng.randrange(n))])
+        assert list(axiom_report(table).violations) == reference_violations(table)
+
+
+CONJ_S4 = conjugation_quandle(symmetric_group_table(4))
+
+
+@st.composite
+def perturbed_family_tables(draw):
+    """A relabelled dihedral, Sym(4) conjugation or permutation rack, 0-5 swaps in one column."""
+    family = draw(st.sampled_from(["dihedral", "conj_s4", "permutation"]))
+    if family == "dihedral":
+        rack = dihedral_quandle(draw(st.integers(1, 97)))
+    elif family == "conj_s4":
+        rack = CONJ_S4
+    else:
+        rack = permutation_rack(draw(st.permutations(range(draw(st.integers(1, 40))))))
+    n = rack.n
+    rack = rack.relabel(draw(st.permutations(range(n))))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=5))
+    return swapped(rack.table, draw(index), pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_family_tables())
+# f_0 = f_2 = (0 1 2 3) and f_1 = f_3 = its square: column 1 passes, and its
+# map joins 0 and 2, which both fail; passing colours keep failing columns
+# together, so their component must not count as checked
+@example(((1, 2, 1, 2), (2, 3, 2, 3), (3, 0, 3, 0), (0, 1, 0, 1)))
+def test_orbit_closure_check_matches_the_full_scan(table):
+    report = axiom_report(table)
+    assert list(report.violations) == reference_violations(table)
+    assert report.is_rack == axiom_report(table, "self-distributive").is_rack
+
+
+def test_bad_column_in_a_large_orbit_is_found():
+    # D_65 is one orbit; one swap in column 5 makes every f_z fail to be an
+    # automorphism, so no column may be skipped
+    table = swapped(dihedral_quandle(65).table, 5, [(0, 1)])
+    report = axiom_report(table)
+    assert {v.witness[2] for v in report.violations} == set(range(65))
+    assert list(report.violations) == reference_violations(table)
+
+
+def test_non_bijective_column_skips_the_conjugation_check():
+    # column 7 maps rows 3 and 4 alike; the conjugation rule, which would
+    # fail too, is not checked
+    table = [list(row) for row in dihedral_quandle(65).table]
+    table[3][7] = table[4][7]
+    report = axiom_report(table)
+    assert report.violations == (Violation("NotBijective", (7,)),)
+    assert not axiom_report(table, "self-distributive").is_rack
 
 
 def test_operator_word_conjugation():

@@ -1,8 +1,11 @@
 import hashlib
+import os
 import random
+from concurrent.futures import Future
 
 import pytest
 
+from racklab import enumeration
 from racklab import (canonical_form, component_out_degree_constant, decode,
                      encode, enumerate_classes, enumerate_labeled,
                      oracle_enumerate)
@@ -142,3 +145,33 @@ def test_one_class_per_canonical_form_n4():
     rep = enumerate_classes(4)
     assert keys == set(rep.witnesses)
     assert rep.class_count == len(keys)
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        # records the pool size and runs each task here; starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = [r.maps for r in enumerate_labeled(3)]
+    assert [r.maps for r in enumerate_labeled(3, jobs=100_000)] == serial
+    assert enumerate_classes(3, jobs=100_000).witnesses == enumerate_classes(3).witnesses
+    assert sizes == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert [r.maps for r in enumerate_labeled(3, jobs=100_000)] == serial
+    assert sizes == [2, 2]
