@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
 from .graph import (ColoredDigraph, bfs_tree, components, count_components_with,
-                    greedy_merge_order, merged_part_indices, out_degrees,
-                    path_words, rack_graph, successors)
+                    greedy_merge_order, merged_part_indices, path_words,
+                    rack_graph, successors)
 from .perms import conjugate, is_permutation, lehmer_rank, lehmer_unrank
 
 MAGIC = b"RKE1"
@@ -88,7 +88,8 @@ class CodecParams:
 
 def degree_split(rack: Rack, delta: int):
     """(low, high): elements with out-degree <= delta in the full rack graph, rest."""
-    degs = out_degrees(rack_graph(rack))
+    # row v of the table holds (v)f_y for every colour y: v's out-neighbours, and v on loops
+    degs = [len(set(row) - {v}) for v, row in enumerate(rack.table)]
     low = tuple(v for v in range(rack.n) if degs[v] <= delta)
     high = tuple(v for v in range(rack.n) if degs[v] > delta)
     return low, high
@@ -507,7 +508,7 @@ def _decode_body(n: int, r: BitReader) -> Rack:
             else:
                 known[u] = fu
 
-    table = tuple(tuple(known[y][x] for y in range(n)) for x in range(n))
+    table = tuple(zip(*(known[y] for y in range(n))))
     result = rack_from_table(table)
     if isinstance(result, AxiomReport):
         raise InconsistentDecode("reconstructed maps violate the rack axioms")

@@ -87,8 +87,11 @@ def table_order(table) -> int:
     for x, row in enumerate(table):
         if len(row) != n:
             raise MalformedTableError(f"row {x} has length {len(row)}, expected {n}")
-        for y, v in enumerate(row):
+        for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
+                # the column is counted only here, which keeps the scan cheap
+                y, v = next((y, v) for y, v in enumerate(row)
+                            if not isinstance(v, int) or not 0 <= v < n)
                 raise MalformedTableError(f"entry ({x},{y}) = {v!r} out of range 0..{n - 1}")
     return n
 

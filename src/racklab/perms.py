@@ -3,12 +3,17 @@
 Maps act on the right throughout the package: ``compose(f, g)`` is
 "apply f, then g", so writing a product fg means f first.  With this
 convention a conjugate g^-1 f g sends x to (((x)g^-1)f)g.
+
+Lexicographic Lehmer ranks are computed with numpy: an O(n^2) compare in
+O(n) memory for the digits, and about log2(n!)/62 big-int steps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+
+import numpy as np
 
 
 def is_permutation(p, n=None) -> bool:
@@ -71,43 +76,83 @@ def from_cycles(n: int, cycles) -> tuple:
     return p
 
 
+# Lehmer digits are reduced in runs of consecutive positions whose radix
+# product stays below 2**62, so that each run's value fits an int64.
+_RUN_LIMIT = 1 << 62
+# rows per block of the digit compare: its memory is O(n * _BLOCK_ROWS)
+_BLOCK_ROWS = 64
+_STRICT_UPPER = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _runs(n: int):
+    """(starts, products, weights, run_of, radix) for the digits of [n].
+
+    Digit i has radix n - i.  Run k covers positions starts[k] onwards and
+    has radix product products[k] < 2**62; a digit's weight is the product
+    of the radices after it in its run, and run_of maps it to its run.
+    """
+    radix = np.arange(n, 0, -1, dtype=np.int64)
+    starts, products = [], []
+    weights = np.ones(n, dtype=np.int64)
+    run_of = np.empty(n, dtype=np.intp)
+    i = 0
+    while i < n:
+        j, prod = i, 1
+        while j < n and prod * (n - j) < _RUN_LIMIT:
+            prod *= n - j
+            j += 1
+        for k in range(j - 2, i - 1, -1):
+            weights[k] = weights[k + 1] * radix[k + 1]
+        run_of[i:j] = len(products)
+        starts.append(i)
+        products.append(prod)
+        i = j
+    return np.array(starts, dtype=np.intp), products, weights, run_of, radix
+
+
+def _lehmer_digits(p) -> np.ndarray:
+    """d_i = #{j > i : p_j < p_i}, compared in blocks of _BLOCK_ROWS rows."""
+    a = np.array(p, dtype=np.int32)
+    n = len(a)
+    digits = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        smaller = a[lo:hi, None] > a[lo:]      # row i - lo, column j - lo
+        smaller[:, :hi - lo] &= _STRICT_UPPER[:hi - lo, :hi - lo]
+        np.add.reduce(smaller, axis=1, dtype=np.int32, out=digits[lo:hi])
+    return digits
+
+
 def lehmer_rank(p) -> int:
     """Rank of p among the permutations of its length in lexicographic order.
 
-    Scans right to left; a Fenwick tree over the values already passed
-    counts those smaller than the current one, which is its Lehmer digit,
-    weighted by k! for the k values to its right.  O(n log n) steps.
+    The Lehmer digits come from one O(n^2) compare in blocks of
+    _BLOCK_ROWS rows.  Each run of digits is reduced to one int64, and the
+    run values, about log2(n!)/62 of them, are combined in Python ints.
     """
-    n = len(p)
-    tree = [0] * (n + 1)
+    starts, products, weights, _, _ = _runs(len(p))
+    values = np.add.reduceat(_lehmer_digits(p) * weights, starts).tolist()
     rank = 0
-    weight = 1
-    for k, v in enumerate(reversed(p)):
-        smaller = 0
-        i = v
-        while i:
-            smaller += tree[i]
-            i &= i - 1
-        i = v + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-        rank += smaller * weight
-        weight *= k + 1
+    for prod, v in zip(products, values):
+        rank = rank * prod + v
     return rank
 
 
 def lehmer_unrank(rank: int, n: int) -> tuple:
     """Inverse of lehmer_rank; rank must lie in [0, n!)."""
-    if not 0 <= rank < math.factorial(n):
+    _, products, weights, run_of, radix = _runs(n)
+    values = []
+    rest = rank
+    for prod in reversed(products):
+        rest, v = divmod(rest, prod)
+        values.append(v)
+    if rest:    # rank < 0 or rank >= n!, the product of the runs
         raise ValueError(f"rank {rank} out of range for n={n}")
-    digits = []
-    for base in range(1, n + 1):
-        digits.append(rank % base)
-        rank //= base
-    digits.reverse()
+    values.reverse()
+    digits = np.array(values, dtype=np.int64)[run_of] // weights % radix
     pool = list(range(n))
-    return tuple(pool.pop(d) for d in digits)
+    return tuple(pool.pop(d) for d in digits.tolist())
 
 
 def all_permutations(n: int):

@@ -16,7 +16,7 @@ from racklab import (CodecParams, CorruptStream, EncodeConsistencyError,
 from racklab import codec, core
 from racklab.bits import BitWriter
 from racklab.codec import MAGIC, CodecError
-from racklab.graph import components
+from racklab.graph import components, out_degrees
 from racklab.perms import compose, from_cycles, identity, inverse
 
 from _corpus import family_racks, param_grid, random_relabeling, unchecked_non_rack
@@ -48,6 +48,18 @@ def test_degree_split():
     low, high = degree_split(s3, 1)
     assert len(low) + len(high) == 6 and low and high
     assert is_subrack(s3, low) and is_subrack(s3, high)
+
+
+def test_degree_split_matches_graph_out_degrees():
+    rng = random.Random(19)
+    racks = [rack for _, rack in family_racks(8)] + [unchecked_non_rack()]
+    racks.append(random_relabeling(rng, conjugation_quandle(symmetric_group_table(4))))
+    for rack in racks:
+        degs = out_degrees(rack_graph(rack))
+        for delta in range(rack.n + 1):
+            low, high = degree_split(rack, delta)
+            assert low == tuple(v for v in range(rack.n) if degs[v] <= delta)
+            assert high == tuple(v for v in range(rack.n) if degs[v] > delta)
 
 
 def test_greedy_t():

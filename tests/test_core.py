@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      dihedral_quandle, find_isomorphism, format_rack, is_subrack,
                      parse_rack_table, permutation_rack, rack_from_table,
                      symmetric_group_table, trivial_rack)
+from racklab.core import table_order
 from racklab.perms import compose, inverse, is_permutation
 
 from _corpus import family_racks, random_relabeling, random_table
@@ -55,6 +57,69 @@ def test_malformed_tables_raise():
         rack_from_table([[0, 2], [1, 0]])
     with pytest.raises(MalformedTableError):
         rack_from_table([])
+
+
+def reference_table_order(table) -> int:
+    """The entry-by-entry scan that table_order replaced, kept as a test oracle."""
+    try:
+        n = len(table)
+    except TypeError:
+        raise MalformedTableError("table is not a sequence") from None
+    if n == 0:
+        raise MalformedTableError("empty table")
+    for x, row in enumerate(table):
+        if len(row) != n:
+            raise MalformedTableError(f"row {x} has length {len(row)}, expected {n}")
+        for y, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise MalformedTableError(f"entry ({x},{y}) = {v!r} out of range 0..{n - 1}")
+    return n
+
+
+def _outcome(check, table):
+    try:
+        return check(table)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@st.composite
+def damaged_tables(draw):
+    """Well-formed tables with a few entries replaced and rows resized."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    bad = st.one_of(st.integers(-2, n + 1), st.booleans(), st.integers(0, n).map(float),
+                    st.integers(-1, n).map(np.int64), st.integers(0, 1).map(np.bool_),
+                    st.sampled_from([2 ** 70, -2 ** 70, None, "0", (0,)]))
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[x][y] = draw(bad)
+    for _ in range(draw(st.integers(0, 1))):
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.append(draw(st.integers(0, n - 1)))
+        else:
+            row.pop()
+    wrap = draw(st.sampled_from([tuple, list]))
+    return wrap(wrap(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_tables())
+@example(((True,),))
+@example(((False,),))
+@example(((0, True), (1.0, 0)))
+@example(((0, 1), (1, np.int64(0))))
+@example(((0, 1), (2 ** 70, "x")))
+@example(((0, 1), (1,)))
+def test_table_order_matches_the_reference_scan(table):
+    assert _outcome(table_order, table) == _outcome(reference_table_order, table)
+
+
+def test_table_order_rejects_non_tables():
+    for table in ([], 7, [[0, 1], 5], [[0, 1], [1, 0, 1]], [["a", 0], [0, 1]]):
+        assert _outcome(table_order, table) == _outcome(reference_table_order, table)
+    assert table_order(dihedral_quandle(64).table) == 64
 
 
 def test_conjugation_quandles():

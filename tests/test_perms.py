@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -66,11 +67,34 @@ def reference_lehmer_rank(p):
 @given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))))
 @example(list(range(300)))            # rank 0
 @example(list(range(299, -1, -1)))    # rank 300! - 1
+# 20! < 2**62 < 21!: the digits of [20] fit one int64 run, those of [21] take two
+@example([(7 * i + 3) % 20 for i in range(20)])
+@example([(5 * i + 2) % 21 for i in range(21)])
 def test_lehmer_rank_matches_reference(perm):
     p = tuple(perm)
     rank = lehmer_rank(p)
     assert rank == reference_lehmer_rank(p)
+    assert lehmer_rank(list(p)) == rank
     assert lehmer_unrank(rank, len(p)) == p
+
+
+@pytest.mark.parametrize("n", [20, 21, 256])
+def test_lehmer_last_rank_is_the_reversal(n):
+    last = math.factorial(n) - 1
+    reversal = tuple(range(n - 1, -1, -1))
+    assert lehmer_rank(reversal) == last
+    assert lehmer_unrank(last, n) == reversal
+    for bad in (-1, last + 1):
+        with pytest.raises(ValueError, match=f"rank {bad} out of range for n={n}"):
+            lehmer_unrank(bad, n)
+
+
+def test_lehmer_round_trip_over_many_row_blocks():
+    rng = random.Random(2000)
+    p = tuple(rng.sample(range(2000), 2000))
+    rank = lehmer_rank(p)
+    assert rank == reference_lehmer_rank(p)
+    assert lehmer_unrank(rank, 2000) == p
 
 
 def test_is_permutation():
