@@ -23,9 +23,8 @@ import numpy as np
 
 from .codec import _zeta, degree_split
 from .core import Rack
-from .graph import (component_structure, components, out_degrees, path_words,
-                    rack_graph, successors)
-from .perms import conjugate
+from .graph import (component_structure, components, conjugates_along_tree,
+                    out_degrees, rack_graph, successors)
 
 
 class CheckParameterError(ValueError):
@@ -405,10 +404,8 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         succ = successors(g_x)
         match = True
         for part in inside:
-            fv = rack.maps[part[0]]
-            word = path_words(g_x, succ, part[0])
-            match = len(word) == len(part) and all(
-                conjugate(fv, word[u]) == rack.maps[u] for u in part)
+            conj = conjugates_along_tree(succ, part[0], rack.maps)
+            match = len(conj) == len(part) and all(conj[u] == rack.maps[u] for u in part)
             if not match:
                 break
         return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,

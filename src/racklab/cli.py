@@ -211,19 +211,18 @@ def cmd_audit(args) -> int:
 def _analysis_rack(args) -> Rack:
     if args.rack:
         return load_rack(args.rack)
-    family = args.family or "dihedral"
-    if family == "trivial":
-        return trivial_rack(args.n)
-    if family == "dihedral":
-        return dihedral_quandle(args.n)
-    if family == "conj-s3":
+    if args.family == "conj-s3":
         return conjugation_quandle(symmetric_group_table(3))
-    raise ValueError(f"unknown family {family!r}")
+    if args.n < 1:
+        raise analysis.CheckParameterError("n >= 1 required")
+    # argparse admits no other family; dihedral is the default
+    return trivial_rack(args.n) if args.family == "trivial" else dihedral_quandle(args.n)
 
 
 def cmd_analyze(args) -> int:
     if args.kind == "find-w":
-        result = analysis.find_W(_analysis_rack(args), args.delta or 1, args.p,
+        delta = 1 if args.delta is None else args.delta
+        result = analysis.find_W(_analysis_rack(args), delta, args.p,
                                  bad_threshold=args.threshold,
                                  max_attempts=args.attempts, seed=args.seed)
         report = result.to_report()

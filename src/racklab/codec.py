@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import (ColoredDigraph, bfs_tree, components, count_components_with,
-                    greedy_merge_order, merged_part_indices, path_words,
-                    rack_graph, successors)
-from .perms import conjugate, is_permutation, lehmer_rank, lehmer_unrank
+from .graph import (ColoredDigraph, bfs_tree, components, conjugates_along_tree,
+                    greedy_merge_order, multigraph_component_count, rack_graph,
+                    successors)
+from .perms import is_permutation, lehmer_rank, lehmer_unrank
 
 MAGIC = b"RKE1"
 
@@ -162,6 +162,13 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))
 
 
+def _merges(part_index, p):
+    """(pairs, merged): (part of u, part of (u)p) for each u that p sends into
+    another part of a T-graph, and the ascending indices of the parts they touch."""
+    pairs = [(a, b) for a, b in zip(part_index, map(part_index.__getitem__, p)) if a != b]
+    return pairs, tuple(sorted({ci for pair in pairs for ci in pair}))
+
+
 def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
     """build_info on the result of _greedy_pass(rack, params.delta)."""
     n = rack.n
@@ -187,25 +194,16 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
         if any(img not in low_set for img in imgs):
             raise EncodeConsistencyError("low-degree set is not closed under the translations")
 
+    # no check that the other parts are kept: a colour in T has every edge
+    # inside a part, and a map sending no vertex of a part outside it permutes it
     s_low_minus_t = tuple(j for j in s_low if j not in t_set)
     merge_lists = []
     merged_restrictions = []
     for j in s_low_minus_t:
-        merged = merged_part_indices(struct, enumerate(rack.maps[j]))
+        _, merged = _merges(struct.part_index, rack.maps[j])
         block = sorted(v for ci in merged for v in struct.parts[ci])
         merge_lists.append(merged)
         merged_restrictions.append(tuple(rack.maps[j][v] for v in block))
-
-    # unmerged components must be preserved setwise by every colour
-    for j in range(n):
-        merged = set(merged_part_indices(struct, enumerate(rack.maps[j])))
-        if j in t_set and merged:
-            raise EncodeConsistencyError(f"colour {j} in T merges components of its own graph")
-        for ci, part in enumerate(struct.parts):
-            if ci in merged:
-                continue
-            if {rack.maps[j][v] for v in part} != set(part):
-                raise EncodeConsistencyError(f"colour {j} moves an unmerged component")
 
     return InfoTuple(
         n=n, delta=params.delta, cap_l=params.cap_l,
@@ -496,17 +494,15 @@ def _decode_body(n: int, r: BitReader) -> Rack:
 
     # conjugate all remaining maps from their component representatives
     for part in parts:
-        word = path_words(g_t, succ, part[0])
-        if len(word) != len(part):
+        conj = conjugates_along_tree(succ, part[0], known)
+        if len(conj) != len(part):
             raise InconsistentDecode("component is not reachable by directed edges")
-        fv = known[part[0]]
         for u in part[1:]:
-            fu = conjugate(fv, word[u])
             if u in known:
-                if known[u] != fu:
+                if known[u] != conj[u]:
                     raise InconsistentDecode(f"conjugation mismatch at {u}")
             else:
-                known[u] = fu
+                known[u] = conj[u]
 
     table = tuple(zip(*(known[y] for y in range(n))))
     result = rack_from_table(table)
@@ -568,8 +564,7 @@ def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditRepor
 
     t_count = min(params.cap_l, len(order))
     t = order[:t_count]
-    g_t = rack_graph(rack, t)
-    struct = components(g_t)
+    struct = components(rack_graph(rack, t))
     cp_t = struct.cp
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
@@ -577,9 +572,9 @@ def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditRepor
     for j in s_low:
         if j in t:
             continue
-        edges = [(u, rack.maps[j][u]) for u in range(n) if rack.maps[j][u] != u]
-        drop = cp_t - count_components_with(g_t, edges)
-        merged = merged_part_indices(struct, enumerate(rack.maps[j]))
+        # the components of G_T plus colour j are those of the parts joined by its pairs
+        pairs, merged = _merges(struct.part_index, rack.maps[j])
+        drop = cp_t - multigraph_component_count(cp_t, pairs)
         post.append((j, drop, len(merged)))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)
@@ -593,7 +588,8 @@ def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditRepor
 
 
 def _audit_with_invariance(rack: Rack, params: CodecParams) -> MergeAuditReport:
-    """merge_bound_audit, then build_info's invariance checks, on one greedy pass."""
+    """merge_bound_audit, then build_info on the same greedy pass; the one
+    invariance build_info checks is that the low set is closed under the translations."""
     greedy = _greedy_pass(rack, params.delta)
     report = _audit_from_pass(rack, params, greedy)
     _info_from_pass(rack, params, greedy)

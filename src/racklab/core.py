@@ -205,9 +205,11 @@ class Rack:
         return rack
 
     @classmethod
-    def from_table(cls, table):
-        table_order(table)
-        return cls(zip(*table))
+    def from_table(cls, table) -> "Rack":
+        result = rack_from_table(table)
+        if isinstance(result, AxiomReport):
+            raise NotARackError(result)
+        return result
 
     def op(self, x, y):
         return self.table[x][y]
@@ -518,7 +520,4 @@ def load_rack(path) -> Rack:
     """Parse and validate a .rack file; raises RackParseError or NotARackError."""
     with open(path, encoding="utf-8") as fh:
         table = parse_rack_table(fh.read())
-    result = rack_from_table(table)
-    if isinstance(result, AxiomReport):
-        raise NotARackError(result)
-    return result
+    return Rack.from_table(table)

@@ -14,7 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .perms import compose, identity, is_permutation
+from .perms import conjugate, is_permutation
 
 
 class UnionFind:
@@ -162,15 +162,16 @@ def bfs_tree(succ, root: int):
                 yield x, u, colour
 
 
-def path_words(graph: ColoredDigraph, succ, root: int) -> dict:
-    """word[u]: product of the colour maps along the BFS tree path root -> u.
+def conjugates_along_tree(succ, root: int, maps) -> dict:
+    """conj[u] for every u reachable from root, starting from conj[root] = maps[root].
 
-    Only vertices reachable from root get a word; in a rack f_u = word[u]^-1 f_root word[u].
+    Along each BFS tree edge x -> u of colour c, conj[u] = f_c^-1 conj[x] f_c
+    with f_c = maps[c]; in a rack whose maps these are, conj[u] is f_u.
     """
-    word = {root: identity(graph.n)}
+    conj = {root: maps[root]}
     for x, u, colour in bfs_tree(succ, root):
-        word[u] = compose(word[x], graph.perm(colour))
-    return word
+        conj[u] = conjugate(conj[x], maps[colour])
+    return conj
 
 
 def directed_path_exists(graph: ColoredDigraph, u: int, v: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ from racklab import CodecParams, Rack, dihedral_quandle, encode, format_rack, tr
 from racklab import analysis, cli, codec, enumeration
 from racklab.cli import main
 
-from _corpus import unchecked_non_rack
+from _corpus import family_racks, unchecked_non_rack
 
 
 @pytest.fixture
@@ -300,6 +301,66 @@ def test_one_greedy_pass_per_command(capsys, monkeypatch, tmp_path, command):
                        "--format", "json")
     assert code == 0 and json.loads(out)
     assert calls == [8]
+
+
+@pytest.mark.parametrize("argv", [
+    ("find-w", "--n", "0"),
+    ("find-w", "--family", "trivial", "--n", "-1"),
+    ("random-subset", "--n", "0"),
+])
+def test_analyze_family_order_out_of_range_exits_with_io_code(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: n >= 1 required\n"
+
+
+def test_analyze_find_w_takes_delta_zero(capsys):
+    code, out, _ = run(capsys, "analyze", "find-w", "--n", "6", "--delta", "0",
+                       "--attempts", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["delta"] == 0
+    code, out, _ = run(capsys, "analyze", "find-w", "--n", "6", "--attempts", "3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["delta"] == 1
+
+
+# sha256 of the JSON output of audit and stats on three corpus racks
+PINNED_REPORTS = [
+    ("dihedral_8", "audit", (),
+     "d1ee047cfb4d253ce5fa70dfaf07868d639fb07ff4af4f64a182bae591fd918c"),
+    ("dihedral_8", "audit", ("--delta", "2", "--cap-l", "2"),
+     "bab443187c420d0d62184769fb075e1fc9060dcda515e7888e4cf530753fa741"),
+    ("dihedral_8", "stats", (),
+     "831f9482a1cbdeae7329b2dc965421d27bd818286875bb2ddc3597296b789fa5"),
+    ("dihedral_8", "stats", ("--delta", "2", "--cap-l", "2"),
+     "2812de2116b71bb44e5dff3dceeab951ae57b26afb45532d41a719a14463cd67"),
+    ("conj_d4", "audit", (),
+     "aad193b0332e00660bc017441fbd251a98f3a6350c04a423fa18ca424f49ae1e"),
+    ("conj_d4", "audit", ("--delta", "2", "--cap-l", "2"),
+     "9a44179778d9688c98eb7a080fa884d9f8ece4a6827b35f2fa731e365b28133a"),
+    ("conj_d4", "stats", (),
+     "727beb7a1f89a7a4be0140e1638d4b3eb1cc45011f58c26e20b39fa9ff30006c"),
+    ("conj_d4", "stats", ("--delta", "2", "--cap-l", "2"),
+     "5b437d8f24a73ae62c5d8044e3e550d1c579ca090070302f871961c9f77fb01e"),
+    ("mixed_8", "audit", (),
+     "da4b8d2a2dac89e76cef7b6a1204cb3e308a5b90ccb7284a19f138a4aa9ea472"),
+    ("mixed_8", "audit", ("--delta", "2", "--cap-l", "2"),
+     "d9ecfa335fe74cfdecede67295a22cea4bbdbbb648c93af327f97092703ec49f"),
+    ("mixed_8", "stats", (),
+     "c20c0dd923945ab6fe820f22ab487288b072a014e3608955d46f4611cfbc339c"),
+    ("mixed_8", "stats", ("--delta", "2", "--cap-l", "2"),
+     "506e435ce6a292c7b008a2857d7dfc78de1b542d95d4b6d7202eefcf54f4f228"),
+]
+
+
+@pytest.mark.parametrize("name, command, params, digest", PINNED_REPORTS)
+def test_audit_and_stats_json_are_pinned(capsys, tmp_path, name, command, params, digest):
+    path = tmp_path / f"{name}.rack"
+    path.write_text(format_rack(dict(family_racks(8))[name]))
+    code, out, _ = run(capsys, command, str(path), *params, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_find_w_reports_without_failing(capsys):

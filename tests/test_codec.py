@@ -16,7 +16,9 @@ from racklab import (CodecParams, CorruptStream, EncodeConsistencyError,
 from racklab import codec, core
 from racklab.bits import BitWriter
 from racklab.codec import MAGIC, CodecError
-from racklab.graph import components, out_degrees
+from racklab.core import dihedral_group_table
+from racklab.graph import (build_graph, components, count_components_with,
+                           merged_part_indices, out_degrees)
 from racklab.perms import compose, from_cycles, identity, inverse
 
 from _corpus import family_racks, param_grid, random_relabeling, unchecked_non_rack
@@ -343,8 +345,8 @@ def test_merge_bound_audit_corpus():
 
 
 def test_invariance_checked_during_build_info():
-    # unmerged components must be preserved setwise by every colour; build_info
-    # verifies this internally for the whole corpus without raising
+    # every colour keeps each unmerged component setwise; build_info does not
+    # check it (test_unmerged_parts_are_kept_by_any_permutation_family says why)
     for _, rack in family_racks(8):
         for params in param_grid(rack.n):
             info = build_info(rack, params)
@@ -354,6 +356,71 @@ def test_invariance_checked_during_build_info():
                 for ci, part in enumerate(struct.parts):
                     if ci not in merged:
                         assert {rack.maps[j][v] for v in part} == set(part)
+
+
+@st.composite
+def families_with_subsets(draw):
+    """(maps, T): n <= 10 permutations, rack or not, and a colour subset T."""
+    n = draw(st.integers(1, 10))
+
+    def transposition(ij):
+        return from_cycles(n, [ij]) if ij[0] != ij[1] else identity(n)
+
+    vertex = st.integers(0, n - 1)
+    perm = st.one_of(st.permutations(range(n)).map(tuple), st.just(identity(n)),
+                     st.tuples(vertex, vertex).map(transposition))
+    maps = tuple(draw(perm) for _ in range(n))
+    return maps, draw(st.sets(st.integers(0, n - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(families_with_subsets())
+def test_unmerged_parts_are_kept_by_any_permutation_family(family):
+    # why build_info needs no invariance check: a colour in T merges nothing,
+    # and a map that sends no vertex of a part outside it permutes that part
+    maps, t = family
+    struct = components(build_graph(len(maps), {c: maps[c] for c in t}))
+    for j, p in enumerate(maps):
+        merged = merged_part_indices(struct, enumerate(p))
+        assert codec._merges(struct.part_index, p)[1] == merged
+        if j in t:
+            assert merged == ()
+        for ci, part in enumerate(struct.parts):
+            if ci not in merged:
+                assert sorted(p[v] for v in part) == list(part)
+
+
+def reference_merges(rack, params):
+    """The per-colour audit and merge lists, one T-graph rebuild per colour."""
+    s_low, _ = degree_split(rack, params.delta)
+    t = greedy_T(rack, params.delta, params.cap_l)
+    g_t = rack_graph(rack, t)
+    struct = components(g_t)
+    post, merge_lists = [], []
+    for j in s_low:
+        if j in t:
+            continue
+        edges = [(u, rack.maps[j][u]) for u in range(rack.n) if rack.maps[j][u] != u]
+        merged = merged_part_indices(struct, enumerate(rack.maps[j]))
+        post.append((j, struct.cp - count_components_with(g_t, edges), len(merged)))
+        merge_lists.append(merged)
+    return tuple(post), tuple(merge_lists)
+
+
+def test_audit_and_merge_lists_match_the_per_colour_reference():
+    rng = random.Random(23)
+    cases = []
+    for _, rack in family_racks(8):
+        for relabeled in (rack, random_relabeling(rng, rack)):
+            cases += [(relabeled, params) for params in param_grid(rack.n)]
+    # at default parameters no colour merges after T; (n, 1) keeps T to one colour
+    for rack in (dihedral_quandle(64), conjugation_quandle(dihedral_group_table(16))):
+        cases += [(rack, CodecParams.default(rack.n)), (rack, CodecParams(rack.n, 1))]
+    for rack, params in cases:
+        post, merge_lists = reference_merges(rack, params)
+        assert merge_bound_audit(rack, params).post_t_drops == post
+        if rack.n > 1:
+            assert build_info(rack, params).merge_lists == merge_lists
 
 
 def test_each_rack_checked_once(monkeypatch):

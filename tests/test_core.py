@@ -13,6 +13,7 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      dihedral_quandle, find_isomorphism, format_rack, is_subrack,
                      parse_rack_table, permutation_rack, rack_from_table,
                      symmetric_group_table, trivial_rack)
+from racklab import core
 from racklab.core import table_order
 from racklab.perms import compose, inverse, is_permutation
 
@@ -399,6 +400,29 @@ def test_not_a_rack_error_from_constructor():
     with pytest.raises(NotARackError) as err:
         Rack(((0, 1), (1, 0)))  # the id/swap pair again, via the maps view
     assert not err.value.report.is_rack
+
+
+def test_from_table_checks_the_table_once(monkeypatch):
+    calls = []
+    original = core.table_order
+
+    def counting(table):
+        calls.append(len(table))
+        return original(table)
+
+    monkeypatch.setattr(core, "table_order", counting)
+    for _, rack in family_racks(6):
+        calls.clear()
+        assert Rack.from_table([list(row) for row in rack.table]) == rack
+        assert calls == [rack.n]
+    calls.clear()
+    with pytest.raises(NotARackError, match=r"violation Violation\(kind='ConjugationFail'"):
+        Rack.from_table(((0, 1), (1, 0)))
+    assert calls == [2]
+    calls.clear()
+    with pytest.raises(MalformedTableError, match="row 1 has length 1, expected 2"):
+        Rack.from_table([[0, 1], [0]])
+    assert calls == [2]
 
 
 def test_load_rack(tmp_path):
