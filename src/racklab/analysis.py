@@ -17,11 +17,10 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .codec import _zeta, degree_split
+from .codec import degree_split
 from .core import Rack
 from .graph import (component_structure, components, conjugates_along_tree,
                     out_degrees, rack_graph, successors)
@@ -33,45 +32,6 @@ class CheckParameterError(ValueError):
 
 class DegreeSplitError(RuntimeError):
     """find_W met a sampled component holding high- and low-degree vertices."""
-
-
-@dataclass(frozen=True)
-class EtaSequence:
-    """Non-negative integers eta_1..eta_n with total n (eta[q-1] is eta_q)."""
-    n: int
-    eta: tuple
-
-    def __post_init__(self):
-        if len(self.eta) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.eta)}")
-        if any(e < 0 for e in self.eta):
-            raise ValueError("entries must be non-negative")
-        if sum(self.eta) != self.n:
-            raise ValueError(f"entries must sum to {self.n}")
-
-
-def zeta_of(eta: EtaSequence) -> float:
-    """(sum_p eta_p/p) * (sum_q eta_q log2(q)/q)."""
-    return _zeta(eta.eta)
-
-
-def zeta_of_exact(eta: EtaSequence):
-    """Exact rational zeta when every active size is a power of two, else None.
-
-    For other sizes log2(q) is irrational, so zeta can never equal the
-    rational boundary n^2/4 and floating point is safe for the comparison.
-    """
-    inv = Fraction(0)
-    logs = Fraction(0)
-    for q, e in enumerate(eta.eta, start=1):
-        if e == 0:
-            continue
-        k = q.bit_length() - 1
-        if q != 1 << k:
-            return None
-        inv += Fraction(e, q)
-        logs += Fraction(e * k, q)
-    return inv * logs
 
 
 def claim_calc_gap(x: float, y: float) -> float:

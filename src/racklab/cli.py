@@ -19,11 +19,11 @@ import os
 import sys
 
 from . import analysis, codec, enumeration
-from .codec import (AuditFail, CodecParams, CorruptStream, EncodeConsistencyError,
-                    InconsistentDecode, OrderTooLargeForHeader)
+from .codec import (AuditFail, CodecParams, CodecParamsError, CorruptStream,
+                    EncodeConsistencyError, InconsistentDecode, OrderTooLargeForHeader)
 from .core import (AxiomReport, NotARackError, Rack, RackParseError,
                    conjugation_quandle, dihedral_quandle, format_rack, load_rack,
-                   parse_rack_table, rack_from_table, symmetric_group_table,
+                   rack_from_table, read_rack_table, symmetric_group_table,
                    trivial_rack)
 from .graph import component_out_degree_constant, rack_graph, to_dot
 
@@ -39,6 +39,7 @@ ERRORS = (
     (EncodeConsistencyError, EXIT_DOMAIN, "inconsistent encoding: "),
     (AuditFail, EXIT_DOMAIN, "audit failed: "),
     (OrderTooLargeForHeader, EXIT_RESOURCE, ""),
+    (CodecParamsError, EXIT_IO, ""),
     (enumeration.OrderTooLarge, EXIT_RESOURCE, ""),
     (enumeration.OrderOutOfRange, EXIT_IO, ""),
     (analysis.CheckParameterError, EXIT_IO, ""),
@@ -96,8 +97,7 @@ def _report_dict(report: AxiomReport) -> dict:
 
 
 def cmd_check(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        result = rack_from_table(parse_rack_table(fh.read()))
+    result = rack_from_table(read_rack_table(args.path))
     if isinstance(result, Rack):
         payload = _report_dict(AxiomReport(result.n, True, result.is_quandle, ()))
         if args.dot:

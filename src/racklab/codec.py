@@ -59,6 +59,10 @@ class OrderTooLargeForHeader(CodecError):
     """The order does not fit the u16 field of the RKE1 header."""
 
 
+class CodecParamsError(ValueError):
+    """A delta or cap_l outside the range of its u16 header field."""
+
+
 class AuditFail(CodecError):
     def __init__(self, message, index):
         self.index = index
@@ -72,9 +76,9 @@ class CodecParams:
 
     def __post_init__(self):
         if not 1 <= self.delta <= 0xFFFF:
-            raise ValueError(f"delta must be in 1..65535, got {self.delta}")
+            raise CodecParamsError(f"delta must be in 1..65535, got {self.delta}")
         if not 0 <= self.cap_l <= 0xFFFF:
-            raise ValueError(f"cap_l must be in 0..65535, got {self.cap_l}")
+            raise CodecParamsError(f"cap_l must be in 0..65535, got {self.cap_l}")
 
     @classmethod
     def default(cls, n: int) -> "CodecParams":
@@ -100,18 +104,6 @@ def _greedy_pass(rack: Rack, delta: int):
     s_low, s_high = degree_split(rack, delta)
     order, cps = greedy_merge_order(rack.n, dict(enumerate(rack.maps)), s_low)
     return s_low, s_high, order, cps
-
-
-def greedy_order(rack: Rack, delta: int):
-    """Full greedy ordering of the low-degree set with its component counts."""
-    _, _, order, cps = _greedy_pass(rack, delta)
-    return order, cps
-
-
-def greedy_T(rack: Rack, delta: int, cap_l: int) -> tuple:
-    """The first min(cap_l, |low set|) colours of the greedy ordering."""
-    order, _ = greedy_order(rack, delta)
-    return order[:min(cap_l, len(order))]
 
 
 @dataclass(frozen=True)
@@ -145,14 +137,6 @@ class InfoTuple:
         for ci in self.merge_lists[pos]:
             merged.update(self.gt_components[ci])
         return tuple(sorted(merged))
-
-    def merge_sets(self, j: int) -> tuple:
-        """The merged component vertex sets for colour j (empty for j in T)."""
-        rest = self.s_low_minus_t
-        if j not in rest:
-            return ()
-        pos = rest.index(j)
-        return tuple(self.gt_components[ci] for ci in self.merge_lists[pos])
 
 
 def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:

@@ -8,10 +8,11 @@ column is a bijection and the translations satisfy the conjugation rule
     f[(y)f_z] = f_z^-1 f_y f_z   for all y, z,
 
 which is equivalent to right self-distributivity
-(x > y) > z = (x > z) > (y > z).  Both checks are exposed; constructors
-validate eagerly so invalid racks are unrepresentable downstream.  The
-conjugation check costs n^2 per orbit of the verified colours (n^3 in the
-worst case) and reports the same witnesses as a check of every column.
+(x > y) > z = (x > z) > (y > z).  axiom_report checks the conjugation
+rule; constructors validate eagerly so invalid racks are unrepresentable
+downstream.  The check costs n^2 per orbit of the verified colours (n^3
+in the worst case) and reports the same witnesses as a check of every
+column.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class RackParseError(RackError):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str      # "NotBijective" | "ConjugationFail" | "SelfDistributivityFail"
+    kind: str      # "NotBijective" | "ConjugationFail"
     witness: tuple  # (y,) for NotBijective, else (x, y, z)
 
 
@@ -134,39 +135,19 @@ def _conjugation_violations(cols, n) -> list:
     return out
 
 
-def self_distributivity_violations(table) -> list:
-    """First witness (x, y, z) per failing (y, z) pair of (x>y)>z = (x>z)>(y>z)."""
-    n = table_order(table)
-    out = []
-    for y in range(n):
-        for z in range(n):
-            for x in range(n):
-                if table[table[x][y]][z] != table[table[x][z]][table[y][z]]:
-                    out.append(Violation("SelfDistributivityFail", (x, y, z)))
-                    break
-    return out
-
-
-def axiom_report(table, method="conjugation") -> AxiomReport:
+def axiom_report(table) -> AxiomReport:
     """Check the rack axioms of a well-formed table.
 
-    method "conjugation" uses the translation conjugation rule (skipped when
-    some column is not bijective) with n^2 work per orbit of the verified
-    colours, n^3 in the worst case, and the witnesses of a check of every
-    column; "self-distributive" checks the triple identity directly, in n^3.
-    Both accept exactly the same tables.
+    The conjugation rule is checked only when every column is bijective,
+    with n^2 work per orbit of the verified colours, n^3 in the worst case,
+    and the witnesses of a check of every column.
     """
     n = table_order(table)
     cols = np.array(table, dtype=np.int32).T.copy()   # row y is the map f_y
     bad = (np.sort(cols, axis=1) != np.arange(n)).any(axis=1)
     violations = [Violation("NotBijective", (int(y),)) for y in np.flatnonzero(bad)]
-    if method == "conjugation":
-        if not violations:
-            violations += _conjugation_violations(cols, n)
-    elif method == "self-distributive":
-        violations += self_distributivity_violations(table)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    if not violations:
+        violations = _conjugation_violations(cols, n)
     is_rack = not violations
     is_quandle = is_rack and all(table[x][x] == x for x in range(n))
     return AxiomReport(n=n, is_rack=is_rack, is_quandle=is_quandle,
@@ -210,9 +191,6 @@ class Rack:
         if isinstance(result, AxiomReport):
             raise NotARackError(result)
         return result
-
-    def op(self, x, y):
-        return self.table[x][y]
 
     @property
     def is_quandle(self):
@@ -360,86 +338,8 @@ def dihedral_group_table(m: int):
     return tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
 
 
-def direct_product_table(t1, t2):
-    """Multiplication table of the direct product, pairs ordered (a, b) -> a*len(t2)+b."""
-    n1, n2 = table_order(t1), table_order(t2)
-    def mul(x, y):
-        a1, b1 = divmod(x, n2)
-        a2, b2 = divmod(y, n2)
-        return t1[a1][a2] * n2 + t2[b1][b2]
-    return tuple(tuple(mul(x, y) for y in range(n1 * n2)) for x in range(n1 * n2))
-
-
 # ---------------------------------------------------------------------------
-# subracks, isomorphism, canonical form
-
-def is_subrack(rack: Rack, subset) -> bool:
-    """True iff the nonempty subset is closed under the operation."""
-    ys = set(subset)
-    if not ys:
-        raise ValueError("subset must be nonempty")
-    if not all(isinstance(y, int) and 0 <= y < rack.n for y in ys):
-        raise ValueError("subset must lie in the ground set")
-    return all(rack.table[z][y] in ys for y in ys for z in ys)
-
-
-def find_isomorphism(r1: Rack, r2: Rack):
-    """A permutation phi with (x > y)phi = (x)phi > (y)phi, or None.
-
-    Backtracking over images with partial-homomorphism forcing; images are
-    pre-filtered by out-degree profile of the rack graphs.
-    """
-    if r1.n != r2.n:
-        return None
-    n = r1.n
-    t1, t2 = r1.table, r2.table
-    deg1 = [len({t1[x][y] for y in range(n)} - {x}) for x in range(n)]
-    deg2 = [len({t2[x][y] for y in range(n)} - {x}) for x in range(n)]
-    if sorted(deg1) != sorted(deg2):
-        return None
-
-    def close(phi, used):
-        # propagate forced images until fixpoint; False on conflict
-        changed = True
-        while changed:
-            changed = False
-            assigned = [x for x in range(n) if phi[x] is not None]
-            for x in assigned:
-                for y in assigned:
-                    z = t1[x][y]
-                    w = t2[phi[x]][phi[y]]
-                    if phi[z] is None:
-                        if w in used:
-                            return False
-                        phi[z] = w
-                        used.add(w)
-                        changed = True
-                    elif phi[z] != w:
-                        return False
-        return True
-
-    def extend(phi, used):
-        try:
-            x = phi.index(None)
-        except ValueError:
-            return True
-        for c in range(n):
-            if c in used or deg2[c] != deg1[x]:
-                continue
-            trial = list(phi)
-            trial_used = set(used)
-            trial[x] = c
-            trial_used.add(c)
-            if close(trial, trial_used) and extend(trial, trial_used):
-                phi[:] = trial
-                return True
-        return False
-
-    phi = [None] * n
-    if extend(phi, set()):
-        return tuple(phi)
-    return None
-
+# canonical form
 
 def canonical_form(rack: Rack):
     """Lexicographically minimal operation table over all relabelings.
@@ -516,8 +416,17 @@ def format_rack(rack: Rack) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_rack_table(path):
+    """Read and parse a .rack file; text that is not UTF-8 is a RackParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RackParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", 1, 1) from None
+    return parse_rack_table(text)
+
+
 def load_rack(path) -> Rack:
     """Parse and validate a .rack file; raises RackParseError or NotARackError."""
-    with open(path, encoding="utf-8") as fh:
-        table = parse_rack_table(fh.read())
-    return Rack.from_table(table)
+    return Rack.from_table(read_rack_table(path))

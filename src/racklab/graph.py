@@ -3,9 +3,9 @@
 A family sigma_c of permutations of [n] defines a loopless directed
 multigraph with an edge u -> v of colour c whenever u != v and
 (u)sigma_c = v.  Components always mean components of the underlying
-undirected multigraph.  The merge calculus (component counts under edge
-adjunction, merged-component sets) is provided both for these graphs and
-for raw undirected edge multisets.
+undirected multigraph.  Besides components and out-degrees, the module
+has the directed BFS trees the decoder walks, component counts of edge
+multisets under adjunction, and the greedy ordering of colours.
 """
 
 from __future__ import annotations
@@ -80,21 +80,11 @@ class ColoredDigraph:
         return f"ColoredDigraph(n={self.n}, colors={self.colors})"
 
 
-def build_graph(n: int, sigma: dict) -> ColoredDigraph:
-    """Graph of the permutation family; sigma maps colour -> permutation."""
-    return ColoredDigraph(n, dict(sigma))
-
-
 def rack_graph(rack, colors=None) -> ColoredDigraph:
     """The graph of a rack restricted to a colour subset (all colours if None)."""
     if colors is None:
         colors = range(rack.n)
     return ColoredDigraph(rack.n, {c: rack.maps[c] for c in colors})
-
-
-def reduced_graph(graph: ColoredDigraph) -> tuple:
-    """Distinct directed pairs with at least one edge, sorted."""
-    return tuple(sorted({(u, v) for u, v, _ in graph.edges()}))
 
 
 @dataclass(frozen=True)
@@ -129,13 +119,9 @@ def components(graph: ColoredDigraph) -> ComponentStructure:
     return component_structure(graph.n, graph.undirected_support())
 
 
-def out_degree(graph: ColoredDigraph, v: int) -> int:
-    """Number of distinct heads over all colours at v."""
-    return len(graph.out_neighbors(v))
-
-
 def out_degrees(graph: ColoredDigraph) -> tuple:
-    return tuple(out_degree(graph, v) for v in range(graph.n))
+    """Per vertex, the number of distinct heads over all colours."""
+    return tuple(len(graph.out_neighbors(v)) for v in range(graph.n))
 
 
 def successors(graph: ColoredDigraph) -> list:
@@ -174,16 +160,8 @@ def conjugates_along_tree(succ, root: int, maps) -> dict:
     return conj
 
 
-def directed_path_exists(graph: ColoredDigraph, u: int, v: int) -> bool:
-    """True iff v is reachable from u following edge directions."""
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    return any(head == v for _, head, _ in bfs_tree(successors(graph), u))
-
-
 # ---------------------------------------------------------------------------
-# merge calculus; works on raw undirected edge multisets so that arbitrary
-# multigraphs can be exercised, not only graphs of permutation families
+# component counts of raw undirected edge multisets
 
 def validate_edges(n: int, edges) -> list:
     edges = list(edges)
@@ -202,37 +180,6 @@ def multigraph_component_count(n: int, *edge_sets) -> int:
         for u, v in validate_edges(n, edges):
             uf.union(u, v)
     return uf.count
-
-
-def merged_part_indices(structure: ComponentStructure, pairs) -> tuple:
-    """Ascending indices of the parts that some pair (u, v) joins to another part."""
-    merged = set()
-    for u, v in pairs:
-        iu, iv = structure.part_index[u], structure.part_index[v]
-        if iu != iv:
-            merged.add(iu)
-            merged.add(iv)
-    return tuple(sorted(merged))
-
-
-def multigraph_merged_parts(n: int, base_edges, extra_edges) -> tuple:
-    """Components of (n, base_edges) having an extra edge to their complement.
-
-    Only the support of extra_edges matters, but multiplicities are accepted.
-    """
-    structure = component_structure(n, validate_edges(n, base_edges))
-    merged = merged_part_indices(structure, validate_edges(n, extra_edges))
-    return tuple(structure.parts[i] for i in merged)
-
-
-def count_components_with(graph: ColoredDigraph, extra_edges) -> int:
-    """cp of the graph after adjoining extra_edges as uncoloured edges."""
-    return multigraph_component_count(graph.n, graph.undirected_support(), extra_edges)
-
-
-def merged_components(graph: ColoredDigraph, extra_edges) -> tuple:
-    """The component vertex sets of the graph merged by extra_edges."""
-    return multigraph_merged_parts(graph.n, graph.undirected_support(), extra_edges)
 
 
 # ---------------------------------------------------------------------------

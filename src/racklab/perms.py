@@ -49,33 +49,6 @@ def conjugate(f, g) -> tuple:
     return compose(compose(inverse(g), f), g)
 
 
-def cycle_count(p) -> int:
-    """Number of cycles of p, fixed points included."""
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = p[v]
-    return count
-
-
-def from_cycles(n: int, cycles) -> tuple:
-    """Permutation of [n] from a list of cycles, e.g. [(0, 1, 2), (4, 5)]."""
-    images = list(range(n))
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            images[v] = cyc[(i + 1) % len(cyc)]
-    p = tuple(images)
-    if not is_permutation(p, n):
-        raise ValueError(f"cycles do not define a permutation of [{n}]")
-    return p
-
-
 # Lehmer digits are reduced in runs of consecutive positions whose radix
 # product stays below 2**62, so that each run's value fits an int64.
 _RUN_LIMIT = 1 << 62

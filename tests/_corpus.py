@@ -6,9 +6,36 @@ import math
 
 from racklab import (CodecParams, Rack, alexander_quandle, conjugation_quandle,
                      cyclic_group_table, dihedral_group_table, dihedral_quandle,
-                     direct_product_table, permutation_rack, symmetric_group_table,
-                     trivial_rack)
-from racklab.perms import from_cycles
+                     permutation_rack, symmetric_group_table, trivial_rack)
+from racklab.core import table_order
+from racklab.perms import is_permutation
+
+
+def from_cycles(n: int, cycles) -> tuple:
+    """Permutation of [n] from a list of cycles, e.g. [(0, 1, 2), (4, 5)]."""
+    images = list(range(n))
+    for cyc in cycles:
+        for i, v in enumerate(cyc):
+            images[v] = cyc[(i + 1) % len(cyc)]
+    p = tuple(images)
+    if not is_permutation(p, n):
+        raise ValueError(f"cycles do not define a permutation of [{n}]")
+    return p
+
+
+def direct_product_table(t1, t2):
+    """Multiplication table of the direct product, pairs ordered (a, b) -> a*len(t2)+b."""
+    n1, n2 = table_order(t1), table_order(t2)
+    def mul(x, y):
+        a1, b1 = divmod(x, n2)
+        a2, b2 = divmod(y, n2)
+        return t1[a1][a2] * n2 + t2[b1][b2]
+    return tuple(tuple(mul(x, y) for y in range(n1 * n2)) for x in range(n1 * n2))
+
+
+def is_subrack(rack: Rack, subset) -> bool:
+    """True iff the subset is closed under the operation."""
+    return all(rack.table[z][y] in subset for y in subset for z in subset)
 
 
 def family_racks(max_n: int = 8):

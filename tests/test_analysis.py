@@ -10,41 +10,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racklab import analysis
-from racklab import (CheckParameterError, DegreeSplitError, EtaSequence,
-                     chernoff_check, claim_calc_gap,
-                     conjugation_quandle, dihedral_quandle, find_W,
+from racklab import (CheckParameterError, DegreeSplitError, chernoff_check,
+                     claim_calc_gap, conjugation_quandle, dihedral_quandle, find_W,
                      random_subset_check, symmetric_group_table, trivial_rack,
-                     zeta_bound_sweep, zeta_of, zeta_of_exact)
+                     zeta_bound_sweep)
+from racklab.codec import _zeta
 
-
-def test_eta_sequence_validation():
-    EtaSequence(3, (1, 2, 0))
-    with pytest.raises(ValueError):
-        EtaSequence(3, (1, 2))
-    with pytest.raises(ValueError):
-        EtaSequence(3, (4, 0, -1))
-    with pytest.raises(ValueError):
-        EtaSequence(3, (1, 1, 0))
+from _reference import zeta_of_exact
 
 
 def test_zeta_values():
     n = 6
-    assert zeta_of(EtaSequence(n, (n, 0, 0, 0, 0, 0))) == 0.0
-    assert zeta_of(EtaSequence(n, (0, n, 0, 0, 0, 0))) == n * n / 4
+    assert _zeta((n, 0, 0, 0, 0, 0)) == 0.0
+    assert _zeta((0, n, 0, 0, 0, 0)) == n * n / 4
     # eta_1 = 1, eta_3 = 3: (1 + 1) * log2(3)
-    val = zeta_of(EtaSequence(4, (1, 0, 3, 0)))
+    val = _zeta((1, 0, 3, 0))
     assert abs(val - 2 * math.log2(3)) < 1e-12
     assert val <= 4
 
 
 def test_zeta_exact():
-    assert zeta_of_exact(EtaSequence(4, (0, 4, 0, 0))) == Fraction(4)
-    assert zeta_of_exact(EtaSequence(4, (2, 0, 0, 2))) == Fraction(5, 2)
-    assert zeta_of_exact(EtaSequence(4, (1, 0, 3, 0))) is None
-    eta8 = EtaSequence(8, (0, 4, 0, 4, 0, 0, 0, 0))
+    assert zeta_of_exact((0, 4, 0, 0)) == Fraction(4)
+    assert zeta_of_exact((2, 0, 0, 2)) == Fraction(5, 2)
+    assert zeta_of_exact((1, 0, 3, 0)) is None
+    eta8 = (0, 4, 0, 4, 0, 0, 0, 0)
     exact = zeta_of_exact(eta8)
     assert exact == Fraction(12)
-    assert abs(float(exact) - zeta_of(eta8)) < 1e-12
+    assert abs(float(exact) - _zeta(eta8)) < 1e-12
 
 
 def test_claim_calc_gap():
@@ -136,11 +128,10 @@ def _assert_scored_like_reference(rows):
     zeta, exact, equal, over = analysis._score_block(np.array(rows, dtype=np.int64))
     for row, z, is_exact, is_equal, is_over in zip(rows, zeta.tolist(), exact.tolist(),
                                                   equal.tolist(), over.tolist()):
-        eta = EtaSequence(n, tuple(row))
-        ref = zeta_of_exact(eta)
+        ref = zeta_of_exact(row)
         assert is_exact == (ref is not None), row
         if ref is None:
-            ref_z = zeta_of(eta)
+            ref_z = _zeta(row)
             assert not is_equal and is_over == (ref_z > n * n / 4 + 1e-9), row
         else:
             bound = Fraction(n * n, 4)

@@ -144,6 +144,11 @@ NOT_A_RACK = "2\n0 1\n1 0\n"
     (("stats",), NOT_A_RACK, 1, "not a rack"),
     (("analyze", "random-subset", "--rack"), NOT_A_RACK, 1, "not a rack"),
     (("decode",), _flipped_stream(), 1, "inconsistent stream"),
+    (("check",), b"2\n0 1\n\xfe 0\n", 2, "line 1, col 1: not UTF-8 text"),
+    (("encode",), b"\xff\n", 2, "line 1, col 1: not UTF-8 text"),
+    (("encode", "--delta", "0"), "1\n0\n", 2, "delta must be in 1..65535, got 0"),
+    (("stats", "--cap-l", "-1"), "1\n0\n", 2, "cap_l must be in 0..65535, got -1"),
+    (("audit", "--delta", "70000"), "1\n0\n", 2, "delta must be in 1..65535, got 70000"),
 ])
 def test_error_table_exit_codes(capsys, tmp_path, argv, content, code, message):
     path = tmp_path / "input"

@@ -4,47 +4,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racklab import (build_graph, component_out_degree_constant, components,
-                     count_components_with, degree_split, dihedral_quandle,
-                     directed_path_exists, enumerate_labeled, is_subrack,
-                     merge_bound_audit, merged_components,
-                     multigraph_component_count, multigraph_merged_parts,
-                     out_degree, out_degrees, rack_graph, reduced_graph, to_dot,
-                     trivial_rack)
-from racklab.graph import UnionFind, greedy_merge_order
-from racklab.perms import from_cycles, identity
+from racklab import (ColoredDigraph, component_out_degree_constant, components,
+                     degree_split, dihedral_quandle, enumerate_labeled,
+                     merge_bound_audit, multigraph_component_count, out_degrees,
+                     rack_graph, to_dot, trivial_rack)
+from racklab.graph import UnionFind, bfs_tree, greedy_merge_order, successors
+from racklab.perms import identity
 
-from _corpus import family_racks, orbit_closure, param_grid
+from _corpus import family_racks, from_cycles, is_subrack, orbit_closure, param_grid
+from _reference import count_components_with, multigraph_merged_parts
 
 
 def test_build_graph_edges():
-    g = build_graph(3, {0: identity(3), 1: identity(3)})
+    g = ColoredDigraph(3, {0: identity(3), 1: identity(3)})
     assert g.edges() == []
-    tri = build_graph(3, {0: from_cycles(3, [(0, 1, 2)])})
-    assert tri.edges() == [(0, 1, 0), (1, 2, 0), (2, 0, 0)]
-    sw = build_graph(2, {0: (1, 0)})
+    cyc = from_cycles(3, [(0, 1, 2)])
+    assert ColoredDigraph(3, {0: cyc}).edges() == [(0, 1, 0), (1, 2, 0), (2, 0, 0)]
+    # two colours carrying the same edges keep both copies
+    assert len(ColoredDigraph(3, {0: cyc, 1: cyc}).edges()) == 6
+    sw = ColoredDigraph(2, {0: (1, 0)})
     assert sorted(sw.edges()) == [(0, 1, 0), (1, 0, 0)]
     with pytest.raises(ValueError):
-        build_graph(3, {0: (0, 0, 1)})
-
-
-def test_reduced_graph():
-    assert reduced_graph(build_graph(3, {0: identity(3)})) == ()
-    # two colours carrying the same edge 0 -> 1 collapse to one reduced edge
-    cyc = from_cycles(3, [(0, 1, 2)])
-    g = build_graph(3, {0: cyc, 1: cyc})
-    assert len(g.edges()) == 6
-    assert reduced_graph(g) == ((0, 1), (1, 2), (2, 0))
-    sw = build_graph(2, {0: (1, 0), 1: (1, 0)})
-    assert reduced_graph(sw) == ((0, 1), (1, 0))
+        ColoredDigraph(3, {0: (0, 0, 1)})
 
 
 def test_components():
-    empty = build_graph(4, {})
+    empty = ColoredDigraph(4, {})
     s = components(empty)
     assert s.cp == 4 and s.parts == ((0,), (1,), (2,), (3,))
     assert s.eta == (4, 0, 0, 0)
-    tri = build_graph(3, {0: from_cycles(3, [(0, 1, 2)])})
+    tri = ColoredDigraph(3, {0: from_cycles(3, [(0, 1, 2)])})
     s = components(tri)
     assert s.parts == ((0, 1, 2),) and s.eta == (0, 0, 3)
     # the three translations of the dihedral quandle on [3] are the three
@@ -57,18 +46,8 @@ def test_components():
 def test_out_degrees():
     assert out_degrees(rack_graph(trivial_rack(4))) == (0, 0, 0, 0)
     assert out_degrees(rack_graph(dihedral_quandle(3))) == (2, 2, 2)
-    tri = build_graph(3, {0: from_cycles(3, [(0, 1, 2)])})
-    assert all(out_degree(tri, v) == 1 for v in range(3))
-
-
-def test_directed_path_exists():
-    tri = build_graph(3, {0: from_cycles(3, [(0, 1, 2)])})
-    assert directed_path_exists(tri, 0, 2)
-    assert not directed_path_exists(build_graph(3, {}), 0, 2)
-    sw = build_graph(2, {0: (1, 0)})
-    assert directed_path_exists(sw, 1, 0)
-    with pytest.raises(ValueError):
-        directed_path_exists(sw, 1, 1)
+    tri = ColoredDigraph(3, {0: from_cycles(3, [(0, 1, 2)])})
+    assert out_degrees(tri) == (1, 1, 1)
 
 
 def test_directed_reachability_equals_undirected():
@@ -78,18 +57,16 @@ def test_directed_reachability_equals_undirected():
     for _ in range(50):
         n = rng.randrange(2, 9)
         sigma = {c: tuple(rng.sample(range(n), n)) for c in range(rng.randrange(1, 4))}
-        g = build_graph(n, sigma)
+        g = ColoredDigraph(n, sigma)
         s = components(g)
+        succ = successors(g)
         for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                same = s.part_index[u] == s.part_index[v]
-                assert directed_path_exists(g, u, v) == same
+            reached = {head for _, head, _ in bfs_tree(succ, u)}
+            assert reached == set(s.parts[s.part_index[u]]) - {u}
 
 
 def test_count_components_with():
-    empty = build_graph(4, {})
+    empty = ColoredDigraph(4, {})
     assert count_components_with(empty, [(0, 1), (2, 3)]) == 2
     d3 = dihedral_quandle(3)
     g = rack_graph(d3, [0])
@@ -99,12 +76,9 @@ def test_count_components_with():
 
 
 def test_merged_components():
-    empty3 = build_graph(3, {})
-    assert merged_components(empty3, [(0, 1)]) == ((0,), (1,))
-    pair = build_graph(2, {0: (1, 0)})
-    assert merged_components(pair, [(0, 1)]) == ()
-    empty4 = build_graph(4, {})
-    assert merged_components(empty4, [(0, 1), (1, 2)]) == ((0,), (1,), (2,))
+    assert multigraph_merged_parts(3, [], [(0, 1)]) == ((0,), (1,))
+    assert multigraph_merged_parts(2, [(0, 1), (1, 0)], [(0, 1)]) == ()
+    assert multigraph_merged_parts(4, [], [(0, 1), (1, 2)]) == ((0,), (1,), (2,))
 
 
 def _random_instance(rng, max_n=12):
@@ -164,7 +138,7 @@ def test_components_match_orbit_closure():
         n = rng.randrange(1, 13)
         k = rng.randrange(1, 4)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(k)]
-        g = build_graph(n, dict(enumerate(perms)))
+        g = ColoredDigraph(n, dict(enumerate(perms)))
         assert components(g).parts == orbit_closure(n, perms)
 
 
@@ -281,7 +255,7 @@ def test_lazy_greedy_matches_eager_on_corpus():
 
 
 def test_to_dot():
-    g = build_graph(2, {1: (1, 0)})
+    g = ColoredDigraph(2, {1: (1, 0)})
     dot = to_dot(g)
     assert "0 -> 1" in dot and '[label="1"]' in dot
     assert dot == to_dot(g)
