@@ -22,8 +22,8 @@ import numpy as np
 
 from .codec import degree_split
 from .core import Rack
-from .graph import (component_structure, components, conjugates_along_tree,
-                    out_degrees, rack_graph, successors)
+from .graph import (bfs_forest, component_structure, conjugate_along_forest, out_degrees,
+                    rack_graph)
 
 
 class CheckParameterError(ValueError):
@@ -344,30 +344,28 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         return WSearchResult(w=(), p=p, attempts=0, certified=True, n=n, delta=delta,
                              bad_threshold=bad_threshold, size_cap=size_cap,
                              component_count=0, maps_match=True)
+    maps = np.array(rack.maps, dtype=np.int32)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         x = tuple(v for v in range(n) if rng.random() < p)
         if len(x) > size_cap or not x:
             continue
-        g_x = rack_graph(rack, x)
-        degs = out_degrees(g_x)
+        degs = out_degrees(rack_graph(rack, x))
         if any(degs[v] <= bad_threshold for v in s_high):
             continue
-        struct = components(g_x)
-        inside = [part for part in struct.parts if part[0] in high]
+        x_maps = maps[list(x)]
+        forest = bfs_forest(x_maps)
+        inside = [part for part in forest.parts if part[0] in high]
         for part in inside:
-            if not all(u in high for u in part):
+            if not high.issuperset(part):
                 raise DegreeSplitError("degree split is not separated in the sampled graph")
         reps = tuple(part[0] for part in inside)
         w = tuple(sorted(set(x) | set(reps)))
 
-        succ = successors(g_x)
-        match = True
-        for part in inside:
-            conj = conjugates_along_tree(succ, part[0], rack.maps)
-            match = len(conj) == len(part) and all(conj[u] == rack.maps[u] for u in part)
-            if not match:
-                break
+        # conjugate every map from its part's minimum; compare the parts inside the high set
+        differ = conjugate_along_forest(maps.copy(), x_maps, forest.levels,
+                                        np.ones(n, dtype=bool))
+        match = not any(forest.parts[i][0] in high for i in forest.part_index[differ].tolist())
         return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,
                              delta=delta, bad_threshold=bad_threshold,
                              size_cap=size_cap, component_count=len(inside),

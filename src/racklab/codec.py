@@ -12,8 +12,10 @@ unmerged component); its bit budget is
     zeta = (sum_p eta_p / p) * (sum_q eta_q log2(q) / q) <= n^2 / 4,
 
 where eta_q counts vertices of the T-graph in components of size q.
-The decoder rebuilds each representative map by propagating images along
-directed edges of the T-graph and conjugates everything else into place.
+The decoder builds the T-graph's components and their directed BFS forest
+once, as numpy arrays; it rebuilds each representative map by propagating
+images down the forest one depth at a time and conjugates everything else
+into place, again one depth at a time.
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -25,16 +27,18 @@ residual indices use ceil(log2 |D|) bits per target component D.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct as _struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import (ColoredDigraph, bfs_tree, components, conjugates_along_tree,
-                    greedy_merge_order, multigraph_component_count, rack_graph,
-                    successors)
-from .perms import is_permutation, lehmer_rank, lehmer_unrank
+from .graph import (bfs_forest, conjugate_along_forest, greedy_merge_order,
+                    multigraph_component_count)
+from .perms import lehmer_rank, lehmer_unrank
 
 MAGIC = b"RKE1"
 
@@ -146,11 +150,25 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))
 
 
-def _merges(part_index, p):
-    """(pairs, merged): (part of u, part of (u)p) for each u that p sends into
-    another part of a T-graph, and the ascending indices of the parts they touch."""
-    pairs = [(a, b) for a, b in zip(part_index, map(part_index.__getitem__, p)) if a != b]
-    return pairs, tuple(sorted({ci for pair in pairs for ci in pair}))
+def _joins(part_index: np.ndarray, maps: np.ndarray):
+    """(row, a, b, touched) over every u and row p of maps with (u)p in
+    another part of a T-graph: the row, the part of u and the part of
+    (u)p, in row order, and a (rows, parts) mask of the parts each row's
+    joins touch."""
+    b = part_index[maps]
+    row, u = np.nonzero(b != part_index)
+    a, b = part_index[u], b[row, u]
+    touched = np.zeros((len(maps), int(part_index.max(initial=-1)) + 1), dtype=bool)
+    touched[row, a] = touched[row, b] = True
+    return row, a, b, touched
+
+
+def _t_plus(n: int, t_cols: np.ndarray, restrictions: np.ndarray) -> np.ndarray:
+    """T and its out-neighbours in the full graph, ascending: the colours of field 5."""
+    mark = np.zeros(n, dtype=bool)
+    mark[t_cols] = True
+    mark[restrictions[restrictions != t_cols]] = True
+    return np.flatnonzero(mark)
 
 
 def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
@@ -161,41 +179,38 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
     t_set = set(t_order)
     t_sorted = tuple(sorted(t_set))
 
-    g_t = rack_graph(rack, t_sorted)
-    struct = components(g_t)
-
-    gamma = set()
-    for v in t_set:
-        for j in range(n):
-            w = rack.maps[j][v]
-            if w != v:
-                gamma.add(w)
-    t_plus = tuple(sorted(t_set | gamma))
-
-    t_restrictions = tuple(tuple(rack.maps[j][i] for i in t_sorted) for j in range(n))
-    low_set = set(s_low)
-    for imgs in t_restrictions:
-        if any(img not in low_set for img in imgs):
-            raise EncodeConsistencyError("low-degree set is not closed under the translations")
+    # arrays of the low maps only (T is low), and of the table's rows at T
+    low_maps = np.array([rack.maps[j] for j in s_low], dtype=np.int32).reshape(-1, n)
+    low_pos = {j: pos for pos, j in enumerate(s_low)}
+    t_cols = np.array(t_sorted, dtype=np.intp)
+    forest = bfs_forest(low_maps[[low_pos[i] for i in t_sorted]])
+    restrictions = np.array([rack.table[i] for i in t_sorted],
+                            dtype=np.int32).reshape(-1, n).T    # [j][k] = (t_sorted[k])f_j
+    low = np.zeros(n, dtype=bool)
+    low[list(s_low)] = True
+    if not low[restrictions].all():
+        raise EncodeConsistencyError("low-degree set is not closed under the translations")
+    t_plus = _t_plus(n, t_cols, restrictions)
 
     # no check that the other parts are kept: a colour in T has every edge
     # inside a part, and a map sending no vertex of a part outside it permutes it
-    s_low_minus_t = tuple(j for j in s_low if j not in t_set)
-    merge_lists = []
-    merged_restrictions = []
-    for j in s_low_minus_t:
-        _, merged = _merges(struct.part_index, rack.maps[j])
-        block = sorted(v for ci in merged for v in struct.parts[ci])
-        merge_lists.append(merged)
-        merged_restrictions.append(tuple(rack.maps[j][v] for v in block))
+    s_low_minus_t = [j for j in s_low if j not in t_set]
+    merge_lists = [()] * len(s_low_minus_t)
+    merged_restrictions = [()] * len(s_low_minus_t)
+    rest_maps = low_maps[[low_pos[j] for j in s_low_minus_t]]
+    touched = _joins(forest.part_index, rest_maps)[3]
+    for pos in np.flatnonzero(touched.any(axis=1)).tolist():
+        merge_lists[pos] = tuple(np.flatnonzero(touched[pos]).tolist())
+        block = np.flatnonzero(touched[pos][forest.part_index])
+        merged_restrictions[pos] = tuple(rest_maps[pos, block].tolist())
 
     return InfoTuple(
         n=n, delta=params.delta, cap_l=params.cap_l,
-        s_low=s_low, s_high=s_high, t_order=t_order, t_plus=t_plus,
+        s_low=s_low, s_high=s_high, t_order=t_order, t_plus=tuple(t_plus.tolist()),
         high_maps=tuple(rack.maps[j] for j in s_high),
-        t_restrictions=t_restrictions,
-        t_plus_maps=tuple(rack.maps[k] for k in t_plus),
-        gt_components=struct.parts,
+        t_restrictions=tuple(map(tuple, restrictions.tolist())),
+        t_plus_maps=tuple(rack.maps[k] for k in t_plus.tolist()),
+        gt_components=forest.parts,
         merge_lists=tuple(merge_lists),
         merged_restrictions=tuple(merged_restrictions),
     )
@@ -205,9 +220,17 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
 class Residual:
     entries: tuple  # (representative, component index, bit width, image index)
 
-    @property
-    def bits(self) -> int:
-        return sum(width for _, _, width, _ in self.entries)
+
+def _part_positions(parts, n: int):
+    """(part_index, pos_in_part): for every vertex its part and its place in that part."""
+    sizes = [len(part) for part in parts]
+    members = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=n)
+    owner = np.repeat(np.arange(len(parts)), sizes)
+    part_index = np.empty(n, dtype=np.int32)
+    pos_in_part = np.empty(n, dtype=np.int32)
+    part_index[members] = owner
+    pos_in_part[members] = np.arange(n) - (np.cumsum(sizes) - sizes)[owner]
+    return part_index, pos_in_part
 
 
 def extract_residual(rack: Rack, info: InfoTuple) -> Residual:
@@ -217,24 +240,29 @@ def extract_residual(rack: Rack, info: InfoTuple) -> Residual:
     nothing.  Raises EncodeConsistencyError if the image of a component
     minimum escapes its component, which means info does not match the rack.
     """
+    parts = info.gt_components
     known = set(info.s_high) | set(info.t_plus)
-    rest = info.s_low_minus_t
+    reps = [part[0] for part in parts if part[0] not in known]
+    if not reps:
+        return Residual(())
+    rest = {j: pos for pos, j in enumerate(info.s_low_minus_t)}
+    part_index, pos_in_part = _part_positions(parts, rack.n)
+    unmerged = np.ones((len(reps), len(parts)), dtype=bool)
+    for row, v in enumerate(reps):
+        unmerged[row, list(info.merge_lists[rest[v]])] = False
+    mins = np.array([part[0] for part in parts])
+    images = np.array([rack.maps[v] for v in reps], dtype=np.int32)[:, mins]
+    escaped = unmerged & (part_index[images] != np.arange(len(parts)))
+    if escaped.any():
+        row, di = divmod(int(escaped.argmax()), len(parts))
+        raise EncodeConsistencyError(
+            f"map {reps[row]} moves {mins[di]} out of its unmerged component")
+    widths = np.array([uint_width(len(part)) for part in parts])
     entries = []
-    for part in info.gt_components:
-        v = part[0]
-        if v in known:
-            continue
-        merged = set(info.merge_lists[rest.index(v)])
-        for di, dpart in enumerate(info.gt_components):
-            if di in merged:
-                continue
-            img = rack.maps[v][dpart[0]]
-            try:
-                idx = dpart.index(img)
-            except ValueError:
-                raise EncodeConsistencyError(
-                    f"map {v} moves {dpart[0]} out of its unmerged component") from None
-            entries.append((v, di, uint_width(len(dpart)), idx))
+    for row, v in enumerate(reps):
+        di = np.flatnonzero(unmerged[row])
+        entries += zip(itertools.repeat(v), di.tolist(), widths[di].tolist(),
+                       pos_in_part[images[row, di]].tolist())
     return Residual(tuple(entries))
 
 
@@ -258,6 +286,24 @@ def _zeta(eta) -> float:
     return inv * logs
 
 
+def _restriction_layout(n: int, t_sorted) -> tuple:
+    """(domain, widths) of one colour's entry in field 4 when it moves as a block.
+
+    An entry is the n-bit domain bitmap of T, then the images of T.  In a
+    block every field is about as wide as a vertex, so the bitmap goes as
+    fields of uint_width(n) bits, whose values are domain; widths lists
+    the field widths of the whole entry.
+    """
+    w_vertex = uint_width(n)
+    bits = np.zeros(n, dtype=np.int64)
+    bits[list(t_sorted)] = 1
+    starts = np.arange(0, n, w_vertex)
+    ends = np.minimum(starts + w_vertex, n)
+    places = np.repeat(ends - 1, ends - starts) - np.arange(n)
+    domain = np.add.reduceat(bits << places, starts)
+    return domain, np.concatenate([ends - starts, np.full(len(t_sorted), w_vertex)])
+
+
 def _write_info(w: BitWriter, info: InfoTuple) -> None:
     n = info.n
     w_vertex = uint_width(n)
@@ -266,23 +312,19 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
     for p in info.high_maps:
         w.write(lehmer_rank(p), w_perm)
     w.write(len(info.t_order), uint_width(n + 1))
-    for v in info.t_order:
-        w.write(v, w_vertex)
-    t_sorted = info.t_sorted
-    for j in range(n):
-        w.write_bitmap(t_sorted, n)
-        for img in info.t_restrictions[j]:
-            w.write(img, w_vertex)
+    w.write_block(info.t_order, w_vertex)
+    # field 4 in one block: per colour, the domain bitmap of T and the images of T
+    domain, widths = _restriction_layout(n, info.t_sorted)
+    images = np.array(info.t_restrictions, dtype=np.int64).reshape(n, len(info.t_order))
+    w.write_varblock(np.hstack([np.tile(domain, (n, 1)), images]).ravel(), np.tile(widths, n))
     for p in info.t_plus_maps:
         w.write(lehmer_rank(p), w_perm)
     cp = len(info.gt_components)
     for merged in info.merge_lists:
         w.write_bitmap(merged, cp)
     for pos in range(len(info.merge_lists)):
-        block = info.merged_vertices(pos)
-        w.write_bitmap(block, n)
-        for img in info.merged_restrictions[pos]:
-            w.write(img, w_vertex)
+        w.write_bitmap(info.merged_vertices(pos), n)
+        w.write_block(info.merged_restrictions[pos], w_vertex)
 
 
 def encode_with_stats(rack: Rack, params: CodecParams | None = None):
@@ -305,12 +347,12 @@ def _encode_with_info(rack: Rack, params: CodecParams | None):
                            bound=0.25, total_bytes=len(head))
         return head, stats, None
     info = build_info(rack, params)
-    residual = extract_residual(rack, info)
     w = BitWriter()
     _write_info(w, info)
     header_bits = w.nbits
-    for _, _, width, idx in residual.entries:
-        w.write(idx, width)
+    residual = extract_residual(rack, info)
+    coded = [entry for entry in residual.entries if entry[2]]
+    w.write_varblock([idx for _, _, _, idx in coded], [width for _, _, width, _ in coded])
     residual_bits = w.nbits - header_bits
     data = head + w.getvalue()
 
@@ -360,14 +402,36 @@ def decode(data: bytes) -> Rack:
         raise CorruptStream(str(exc)) from None
 
 
+def _read_until_bad(r: BitReader, widths: np.ndarray, limits, message):
+    """Fields that must lie below their limits, read in one block.
+
+    Returns (values, error): the fields up to the first one that reading
+    them one by one would fail on, and that failure, or None.  It is
+    CorruptStream(message(value)) for a value at or over its limit, or the
+    BitUnderflow of a field that over-runs the stream.
+    """
+    fit = int(np.searchsorted(np.cumsum(widths), r.bits_remaining(), side="right"))
+    values = r.read_varblock(widths[:fit])
+    bad = np.flatnonzero(values >= np.broadcast_to(limits, widths.shape)[:fit])
+    if bad.size:
+        return values[:bad[0]], CorruptStream(message(int(values[bad[0]])))
+    if fit < len(widths):
+        try:
+            r.read(int(widths[fit]))
+        except BitUnderflow as exc:
+            return values, exc
+    return values, None
+
+
 def _decode_body(n: int, r: BitReader) -> Rack:
     w_vertex = uint_width(n)
 
-    def read_vertex():
-        v = r.read(w_vertex)
-        if v >= n:
-            raise CorruptStream(f"vertex {v} out of range")
-        return v
+    def read_vertices(count):
+        values, error = _read_until_bad(r, np.full(count, w_vertex, dtype=np.int64), n,
+                                        lambda v: f"vertex {v} out of range")
+        if error:
+            raise error
+        return values
 
     s_low = r.read_bitmap(n)
     # n! only after the first field has been read, so a stream too short
@@ -381,94 +445,121 @@ def _decode_body(n: int, r: BitReader) -> Rack:
             raise CorruptStream(f"permutation rank {rank} out of range")
         return lehmer_unrank(rank, n)
 
+    maps = np.zeros((n, n), dtype=np.int32)     # row j is f_j once known[j]
+    known = np.zeros(n, dtype=bool)
     low_set = set(s_low)
-    s_high = tuple(v for v in range(n) if v not in low_set)
-    known = {j: read_perm() for j in s_high}
+    for j in range(n):
+        if j not in low_set:
+            maps[j] = read_perm()
+            known[j] = True
 
     t_len = r.read(uint_width(n + 1))
     if t_len > n:
         raise CorruptStream("t length out of range")
-    t_order = tuple(read_vertex() for _ in range(t_len))
+    t_order = tuple(read_vertices(t_len).tolist())
     if len(set(t_order)) != t_len or not set(t_order) <= low_set:
         raise CorruptStream("invalid t set")
-    t_sorted = tuple(sorted(t_order))
     t_set = set(t_order)
+    t_cols = np.array(sorted(t_set), dtype=np.intp)
 
-    t_restrictions = []
-    for j in range(n):
-        if r.read_bitmap(n) != t_sorted:
+    # field 4 in one block of whole colours; a colour that over-runs is read
+    # field by field, so its errors come in stream order
+    domain, widths = _restriction_layout(n, t_cols)
+    whole = min(n, r.bits_remaining() // int(widths.sum()))
+    block = r.read_varblock(np.tile(widths, whole)).reshape(whole, len(widths))
+    wrong_domain = (block[:, :len(domain)] != domain).any(axis=1)
+    restrictions = block[:, len(domain):]       # [j][k] = (t_sorted[k])f_j
+    out_of_range = restrictions >= n
+    bad = np.flatnonzero(wrong_domain | out_of_range.any(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        if wrong_domain[j]:
             raise CorruptStream(f"restriction domain mismatch for colour {j}")
-        t_restrictions.append(tuple(read_vertex() for _ in t_sorted))
+        raise CorruptStream(f"vertex {restrictions[j, out_of_range[j].argmax()]} out of range")
+    if whole < n:
+        if r.read_bitmap(n) != tuple(t_cols.tolist()):
+            raise CorruptStream(f"restriction domain mismatch for colour {whole}")
+        read_vertices(t_len)
 
-    t_plus_set = set(t_set)
-    for imgs in t_restrictions:
-        for i, img in zip(t_sorted, imgs):
-            if img != i:
-                t_plus_set.add(img)
-    t_plus = tuple(sorted(t_plus_set))
-    for k in t_plus:
+    for k in _t_plus(n, t_cols, restrictions).tolist():
         p = read_perm()
-        if k in known and known[k] != p:
+        if known[k] and not np.array_equal(maps[k], p):
             raise InconsistentDecode(f"conflicting maps for colour {k}")
-        known[k] = p
-    for j, imgs in enumerate(t_restrictions):
-        if j in known and any(known[j][i] != img for i, img in zip(t_sorted, imgs)):
-            raise InconsistentDecode(f"restriction mismatch for colour {j}")
+        maps[k] = p
+        known[k] = True
+    bad = np.flatnonzero(known & (maps[:, t_cols] != restrictions).any(axis=1))
+    if bad.size:
+        raise InconsistentDecode(f"restriction mismatch for colour {bad[0]}")
 
-    g_t = ColoredDigraph(n, {i: known[i] for i in t_sorted})
-    struct = components(g_t)
-    parts = struct.parts
-    cp = struct.cp
+    # T's maps are Lehmer-decoded, hence permutations: every tree spans its part
+    t_maps = maps[t_cols]
+    forest = bfs_forest(t_maps)
+    parts = forest.parts
+    cp = len(parts)
+    if sum(len(head) for _, head, _ in forest.levels) != n - cp:
+        raise InconsistentDecode("component is not reachable by directed edges")
 
     s_low_minus_t = tuple(j for j in s_low if j not in t_set)
     merge_lists = [r.read_bitmap(cp) for _ in s_low_minus_t]
-    merged_map = {}
+    merged_maps = {}        # colour -> (sorted merged block, its images)
     for j, merged in zip(s_low_minus_t, merge_lists):
-        block = tuple(sorted(v for ci in merged for v in parts[ci]))
-        if r.read_bitmap(n) != block:
+        in_merged = np.zeros(cp, dtype=bool)
+        in_merged[list(merged)] = True
+        domain = np.flatnonzero(in_merged[forest.part_index])
+        if r.read_bitmap(n) != tuple(domain.tolist()):
             raise CorruptStream(f"merged domain mismatch for colour {j}")
-        imgs = tuple(read_vertex() for _ in block)
-        if tuple(sorted(imgs)) != block:
+        images = read_vertices(len(domain))
+        if not np.array_equal(np.sort(images), domain):
             raise InconsistentDecode(f"merged block of colour {j} is not preserved")
-        merged_map[j] = dict(zip(block, imgs))
+        merged_maps[j] = (domain, images)
     merged_index = dict(zip(s_low_minus_t, merge_lists))
 
-    # directed adjacency of the T-graph, used by both propagation passes
-    succ = successors(g_t)
-    t_pos = {i: k for k, i in enumerate(t_sorted)}
-
-    for part in parts:
-        v = part[0]
-        if v in known:
-            continue
-        if v not in merged_index:
-            raise CorruptStream(f"no merge data for representative {v}")
-        images = [None] * n
-        for y, img in merged_map[v].items():
-            images[y] = img
-        merged = set(merged_index[v])
-        restr = t_restrictions[v]
-        for di, dpart in enumerate(parts):
-            if di in merged:
-                continue
-            idx = r.read(uint_width(len(dpart)))
-            if idx >= len(dpart):
-                raise CorruptStream("residual index out of range")
-            base = dpart[0]
-            images[base] = dpart[idx]
-            # (u)f_v = ((w)f_v) f_k with k = (i)f_v, along each edge w -> u of colour i
-            reached = 1
-            for x, u, colour in bfs_tree(succ, base):
-                images[u] = known[restr[t_pos[colour]]][images[x]]
-                reached += 1
-            if reached != len(dpart):
-                raise InconsistentDecode("component is not reachable by directed edges")
-        if any(img is None for img in images):
-            raise InconsistentDecode(f"map {v} not fully determined")
-        p = tuple(images)
-        if not is_permutation(p, n):
-            raise InconsistentDecode(f"reconstructed map {v} is not a permutation")
-        known[v] = p
+    # one residual index per (representative, unmerged part), all in one block:
+    # the image of the part's minimum, as a place in the part.  A singleton's
+    # index takes no bits and can only be 0, so only larger parts are read.
+    reps = [part[0] for part in parts if not known[part[0]]]
+    missing = next((pos for pos, v in enumerate(reps) if v not in merged_index), len(reps))
+    unmerged = np.ones((missing, cp), dtype=bool)
+    for pos, v in enumerate(reps[:missing]):
+        unmerged[pos, list(merged_index[v])] = False
+    sizes = np.array([len(part) for part in parts])
+    multi = np.flatnonzero(sizes > 1)
+    entry_rep, entry_part = np.nonzero(unmerged[:, multi])
+    entry_part = multi[entry_part]
+    widths = np.array([uint_width(len(part)) for part in parts], dtype=np.int64)[entry_part]
+    idx, error = _read_until_bad(r, widths, sizes[entry_part],
+                                 lambda _: "residual index out of range")
+    # the representatives read in full come first, as a one-by-one decode would
+    done = missing if error is None else int(entry_rep[len(idx)])
+    if done:
+        entries = int(np.searchsorted(entry_rep, done))
+        members = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=n)
+        starts = np.cumsum(sizes) - sizes
+        firsts = starts[entry_part[:entries]]
+        rows = np.array(reps[:done])
+        images = np.zeros((done, n), dtype=np.int32)     # row i: the map of rows[i]
+        singletons = members[starts[sizes == 1]]
+        images[:, singletons] = singletons
+        images[entry_rep[:entries], members[firsts]] = members[firsts + idx[:entries]]
+        # (u)f_v = ((x)f_v) f_k with k = (i)f_v, along each tree edge x -> u of
+        # colour i; merged parts are walked too, from zero, and then overwritten
+        colour_of = restrictions[rows]
+        for tail, head, colour in forest.levels:
+            images[:, head] = maps[colour_of[:, colour], images[:, tail]]
+        for i, v in enumerate(rows.tolist()):
+            domain, merged_images = merged_maps[v]
+            images[i, domain] = merged_images
+        hit = np.zeros((done, n), dtype=bool)
+        hit[np.arange(done)[:, None], images] = True
+        bad = np.flatnonzero(~hit.all(axis=1))
+        if bad.size:
+            raise InconsistentDecode(f"reconstructed map {rows[bad[0]]} is not a permutation")
+        maps[rows] = images
+        known[rows] = True
+    if error:
+        raise error
+    if missing < len(reps):
+        raise CorruptStream(f"no merge data for representative {reps[missing]}")
 
     rest_bits = r.bits_remaining()
     if rest_bits >= 8:
@@ -477,29 +568,21 @@ def _decode_body(n: int, r: BitReader) -> Rack:
         raise CorruptStream("nonzero padding")
 
     # conjugate all remaining maps from their component representatives
-    for part in parts:
-        conj = conjugates_along_tree(succ, part[0], known)
-        if len(conj) != len(part):
-            raise InconsistentDecode("component is not reachable by directed edges")
-        for u in part[1:]:
-            if u in known:
-                if known[u] != conj[u]:
-                    raise InconsistentDecode(f"conjugation mismatch at {u}")
-            else:
-                known[u] = conj[u]
+    differ = conjugate_along_forest(maps, t_maps, forest.levels, known)
+    if differ.size:
+        u = min(differ.tolist(), key=lambda u: (forest.part_index[u], u))
+        raise InconsistentDecode(f"conjugation mismatch at {u}")
 
-    table = tuple(zip(*(known[y] for y in range(n))))
-    result = rack_from_table(table)
+    result = rack_from_table(tuple(tuple(row.tolist()) for row in maps.T.copy()))
     if isinstance(result, AxiomReport):
         raise InconsistentDecode("reconstructed maps violate the rack axioms")
-    for j, merged in zip(s_low_minus_t, merge_lists):
-        for y, img in merged_map[j].items():
-            if result.maps[j][y] != img:
-                raise InconsistentDecode(f"merged restriction mismatch for colour {j}")
-    for j in range(n):
-        for i, img in zip(t_sorted, t_restrictions[j]):
-            if result.maps[j][i] != img:
-                raise InconsistentDecode(f"restriction mismatch for colour {j}")
+    for j in s_low_minus_t:
+        domain, images = merged_maps[j]
+        if (maps[j, domain] != images).any():
+            raise InconsistentDecode(f"merged restriction mismatch for colour {j}")
+    bad = np.flatnonzero((maps[:, t_cols] != restrictions).any(axis=1))
+    if bad.size:
+        raise InconsistentDecode(f"restriction mismatch for colour {bad[0]}")
     return result
 
 
@@ -548,21 +631,25 @@ def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditRepor
 
     t_count = min(params.cap_l, len(order))
     t = order[:t_count]
-    struct = components(rack_graph(rack, t))
-    cp_t = struct.cp
+    maps = np.array(rack.maps, dtype=np.int32)
+    part_index = bfs_forest(maps[sorted(t)]).part_index
+    cp_t = int(part_index.max()) + 1
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
+    rest = [j for j in s_low if j not in t]
+    row, a, b, touched = _joins(part_index, maps[rest])
+    bounds = np.searchsorted(row, np.arange(len(rest) + 1)).tolist()
+    merged_counts = touched.sum(axis=1).tolist()
     post = []
-    for j in s_low:
-        if j in t:
-            continue
+    for pos, j in enumerate(rest):
         # the components of G_T plus colour j are those of the parts joined by its pairs
-        pairs, merged = _merges(struct.part_index, rack.maps[j])
+        pairs = zip(a[bounds[pos]:bounds[pos + 1]].tolist(), b[bounds[pos]:bounds[pos + 1]].tolist())
         drop = cp_t - multigraph_component_count(cp_t, pairs)
-        post.append((j, drop, len(merged)))
+        merged = merged_counts[pos]
+        post.append((j, drop, merged))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)
-        if len(merged) > 2 * drop:
+        if merged > 2 * drop:
             raise AuditFail(f"colour {j} merged-set exceeds twice its drop", j)
     return MergeAuditReport(
         n=n, delta=params.delta, cap_l=params.cap_l, s_low=s_low,

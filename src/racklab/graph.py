@@ -4,17 +4,19 @@ A family sigma_c of permutations of [n] defines a loopless directed
 multigraph with an edge u -> v of colour c whenever u != v and
 (u)sigma_c = v.  Components always mean components of the underlying
 undirected multigraph.  Besides components and out-degrees, the module
-has the directed BFS trees the decoder walks, component counts of edge
-multisets under adjunction, and the greedy ordering of colours.
+has the directed BFS forest the decoder walks (as numpy arrays, with the
+conjugation along it), component counts of edge multisets under
+adjunction, and the greedy ordering of colours.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
-from .perms import conjugate, is_permutation
+import numpy as np
+
+from .perms import is_permutation
 
 
 class UnionFind:
@@ -55,13 +57,6 @@ class ColoredDigraph:
         self.n = n
         self._sigma = {c: tuple(sigma[c]) for c in sorted(sigma)}
 
-    @property
-    def colors(self) -> tuple:
-        return tuple(self._sigma)
-
-    def perm(self, c) -> tuple:
-        return self._sigma[c]
-
     def edges(self) -> list:
         """All (u, v, colour) triples, ordered by colour then tail."""
         out = []
@@ -77,7 +72,7 @@ class ColoredDigraph:
         return {p[v] for p in self._sigma.values() if p[v] != v}
 
     def __repr__(self):
-        return f"ColoredDigraph(n={self.n}, colors={self.colors})"
+        return f"ColoredDigraph(n={self.n}, colors={tuple(self._sigma)})"
 
 
 def rack_graph(rack, colors=None) -> ColoredDigraph:
@@ -124,40 +119,89 @@ def out_degrees(graph: ColoredDigraph) -> tuple:
     return tuple(len(graph.out_neighbors(v)) for v in range(graph.n))
 
 
-def successors(graph: ColoredDigraph) -> list:
-    """succ[u]: the (head, colour) pairs of the edges leaving u, colours ascending."""
-    succ = [[] for _ in range(graph.n)]
-    for u, v, c in graph.edges():
-        succ[u].append((v, c))
-    return succ
+@dataclass(frozen=True)
+class Forest:
+    """Components of a permutation family's graph and a BFS tree of each."""
+    parts: tuple            # sorted vertex tuples, ordered by minimum
+    part_index: np.ndarray  # vertex -> index into parts
+    levels: tuple           # per depth, (tail, head, colour position) arrays of tree edges
 
 
-def bfs_tree(succ, root: int):
-    """Yield the (tail, head, colour) edges of the directed BFS tree from root.
+def bfs_forest(maps: np.ndarray) -> Forest:
+    """The components of the graph of the rows of maps, a (k, n) array of
+    permutations of [n], and the directed BFS tree of each from its minimum.
 
-    Vertices leave the queue first in, first out; successors follow succ's order.
+    A colour position is a row index.  Each tree is the one a first-in,
+    first-out queue from the part's minimum gives when every vertex scans
+    its out-edges with colours ascending: all parts advance one depth at a
+    time, and a new vertex takes the first edge reaching it in the order
+    (frontier position, colour).  The rows must be permutations; they are
+    not checked.
     """
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for u, colour in succ[x]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-                yield x, u, colour
+    k, n = maps.shape
+    vertices = np.arange(n)
+    moved = maps != vertices
+    tails = np.nonzero(moved)[1]
+    heads = maps[moved]
+    # label every vertex with its part's minimum: hook each root onto the
+    # smallest root across an edge, shortcut every label to its root, and
+    # repeat until no edge joins two roots
+    label = vertices.copy()
+    while True:
+        a, b = label[tails], label[heads]
+        joins = a != b
+        if not joins.any():
+            break
+        a, b = a[joins], b[joins]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := label[label], label):
+            label = up
+    # vertices fixed by every map keep their own label: singletons, in the same sort
+    order = np.argsort(label, kind="stable")
+    starts = np.diff(label[order], prepend=-1) != 0
+    part_index = np.empty(n, dtype=np.int32)
+    part_index[order] = np.cumsum(starts) - 1
+    bounds = np.flatnonzero(starts).tolist() + [n]
+    members = order.tolist()
+    parts = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    seen = label == vertices
+    frontier = np.flatnonzero(seen & moved.any(axis=0))
+    levels = []
+    while frontier.size:
+        reach = maps[:, frontier].T.ravel()     # frontier position major, colours ascending
+        edge = np.flatnonzero(~seen[reach])
+        if not edge.size:
+            break
+        _, first = np.unique(reach[edge], return_index=True)
+        edge = edge[np.sort(first)]
+        tail, head = frontier[edge // k], reach[edge]
+        seen[head] = True
+        levels.append((tail, head, edge % k))
+        frontier = head
+    return Forest(parts=parts, part_index=part_index, levels=tuple(levels))
 
 
-def conjugates_along_tree(succ, root: int, maps) -> dict:
-    """conj[u] for every u reachable from root, starting from conj[root] = maps[root].
+def conjugate_along_forest(maps: np.ndarray, colour_maps: np.ndarray, levels,
+                           known: np.ndarray) -> np.ndarray:
+    """Give every tree vertex the conjugate of its parent's map, one depth at a time.
 
-    Along each BFS tree edge x -> u of colour c, conj[u] = f_c^-1 conj[x] f_c
-    with f_c = maps[c]; in a rack whose maps these are, conj[u] is f_u.
+    maps is an (n, n) array whose rows at the roots hold their maps.  Along
+    a tree edge x -> u of colour position c, row u becomes f_c^-1 f_x f_c,
+    where f_c = colour_maps[c] and f_x is row x, itself conjugated from the
+    root; in a rack with these maps row u ends up as f_u.  Rows flagged in
+    known are compared before they are overwritten: returns the tree
+    vertices whose known row differed from the conjugate.
     """
-    conj = {root: maps[root]}
-    for x, u, colour in bfs_tree(succ, root):
-        conj[u] = conjugate(conj[x], maps[colour])
-    return conj
+    differ = []
+    for tail, head, colour in levels:
+        f = colour_maps[colour]
+        conj = np.empty_like(f)
+        np.put_along_axis(conj, f, np.take_along_axis(f, maps[tail], axis=1), axis=1)
+        check = np.flatnonzero(known[head])
+        differ.append(head[check[(conj[check] != maps[head[check]]).any(axis=1)]])
+        maps[head] = conj
+    return np.concatenate(differ) if differ else np.empty(0, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,7 @@ def lehmer_unrank(rank: int, n: int) -> tuple:
         raise ValueError(f"rank {rank} out of range for n={n}")
     values.reverse()
     digits = np.array(values, dtype=np.int64)[run_of] // weights % radix
-    pool = list(range(n))
-    return tuple(pool.pop(d) for d in digits.tolist())
+    return tuple(map(list(range(n)).pop, digits.tolist()))
 
 
 def all_permutations(n: int):

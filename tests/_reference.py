@@ -3,18 +3,27 @@
 Each is a plain, slow implementation of something the library computes in
 a faster or more specialised way: isomorphism search for canonical_form,
 the self-distributive identity for the orbit-closure axiom check, the
-merge calculus on raw edge multisets for build_info and the audit, and
-exact rational zeta for the zeta sweep's block scorer.
+merge calculus on raw edge multisets for build_info and the audit, exact
+rational zeta for the zeta sweep's block scorer, per-root FIFO BFS trees
+and tuple conjugation for the BFS forest, and the decoder and find_W that
+walked them one part at a time for their array forms.
 """
 
 from __future__ import annotations
 
+import math
+import random
+import struct
+from collections import deque
 from fractions import Fraction
 
-from racklab.core import Rack, Violation, table_order
-from racklab.graph import (ColoredDigraph, ComponentStructure, component_structure,
-                           multigraph_component_count, validate_edges)
-from racklab.perms import is_permutation
+from racklab.analysis import DegreeSplitError, WSearchResult
+from racklab.bits import BitReader, BitUnderflow, uint_width
+from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
+from racklab.core import AxiomReport, Rack, Violation, rack_from_table, table_order, trivial_rack
+from racklab.graph import (ColoredDigraph, ComponentStructure, component_structure, components,
+                           multigraph_component_count, out_degrees, rack_graph, validate_edges)
+from racklab.perms import conjugate, is_permutation, lehmer_unrank
 
 
 def self_distributivity_violations(table) -> list:
@@ -138,3 +147,237 @@ def zeta_of_exact(eta):
         inv += Fraction(e, q)
         logs += Fraction(e * k, q)
     return inv * logs
+
+
+def successors(graph: ColoredDigraph) -> list:
+    """succ[u]: the (head, colour) pairs of the edges leaving u, colours ascending."""
+    succ = [[] for _ in range(graph.n)]
+    for u, v, c in graph.edges():
+        succ[u].append((v, c))
+    return succ
+
+
+def bfs_tree(succ, root: int):
+    """Yield the (tail, head, colour) edges of the directed BFS tree from root.
+
+    Vertices leave the queue first in, first out; successors follow succ's order.
+    """
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for u, colour in succ[x]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+                yield x, u, colour
+
+
+def conjugates_along_tree(succ, root: int, maps) -> dict:
+    """conj[u] for every u reachable from root, starting from conj[root] = maps[root].
+
+    Along each BFS tree edge x -> u of colour c, conj[u] = f_c^-1 conj[x] f_c
+    with f_c = maps[c]; in a rack whose maps these are, conj[u] is f_u.
+    """
+    conj = {root: maps[root]}
+    for x, u, colour in bfs_tree(succ, root):
+        conj[u] = conjugate(conj[x], maps[colour])
+    return conj
+
+
+def decode(data: bytes) -> Rack:
+    """codec.decode as it was with one BFS per (representative, part) and per part."""
+    if len(data) < 10:
+        raise CorruptStream("truncated header")
+    if data[:4] != MAGIC:
+        raise CorruptStream("bad magic")
+    n, delta, cap_l = struct.unpack(">HHH", data[4:10])
+    if n == 0 or delta == 0:
+        raise CorruptStream("bad parameters")
+    if n == 1:
+        if len(data) != 10:
+            raise CorruptStream("trailing bytes")
+        return trivial_rack(1)
+    reader = BitReader(data[10:])
+    try:
+        return _decode_body(n, reader)
+    except BitUnderflow as exc:
+        raise CorruptStream(str(exc)) from None
+
+
+def _decode_body(n: int, r: BitReader) -> Rack:
+    w_vertex = uint_width(n)
+
+    def read_vertex():
+        v = r.read(w_vertex)
+        if v >= n:
+            raise CorruptStream(f"vertex {v} out of range")
+        return v
+
+    s_low = r.read_bitmap(n)
+    nfact = math.factorial(n)
+    w_perm = uint_width(nfact)
+
+    def read_perm():
+        rank = r.read(w_perm)
+        if rank >= nfact:
+            raise CorruptStream(f"permutation rank {rank} out of range")
+        return lehmer_unrank(rank, n)
+
+    low_set = set(s_low)
+    s_high = tuple(v for v in range(n) if v not in low_set)
+    known = {j: read_perm() for j in s_high}
+
+    t_len = r.read(uint_width(n + 1))
+    if t_len > n:
+        raise CorruptStream("t length out of range")
+    t_order = tuple(read_vertex() for _ in range(t_len))
+    if len(set(t_order)) != t_len or not set(t_order) <= low_set:
+        raise CorruptStream("invalid t set")
+    t_sorted = tuple(sorted(t_order))
+    t_set = set(t_order)
+
+    t_restrictions = []
+    for j in range(n):
+        if r.read_bitmap(n) != t_sorted:
+            raise CorruptStream(f"restriction domain mismatch for colour {j}")
+        t_restrictions.append(tuple(read_vertex() for _ in t_sorted))
+
+    t_plus_set = set(t_set)
+    for imgs in t_restrictions:
+        for i, img in zip(t_sorted, imgs):
+            if img != i:
+                t_plus_set.add(img)
+    t_plus = tuple(sorted(t_plus_set))
+    for k in t_plus:
+        p = read_perm()
+        if k in known and known[k] != p:
+            raise InconsistentDecode(f"conflicting maps for colour {k}")
+        known[k] = p
+    for j, imgs in enumerate(t_restrictions):
+        if j in known and any(known[j][i] != img for i, img in zip(t_sorted, imgs)):
+            raise InconsistentDecode(f"restriction mismatch for colour {j}")
+
+    g_t = ColoredDigraph(n, {i: known[i] for i in t_sorted})
+    parts = components(g_t).parts
+    cp = len(parts)
+
+    s_low_minus_t = tuple(j for j in s_low if j not in t_set)
+    merge_lists = [r.read_bitmap(cp) for _ in s_low_minus_t]
+    merged_map = {}
+    for j, merged in zip(s_low_minus_t, merge_lists):
+        block = tuple(sorted(v for ci in merged for v in parts[ci]))
+        if r.read_bitmap(n) != block:
+            raise CorruptStream(f"merged domain mismatch for colour {j}")
+        imgs = tuple(read_vertex() for _ in block)
+        if tuple(sorted(imgs)) != block:
+            raise InconsistentDecode(f"merged block of colour {j} is not preserved")
+        merged_map[j] = dict(zip(block, imgs))
+    merged_index = dict(zip(s_low_minus_t, merge_lists))
+
+    succ = successors(g_t)
+    t_pos = {i: k for k, i in enumerate(t_sorted)}
+
+    for part in parts:
+        v = part[0]
+        if v in known:
+            continue
+        if v not in merged_index:
+            raise CorruptStream(f"no merge data for representative {v}")
+        images = [None] * n
+        for y, img in merged_map[v].items():
+            images[y] = img
+        merged = set(merged_index[v])
+        restr = t_restrictions[v]
+        for di, dpart in enumerate(parts):
+            if di in merged:
+                continue
+            idx = r.read(uint_width(len(dpart)))
+            if idx >= len(dpart):
+                raise CorruptStream("residual index out of range")
+            base = dpart[0]
+            images[base] = dpart[idx]
+            reached = 1
+            for x, u, colour in bfs_tree(succ, base):
+                images[u] = known[restr[t_pos[colour]]][images[x]]
+                reached += 1
+            if reached != len(dpart):
+                raise InconsistentDecode("component is not reachable by directed edges")
+        if any(img is None for img in images):
+            raise InconsistentDecode(f"map {v} not fully determined")
+        p = tuple(images)
+        if not is_permutation(p, n):
+            raise InconsistentDecode(f"reconstructed map {v} is not a permutation")
+        known[v] = p
+
+    rest_bits = r.bits_remaining()
+    if rest_bits >= 8:
+        raise CorruptStream("trailing bytes after stream")
+    if rest_bits and r.read(rest_bits) != 0:
+        raise CorruptStream("nonzero padding")
+
+    for part in parts:
+        conj = conjugates_along_tree(succ, part[0], known)
+        if len(conj) != len(part):
+            raise InconsistentDecode("component is not reachable by directed edges")
+        for u in part[1:]:
+            if u in known:
+                if known[u] != conj[u]:
+                    raise InconsistentDecode(f"conjugation mismatch at {u}")
+            else:
+                known[u] = conj[u]
+
+    table = tuple(zip(*(known[y] for y in range(n))))
+    result = rack_from_table(table)
+    if isinstance(result, AxiomReport):
+        raise InconsistentDecode("reconstructed maps violate the rack axioms")
+    for j in s_low_minus_t:
+        for y, img in merged_map[j].items():
+            if result.maps[j][y] != img:
+                raise InconsistentDecode(f"merged restriction mismatch for colour {j}")
+    for j in range(n):
+        for i, img in zip(t_sorted, t_restrictions[j]):
+            if result.maps[j][i] != img:
+                raise InconsistentDecode(f"restriction mismatch for colour {j}")
+    return result
+
+
+def find_W(rack: Rack, delta: int, p: float, bad_threshold: float, max_attempts: int,
+           seed: int) -> WSearchResult:
+    """analysis.find_W as it was with one conjugation walk per part, in tuples."""
+    n = rack.n
+    size_cap = 1.5 * n * p
+    _, s_high = degree_split(rack, delta)
+    high = set(s_high)
+    if not high:
+        return WSearchResult(w=(), p=p, attempts=0, certified=True, n=n, delta=delta,
+                             bad_threshold=bad_threshold, size_cap=size_cap,
+                             component_count=0, maps_match=True)
+    rng = random.Random(seed)
+    for attempt in range(1, max_attempts + 1):
+        x = tuple(v for v in range(n) if rng.random() < p)
+        if len(x) > size_cap or not x:
+            continue
+        g_x = rack_graph(rack, x)
+        degs = out_degrees(g_x)
+        if any(degs[v] <= bad_threshold for v in s_high):
+            continue
+        inside = [part for part in components(g_x).parts if part[0] in high]
+        for part in inside:
+            if not all(u in high for u in part):
+                raise DegreeSplitError("degree split is not separated in the sampled graph")
+        w = tuple(sorted(set(x) | {part[0] for part in inside}))
+        succ = successors(g_x)
+        match = True
+        for part in inside:
+            conj = conjugates_along_tree(succ, part[0], rack.maps)
+            match = len(conj) == len(part) and all(conj[u] == rack.maps[u] for u in part)
+            if not match:
+                break
+        return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,
+                             delta=delta, bad_threshold=bad_threshold,
+                             size_cap=size_cap, component_count=len(inside),
+                             maps_match=match)
+    return WSearchResult(w=(), p=p, attempts=max_attempts, certified=False, n=n,
+                         delta=delta, bad_threshold=bad_threshold, size_cap=size_cap,
+                         component_count=0, maps_match=False)

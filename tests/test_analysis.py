@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racklab import analysis
-from racklab import (CheckParameterError, DegreeSplitError, chernoff_check,
+from racklab import (CheckParameterError, DegreeSplitError, Rack, chernoff_check,
                      claim_calc_gap, conjugation_quandle, dihedral_quandle, find_W,
                      random_subset_check, symmetric_group_table, trivial_rack,
                      zeta_bound_sweep)
 from racklab.codec import _zeta
 
+import _reference
+from _corpus import family_racks
 from _reference import zeta_of_exact
 
 
@@ -302,6 +304,32 @@ def test_find_w_unseparated_split_is_typed(monkeypatch):
 def test_zeta_sweep_parameters_out_of_range_are_typed(n, trials, message):
     with pytest.raises(CheckParameterError, match=message):
         zeta_bound_sweep(n, trials=trials)
+
+
+def _outcome(find, *args):
+    try:
+        return find(*args)
+    except DegreeSplitError as exc:
+        return str(exc)
+
+
+def test_find_w_matches_the_per_part_walk():
+    # racks, whose conjugates always match, and unchecked permutation
+    # families, whose conjugates mostly do not; every seed gives the same result
+    rng = np.random.default_rng(5)
+    families = [rack for _, rack in family_racks(8)] + [dihedral_quandle(64)]
+    for n in (5, 9, 16):
+        for _ in range(4):
+            maps = tuple(tuple(rng.permutation(n).tolist()) for _ in range(n))
+            families.append(Rack._unchecked(maps, tuple(zip(*maps))))
+    outcomes = set()
+    for rack in families:
+        for delta, p, threshold, seed in ((1, 0.5, 0, 0), (1, 0.8, 1, 3), (2, 0.3, 0.5, 7)):
+            args = (rack, delta, p, threshold, 20, seed)
+            result = _outcome(find_W, *args)
+            assert result == _outcome(_reference.find_W, *args)
+            outcomes.add(result if isinstance(result, str) else result.maps_match)
+    assert outcomes == {True, False, "degree split is not separated in the sampled graph"}
 
 
 def test_find_w_exhausts_honestly():

@@ -134,3 +134,91 @@ def test_writer_rejects_like_reference(value, width):
 def test_reader_rejects_negative_width():
     with pytest.raises(ValueError, match="^negative width$"):
         BitReader(b"\xff").read(-1)
+
+
+@st.composite
+def blocks(draw):
+    """(values, widths): up to 40 fields of at most 63 bits, widths mixed or all equal."""
+    count = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(0, 63))] * count
+    else:
+        widths = draw(st.lists(st.integers(0, 63), min_size=count, max_size=count))
+    values = [draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    return values, widths
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), blocks(), st.integers(0, 12))
+def test_block_write_and_read_match_scalar_fields(lead, block, spare):
+    values, widths = block
+    writer, reference = BitWriter(), ReferenceWriter()
+    for w in (writer, reference):
+        w.write(0, lead)    # the block starts at every bit offset of a byte
+    writer.write_varblock(values, widths)
+    for v, width in zip(values, widths):
+        reference.write(v, width)
+    writer.write(0, spare)
+    reference.write(0, spare)
+    data = reference.getvalue()
+    assert writer.nbits == reference.nbits and writer.getvalue() == data
+    if len(set(widths)) <= 1:
+        constant = BitWriter()
+        constant.write(0, lead)
+        constant.write_block(values, widths[0] if widths else 5)
+        constant.write(0, spare)
+        assert constant.getvalue() == data
+
+    reader = BitReader(data)
+    reader.read(lead)
+    assert reader.read_varblock(widths).tolist() == values
+    assert reader.pos == lead + sum(widths)
+    if len(set(widths)) <= 1 and widths:
+        reader = BitReader(data)
+        reader.read(lead)
+        assert reader.read_block(len(values), widths[0]).tolist() == values
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks(), st.data())
+def test_block_read_underflows_like_scalar_reads(block, data):
+    # every cut of the stream short of the block's end: the same BitUnderflow
+    # text and the same pos as reading the fields one by one
+    values, widths = block
+    total = sum(widths)
+    if not total:
+        return
+    stream = BitWriter()
+    stream.write_varblock(values, widths)
+    cut = data.draw(st.integers(0, (total - 1) // 8))
+    short = stream.getvalue()[:cut]
+    reference = ReferenceReader(short)
+    with pytest.raises(BitUnderflow) as expected:
+        for w in widths:
+            reference.read(w)
+    reader = BitReader(short)
+    with pytest.raises(BitUnderflow, match=f"^{re.escape(str(expected.value))}$"):
+        reader.read_varblock(widths)
+    assert reader.pos == reference.pos
+    if len(set(widths)) == 1:
+        reader = BitReader(short)
+        with pytest.raises(BitUnderflow, match=f"^{re.escape(str(expected.value))}$"):
+            reader.read_block(len(widths), widths[0])
+        assert reader.pos == reference.pos
+
+
+def test_block_write_rejects_like_scalar_writes():
+    # a value too wide for its field raises write's error after the fields before it
+    writer, reference = BitWriter(), ReferenceWriter()
+    with pytest.raises(ValueError) as expected:
+        for v, w in ((5, 3), (9, 3), (1, 1)):
+            reference.write(v, w)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        writer.write_varblock([5, 9, 1], [3, 3, 1])
+    assert writer.nbits == reference.nbits == 3
+    with pytest.raises(ValueError, match="^negative width$"):
+        BitWriter().write_block([1], -1)
+    with pytest.raises(ValueError, match="^negative width$"):
+        BitReader(b"\xff").read_block(1, -1)
+    with pytest.raises(ValueError, match="^block field widths must lie in 0..63$"):
+        BitReader(bytes(9)).read_varblock([64])

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from racklab.perms import compose, identity, inverse
 from _corpus import (family_racks, from_cycles, is_subrack, param_grid,
                      random_relabeling, unchecked_non_rack)
 from _reference import count_components_with, merged_part_indices
+from _reference import decode as reference_decode
 
 # encode(trivial_rack(3)) with default parameters (delta=4, cap_l=2), frozen
 CONFORMANCE_TRIVIAL_3 = bytes.fromhex("524b4531000300040002f0e1c3840000")
@@ -104,7 +106,7 @@ def test_extract_residual_trivial():
     # T is empty: every singleton is an undetermined representative and every
     # component is unmerged, but all widths are zero
     assert len(res.entries) == 16
-    assert res.bits == 0
+    assert sum(width for _, _, width, _ in res.entries) == 0
     assert all(width == 0 and idx == 0 for _, _, width, idx in res.entries)
     cp = len(info.gt_components)
     assert len(res.entries) <= cp * cp
@@ -122,7 +124,7 @@ def test_residual_nontrivial():
     assert info.gt_components == ((0, 1, 2), (3, 4, 5))
     res = extract_residual(rack, info)
     assert res.entries == ((3, 0, 2, 1), (3, 1, 2, 1))
-    assert res.bits == 4
+    assert sum(width for _, _, width, _ in res.entries) == 4
     data, st = encode_with_stats(rack, params)
     assert st.residual_bits == 4
     assert abs(st.zeta - 4 * math.log2(3)) < 1e-12
@@ -246,6 +248,48 @@ def test_frozen_dihedral_streams(n, params, digest):
     data = encode(rack, params)
     assert hashlib.sha256(data).hexdigest() == digest
     assert decode(data) == rack
+
+
+# sha256 of encode(permutation_rack(sigma)) at default parameters for the
+# sparse benchmark shapes at n = 256, whose residuals are 44k mostly
+# zero-width entries and whose T-graphs have 128 and 244 parts; frozen
+FROZEN_SPARSE_STREAMS = [
+    ("all_2_cycles", [(i, i + 1) for i in range(0, 256, 2)],
+     "c78ffe5943cfb09b38c098d82f2e45c3358b7569f3a74ea2e53792a988af5bc6"),
+    ("four_4_cycles", [tuple(range(i, i + 4)) for i in range(0, 16, 4)],
+     "e47a31b5375416f7ddfaa336835f2ce9d8be7850a655255b47f7090c41af822b"),
+]
+
+
+@pytest.mark.parametrize("name, cycles, digest", FROZEN_SPARSE_STREAMS)
+def test_frozen_sparse_streams(name, cycles, digest):
+    rack = permutation_rack(from_cycles(256, cycles))
+    data = encode(rack)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert decode(data) == rack
+
+
+def _outcome(decoder, data):
+    try:
+        return decoder(data).maps
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+def test_decode_matches_the_per_part_decoder_on_bit_flips():
+    # a sample of the single-bit flips after the header of the corpus streams:
+    # the same rack, or the same exception type and message, in either decoder
+    flips = [(data, bit) for data in (encode(rack, params) for _, rack in family_racks(8)
+                                      for params in param_grid(rack.n))
+             for bit in range(80, 8 * len(data))]
+    outcomes = set()
+    for data, bit in random.Random(12).sample(flips, 3000):
+        corrupt = bytearray(data)
+        corrupt[bit // 8] ^= 0x80 >> bit % 8
+        expected = _outcome(reference_decode, bytes(corrupt))
+        assert _outcome(decode, bytes(corrupt)) == expected
+        outcomes.add(expected[0] if isinstance(expected[0], type) else Rack)
+    assert outcomes == {CorruptStream, InconsistentDecode, Rack}
 
 
 def test_short_stream_with_huge_order_fails_before_factorial(monkeypatch):
@@ -401,7 +445,8 @@ def test_unmerged_parts_are_kept_by_any_permutation_family(family):
     struct = components(ColoredDigraph(len(maps), {c: maps[c] for c in t}))
     for j, p in enumerate(maps):
         merged = merged_part_indices(struct, enumerate(p))
-        assert codec._merges(struct.part_index, p)[1] == merged
+        touched = codec._joins(np.array(struct.part_index), np.array([p]))[3]
+        assert tuple(np.flatnonzero(touched[0]).tolist()) == merged
         if j in t:
             assert merged == ()
         for ci, part in enumerate(struct.parts):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,12 @@ from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      degree_split, dihedral_quandle, enumerate_labeled,
                      merge_bound_audit, multigraph_component_count, out_degrees,
                      rack_graph, to_dot, trivial_rack)
-from racklab.graph import UnionFind, bfs_tree, greedy_merge_order, successors
+from racklab.graph import UnionFind, bfs_forest, conjugate_along_forest, greedy_merge_order
 from racklab.perms import identity
 
 from _corpus import family_racks, from_cycles, is_subrack, orbit_closure, param_grid
-from _reference import count_components_with, multigraph_merged_parts
+from _reference import (bfs_tree, conjugates_along_tree, count_components_with,
+                        multigraph_merged_parts, successors)
 
 
 def test_build_graph_edges():
@@ -63,6 +65,63 @@ def test_directed_reachability_equals_undirected():
         for u in range(n):
             reached = {head for _, head, _ in bfs_tree(succ, u)}
             assert reached == set(s.parts[s.part_index[u]]) - {u}
+
+
+@st.composite
+def colour_families(draw):
+    """(n, maps): up to 5 colours on n <= 12 vertices, each a random
+    permutation, the identity or a transposition; possibly no colour at all."""
+    n = draw(st.integers(1, 12))
+
+    def transposition(ij):
+        return from_cycles(n, [ij]) if ij[0] != ij[1] else identity(n)
+
+    vertex = st.integers(0, n - 1)
+    perm = st.one_of(st.permutations(range(n)).map(tuple), st.just(identity(n)),
+                     st.tuples(vertex, vertex).map(transposition))
+    return n, draw(st.lists(perm, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(colour_families())
+def test_bfs_forest_matches_fifo_bfs_from_each_minimum(family):
+    n, maps = family
+    forest = bfs_forest(np.array(maps, dtype=np.int32).reshape(len(maps), n))
+    g = ColoredDigraph(n, dict(enumerate(maps)))
+    structure = components(g)
+    assert forest.parts == structure.parts
+    assert tuple(forest.part_index.tolist()) == structure.part_index
+    edges = [(x, u, c) for tail, head, colour in forest.levels
+             for x, u, c in zip(tail.tolist(), head.tolist(), colour.tolist())]
+    succ = successors(g)
+    for part in structure.parts:
+        assert [e for e in edges if e[0] in part] == list(bfs_tree(succ, min(part)))
+    # level d holds the edges into depth d + 1: their tails are the roots or the previous heads
+    roots = [part[0] for part in structure.parts]
+    for depth, (tail, _, _) in enumerate(forest.levels):
+        previous = roots if depth == 0 else forest.levels[depth - 1][1].tolist()
+        assert set(tail.tolist()) <= set(previous)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colour_families(), st.data())
+def test_conjugate_along_forest_matches_per_part_walk(family, data):
+    n, colours = family
+    rows = [data.draw(st.permutations(range(n)).map(tuple)) for _ in range(n)]
+    known = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    colour_maps = np.array(colours, dtype=np.int32).reshape(len(colours), n)
+    forest = bfs_forest(colour_maps)
+    maps = np.array(rows, dtype=np.int32)
+    differ = conjugate_along_forest(maps, colour_maps, forest.levels, known)
+    # the reference conjugates by colour labels: give colour k the label n + k
+    labelled = dict(enumerate(rows)) | {n + k: p for k, p in enumerate(colours)}
+    succ = successors(ColoredDigraph(n, {n + k: p for k, p in enumerate(colours)}))
+    expected = set()
+    for part in forest.parts:
+        conj = conjugates_along_tree(succ, part[0], labelled)
+        assert [tuple(maps[u].tolist()) for u in part] == [conj[u] for u in part]
+        expected |= {u for u in part[1:] if known[u] and conj[u] != rows[u]}
+    assert sorted(differ.tolist()) == sorted(expected)
 
 
 def test_count_components_with():
