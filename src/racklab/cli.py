@@ -189,7 +189,7 @@ def cmd_stats(args) -> int:
 def cmd_audit(args) -> int:
     rack = load_rack(args.path)
     params = _params(args, rack.n)
-    report = codec._audit_with_invariance(rack, params)
+    report = codec.merge_bound_audit(rack, params)
     regular = component_out_degree_constant(rack, range(rack.n))
     payload = {
         "n": report.n,

@@ -12,10 +12,13 @@ unmerged component); its bit budget is
     zeta = (sum_p eta_p / p) * (sum_q eta_q log2(q) / q) <= n^2 / 4,
 
 where eta_q counts vertices of the T-graph in components of size q.
-The decoder builds the T-graph's components and their directed BFS forest
-once, as numpy arrays; it rebuilds each representative map by propagating
-images down the forest one depth at a time and conjugates everything else
-into place, again one depth at a time.
+The T-graph's components and their directed BFS forest are built once
+per stream, as numpy arrays (graph.Forest); the info tuple keeps them,
+and the audit runs on them.  The merged blocks Y_j (_block) and the
+residual's layout (_residual_layout) are derived from the forest by the
+same code when writing and when reading.  The decoder rebuilds each
+representative map by propagating images down the forest one depth at a
+time and conjugates everything else into place, again one depth at a time.
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -27,16 +30,15 @@ residual indices use ceil(log2 |D|) bits per target component D.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct as _struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import (bfs_forest, conjugate_along_forest, greedy_merge_order,
+from .graph import (Forest, bfs_forest, conjugate_along_forest, greedy_merge_order,
                     multigraph_component_count)
 from .perms import lehmer_rank, lehmer_unrank
 
@@ -122,9 +124,15 @@ class InfoTuple:
     high_maps: tuple            # permutations aligned with s_high
     t_restrictions: tuple       # [j][k] = image of t_sorted[k] under map j, all j
     t_plus_maps: tuple          # permutations aligned with t_plus
-    gt_components: tuple        # sorted vertex tuples of the T-graph, ordered by min
     merge_lists: tuple          # aligned with s_low_minus_t: ascending component indices
     merged_restrictions: tuple  # aligned with s_low_minus_t: images of sorted(Y_j)
+    # the T-graph's forest; it follows from the maps of T, which t_plus_maps holds
+    forest: Forest = field(compare=False, repr=False)
+
+    @property
+    def gt_components(self) -> tuple:
+        """Sorted vertex tuples of the T-graph, ordered by minimum."""
+        return self.forest.parts
 
     @property
     def t_sorted(self) -> tuple:
@@ -137,10 +145,7 @@ class InfoTuple:
 
     def merged_vertices(self, pos: int) -> tuple:
         """Sorted vertices of the merged block of the pos-th remaining low colour."""
-        merged = set()
-        for ci in self.merge_lists[pos]:
-            merged.update(self.gt_components[ci])
-        return tuple(sorted(merged))
+        return tuple(_block(self.forest, self.merge_lists[pos]).tolist())
 
 
 def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
@@ -148,6 +153,25 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     if params is None:
         params = CodecParams.default(rack.n)
     return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))
+
+
+def _block(forest: Forest, merged) -> np.ndarray:
+    """Field 7's domain Y_j: the vertices of the parts merged (indices into
+    forest.parts), ascending."""
+    in_merged = np.zeros(len(forest.parts), dtype=bool)
+    in_merged[list(merged)] = True
+    return np.flatnonzero(in_merged[forest.part_index])
+
+
+def _residual_layout(forest: Forest, unmerged: np.ndarray):
+    """Field 8's entries: (row, part, width) arrays, row by row, for every
+    True of the (representatives, parts) mask unmerged whose part has two or
+    more vertices.  A singleton's index takes no bits and can only be 0, so
+    it has no entry."""
+    sizes = np.bincount(forest.part_index)
+    row, part = np.nonzero(unmerged & (sizes > 1))
+    widths = np.array([uint_width(size) for size in sizes.tolist()], dtype=np.int64)
+    return row, part, widths[part]
 
 
 def _joins(part_index: np.ndarray, maps: np.ndarray):
@@ -201,7 +225,7 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
     touched = _joins(forest.part_index, rest_maps)[3]
     for pos in np.flatnonzero(touched.any(axis=1)).tolist():
         merge_lists[pos] = tuple(np.flatnonzero(touched[pos]).tolist())
-        block = np.flatnonzero(touched[pos][forest.part_index])
+        block = _block(forest, merge_lists[pos])
         merged_restrictions[pos] = tuple(rest_maps[pos, block].tolist())
 
     return InfoTuple(
@@ -210,60 +234,49 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
         high_maps=tuple(rack.maps[j] for j in s_high),
         t_restrictions=tuple(map(tuple, restrictions.tolist())),
         t_plus_maps=tuple(rack.maps[k] for k in t_plus.tolist()),
-        gt_components=forest.parts,
         merge_lists=tuple(merge_lists),
         merged_restrictions=tuple(merged_restrictions),
+        forest=forest,
     )
 
 
 @dataclass(frozen=True)
 class Residual:
-    entries: tuple  # (representative, component index, bit width, image index)
-
-
-def _part_positions(parts, n: int):
-    """(part_index, pos_in_part): for every vertex its part and its place in that part."""
-    sizes = [len(part) for part in parts]
-    members = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=n)
-    owner = np.repeat(np.arange(len(parts)), sizes)
-    part_index = np.empty(n, dtype=np.int32)
-    pos_in_part = np.empty(n, dtype=np.int32)
-    part_index[members] = owner
-    pos_in_part[members] = np.arange(n) - (np.cumsum(sizes) - sizes)[owner]
-    return part_index, pos_in_part
+    entries: tuple  # (representative, component index, bit width >= 1, image index)
 
 
 def extract_residual(rack: Rack, info: InfoTuple) -> Residual:
-    """One image index per (undetermined representative, unmerged component).
+    """The residual's fields: one image index per (undetermined
+    representative, unmerged component of two or more vertices).
 
     Representatives whose full map is already in the info tuple contribute
-    nothing.  Raises EncodeConsistencyError if the image of a component
-    minimum escapes its component, which means info does not match the rack.
+    nothing, and neither do singletons, whose index takes no bits.  Raises
+    EncodeConsistencyError if the image of a component minimum escapes its
+    unmerged component, a singleton's included, which means info does not
+    match the rack.
     """
-    parts = info.gt_components
-    known = set(info.s_high) | set(info.t_plus)
-    reps = [part[0] for part in parts if part[0] not in known]
-    if not reps:
-        return Residual(())
+    n = rack.n
+    forest = info.forest
+    known = np.zeros(n, dtype=bool)
+    known[list(info.s_high + info.t_plus)] = True
+    mins = forest.members[forest.starts]
+    reps = mins[~known[mins]]
     rest = {j: pos for pos, j in enumerate(info.s_low_minus_t)}
-    part_index, pos_in_part = _part_positions(parts, rack.n)
-    unmerged = np.ones((len(reps), len(parts)), dtype=bool)
-    for row, v in enumerate(reps):
+    unmerged = np.ones((len(reps), len(mins)), dtype=bool)
+    for row, v in enumerate(reps.tolist()):
         unmerged[row, list(info.merge_lists[rest[v]])] = False
-    mins = np.array([part[0] for part in parts])
-    images = np.array([rack.maps[v] for v in reps], dtype=np.int32)[:, mins]
-    escaped = unmerged & (part_index[images] != np.arange(len(parts)))
+    images = np.array([rack.maps[v] for v in reps.tolist()],
+                      dtype=np.int32).reshape(-1, n)[:, mins]
+    escaped = unmerged & (forest.part_index[images] != np.arange(len(mins)))
     if escaped.any():
-        row, di = divmod(int(escaped.argmax()), len(parts))
+        row, di = divmod(int(escaped.argmax()), len(mins))
         raise EncodeConsistencyError(
             f"map {reps[row]} moves {mins[di]} out of its unmerged component")
-    widths = np.array([uint_width(len(part)) for part in parts])
-    entries = []
-    for row, v in enumerate(reps):
-        di = np.flatnonzero(unmerged[row])
-        entries += zip(itertools.repeat(v), di.tolist(), widths[di].tolist(),
-                       pos_in_part[images[row, di]].tolist())
-    return Residual(tuple(entries))
+    row, part, width = _residual_layout(forest, unmerged)
+    place = np.empty(n, dtype=np.intp)      # vertex -> its index in members
+    place[forest.members] = np.arange(n)
+    idx = place[images[row, part]] - forest.starts[part]
+    return Residual(tuple(zip(reps[row].tolist(), part.tolist(), width.tolist(), idx.tolist())))
 
 
 @dataclass(frozen=True)
@@ -350,17 +363,15 @@ def _encode_with_info(rack: Rack, params: CodecParams | None):
     w = BitWriter()
     _write_info(w, info)
     header_bits = w.nbits
-    residual = extract_residual(rack, info)
-    coded = [entry for entry in residual.entries if entry[2]]
-    w.write_varblock([idx for _, _, _, idx in coded], [width for _, _, width, _ in coded])
+    entries = extract_residual(rack, info).entries
+    w.write_varblock([idx for _, _, _, idx in entries], [width for _, _, width, _ in entries])
     residual_bits = w.nbits - header_bits
     data = head + w.getvalue()
 
-    eta = [0] * n
-    for part in info.gt_components:
-        eta[len(part) - 1] += len(part)
+    sizes = np.bincount(info.forest.part_index)
+    eta = tuple((np.bincount(sizes - 1, minlength=n) * np.arange(1, n + 1)).tolist())
     stats = CodecStats(
-        n=n, delta=params.delta, cap_l=params.cap_l, eta=tuple(eta),
+        n=n, delta=params.delta, cap_l=params.cap_l, eta=eta,
         cp=len(info.gt_components), zeta=_zeta(eta),
         residual_bits=residual_bits, header_bits=header_bits,
         bound=n * n / 4, total_bytes=len(data),
@@ -491,21 +502,16 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     if bad.size:
         raise InconsistentDecode(f"restriction mismatch for colour {bad[0]}")
 
-    # T's maps are Lehmer-decoded, hence permutations: every tree spans its part
+    # T's maps are decoded permutations, whose edges lie on directed cycles: trees span parts
     t_maps = maps[t_cols]
     forest = bfs_forest(t_maps)
-    parts = forest.parts
-    cp = len(parts)
-    if sum(len(head) for _, head, _ in forest.levels) != n - cp:
-        raise InconsistentDecode("component is not reachable by directed edges")
+    cp = len(forest.parts)
 
     s_low_minus_t = tuple(j for j in s_low if j not in t_set)
     merge_lists = [r.read_bitmap(cp) for _ in s_low_minus_t]
     merged_maps = {}        # colour -> (sorted merged block, its images)
     for j, merged in zip(s_low_minus_t, merge_lists):
-        in_merged = np.zeros(cp, dtype=bool)
-        in_merged[list(merged)] = True
-        domain = np.flatnonzero(in_merged[forest.part_index])
+        domain = _block(forest, merged)
         if r.read_bitmap(n) != tuple(domain.tolist()):
             raise CorruptStream(f"merged domain mismatch for colour {j}")
         images = read_vertices(len(domain))
@@ -515,34 +521,27 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     merged_index = dict(zip(s_low_minus_t, merge_lists))
 
     # one residual index per (representative, unmerged part), all in one block:
-    # the image of the part's minimum, as a place in the part.  A singleton's
-    # index takes no bits and can only be 0, so only larger parts are read.
-    reps = [part[0] for part in parts if not known[part[0]]]
-    missing = next((pos for pos, v in enumerate(reps) if v not in merged_index), len(reps))
-    unmerged = np.ones((missing, cp), dtype=bool)
-    for pos, v in enumerate(reps[:missing]):
+    # the image of the part's minimum, as a place in the part.  A representative
+    # without a map lies in S \ T (T+ contains T), so it has a merge list.
+    mins = forest.members[forest.starts]
+    reps = mins[~known[mins]]
+    unmerged = np.ones((len(reps), cp), dtype=bool)
+    for pos, v in enumerate(reps.tolist()):
         unmerged[pos, list(merged_index[v])] = False
-    sizes = np.array([len(part) for part in parts])
-    multi = np.flatnonzero(sizes > 1)
-    entry_rep, entry_part = np.nonzero(unmerged[:, multi])
-    entry_part = multi[entry_part]
-    widths = np.array([uint_width(len(part)) for part in parts], dtype=np.int64)[entry_part]
-    idx, error = _read_until_bad(r, widths, sizes[entry_part],
+    entry_rep, entry_part, widths = _residual_layout(forest, unmerged)
+    idx, error = _read_until_bad(r, widths, np.bincount(forest.part_index)[entry_part],
                                  lambda _: "residual index out of range")
     # the representatives read in full come first, as a one-by-one decode would
-    done = missing if error is None else int(entry_rep[len(idx)])
+    done = len(reps) if error is None else int(entry_rep[len(idx)])
     if done:
         entries = int(np.searchsorted(entry_rep, done))
-        members = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=n)
-        starts = np.cumsum(sizes) - sizes
-        firsts = starts[entry_part[:entries]]
-        rows = np.array(reps[:done])
-        images = np.zeros((done, n), dtype=np.int32)     # row i: the map of rows[i]
-        singletons = members[starts[sizes == 1]]
-        images[:, singletons] = singletons
-        images[entry_rep[:entries], members[firsts]] = members[firsts + idx[:entries]]
+        firsts = forest.starts[entry_part[:entries]]
+        rows = reps[:done]
+        # row i: the map of rows[i]; an unmerged singleton keeps its vertex
+        images = np.tile(np.arange(n, dtype=np.int32), (done, 1))
+        images[entry_rep[:entries], forest.members[firsts]] = forest.members[firsts + idx[:entries]]
         # (u)f_v = ((x)f_v) f_k with k = (i)f_v, along each tree edge x -> u of
-        # colour i; merged parts are walked too, from zero, and then overwritten
+        # colour i; merged parts are walked too, and then overwritten
         colour_of = restrictions[rows]
         for tail, head, colour in forest.levels:
             images[:, head] = maps[colour_of[:, colour], images[:, tail]]
@@ -558,8 +557,6 @@ def _decode_body(n: int, r: BitReader) -> Rack:
         known[rows] = True
     if error:
         raise error
-    if missing < len(reps):
-        raise CorruptStream(f"no merge data for representative {reps[missing]}")
 
     rest_bits = r.bits_remaining()
     if rest_bits >= 8:
@@ -607,15 +604,14 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
 
     the drops are non-increasing, they sum to at most n, and once the cap is
     reached no remaining low colour merges more than the next pick would
-    have.  Raises AuditFail at the first violated index.
+    have.  Raises AuditFail at the first violated index.  The T-graph is
+    build_info's, so build_info's one check, that the low set is closed
+    under the translations, runs too (EncodeConsistencyError).
     """
     if params is None:
         params = CodecParams.default(rack.n)
-    return _audit_from_pass(rack, params, _greedy_pass(rack, params.delta))
-
-
-def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditReport:
-    """merge_bound_audit on the result of _greedy_pass(rack, params.delta)."""
+    greedy = _greedy_pass(rack, params.delta)
+    info = _info_from_pass(rack, params, greedy)
     n = rack.n
     s_low, _, order, cps = greedy
     x_seq = []
@@ -631,21 +627,19 @@ def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditRepor
 
     t_count = min(params.cap_l, len(order))
     t = order[:t_count]
-    maps = np.array(rack.maps, dtype=np.int32)
-    part_index = bfs_forest(maps[sorted(t)]).part_index
-    cp_t = int(part_index.max()) + 1
+    cp_t = len(info.gt_components)
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
     rest = [j for j in s_low if j not in t]
-    row, a, b, touched = _joins(part_index, maps[rest])
+    maps = np.array([rack.maps[j] for j in rest], dtype=np.int32).reshape(-1, n)
+    row, a, b, _ = _joins(info.forest.part_index, maps)
     bounds = np.searchsorted(row, np.arange(len(rest) + 1)).tolist()
-    merged_counts = touched.sum(axis=1).tolist()
     post = []
     for pos, j in enumerate(rest):
         # the components of G_T plus colour j are those of the parts joined by its pairs
         pairs = zip(a[bounds[pos]:bounds[pos + 1]].tolist(), b[bounds[pos]:bounds[pos + 1]].tolist())
         drop = cp_t - multigraph_component_count(cp_t, pairs)
-        merged = merged_counts[pos]
+        merged = len(info.merge_lists[pos])
         post.append((j, drop, merged))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)
@@ -656,12 +650,3 @@ def _audit_from_pass(rack: Rack, params: CodecParams, greedy) -> MergeAuditRepor
         order=order, cp_seq=cps, x_seq=tuple(x_seq), t=t, cp_t=cp_t,
         sum_x=sum(x_seq), x_after_t=x_after_t, post_t_drops=tuple(post),
     )
-
-
-def _audit_with_invariance(rack: Rack, params: CodecParams) -> MergeAuditReport:
-    """merge_bound_audit, then build_info on the same greedy pass; the one
-    invariance build_info checks is that the low set is closed under the translations."""
-    greedy = _greedy_pass(rack, params.delta)
-    report = _audit_from_pass(rack, params, greedy)
-    _info_from_pass(rack, params, greedy)
-    return report

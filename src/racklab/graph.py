@@ -124,6 +124,8 @@ class Forest:
     """Components of a permutation family's graph and a BFS tree of each."""
     parts: tuple            # sorted vertex tuples, ordered by minimum
     part_index: np.ndarray  # vertex -> index into parts
+    members: np.ndarray     # the vertices, part after part
+    starts: np.ndarray      # where each part begins in members
     levels: tuple           # per depth, (tail, head, colour position) arrays of tree edges
 
 
@@ -157,13 +159,14 @@ def bfs_forest(maps: np.ndarray) -> Forest:
         while not np.array_equal(up := label[label], label):
             label = up
     # vertices fixed by every map keep their own label: singletons, in the same sort
-    order = np.argsort(label, kind="stable")
-    starts = np.diff(label[order], prepend=-1) != 0
+    members = np.argsort(label, kind="stable")
+    first = np.diff(label[members], prepend=-1) != 0
     part_index = np.empty(n, dtype=np.int32)
-    part_index[order] = np.cumsum(starts) - 1
-    bounds = np.flatnonzero(starts).tolist() + [n]
-    members = order.tolist()
-    parts = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    part_index[members] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    bounds = starts.tolist() + [n]
+    order = members.tolist()
+    parts = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     seen = label == vertices
     frontier = np.flatnonzero(seen & moved.any(axis=0))
@@ -179,7 +182,8 @@ def bfs_forest(maps: np.ndarray) -> Forest:
         seen[head] = True
         levels.append((tail, head, edge % k))
         frontier = head
-    return Forest(parts=parts, part_index=part_index, levels=tuple(levels))
+    return Forest(parts=parts, part_index=part_index, members=members, starts=starts,
+                  levels=tuple(levels))
 
 
 def conjugate_along_forest(maps: np.ndarray, colour_maps: np.ndarray, levels,

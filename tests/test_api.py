@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import pathlib
 import types
 
 import racklab
@@ -29,3 +32,16 @@ def test_public_names_are_pinned():
     names = {name for name, value in vars(racklab).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+def test_traced_layer_functions_exist():
+    # perfbench's tracer patches these names; one that is gone breaks --trace 1
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, attr in spans.LAYER_FUNCTIONS:
+        owner = importlib.import_module(f"racklab.{module}")
+        for name in attr.split("."):
+            owner = getattr(owner, name)
+        assert callable(owner), (module, attr)

@@ -104,10 +104,10 @@ def test_extract_residual_trivial():
     info = build_info(rack, CodecParams(1, 0))
     res = extract_residual(rack, info)
     # T is empty: every singleton is an undetermined representative and every
-    # component is unmerged, but all widths are zero
-    assert len(res.entries) == 16
+    # component is unmerged, but a singleton's index takes no bits, so no
+    # entry is stored
+    assert res.entries == ()
     assert sum(width for _, _, width, _ in res.entries) == 0
-    assert all(width == 0 and idx == 0 for _, _, width, idx in res.entries)
     cp = len(info.gt_components)
     assert len(res.entries) <= cp * cp
 
@@ -276,12 +276,14 @@ def _outcome(decoder, data):
         return type(exc), str(exc)
 
 
+def _corpus_streams():
+    return [encode(rack, params) for _, rack in family_racks(8) for params in param_grid(rack.n)]
+
+
 def test_decode_matches_the_per_part_decoder_on_bit_flips():
     # a sample of the single-bit flips after the header of the corpus streams:
     # the same rack, or the same exception type and message, in either decoder
-    flips = [(data, bit) for data in (encode(rack, params) for _, rack in family_racks(8)
-                                      for params in param_grid(rack.n))
-             for bit in range(80, 8 * len(data))]
+    flips = [(data, bit) for data in _corpus_streams() for bit in range(80, 8 * len(data))]
     outcomes = set()
     for data, bit in random.Random(12).sample(flips, 3000):
         corrupt = bytearray(data)
@@ -290,6 +292,30 @@ def test_decode_matches_the_per_part_decoder_on_bit_flips():
         assert _outcome(decode, bytes(corrupt)) == expected
         outcomes.add(expected[0] if isinstance(expected[0], type) else Rack)
     assert outcomes == {CorruptStream, InconsistentDecode, Rack}
+
+
+def test_decode_matches_the_per_part_decoder_on_truncations():
+    # every prefix of the corpus streams that holds the header; many end inside
+    # field 4, whose over-running colour is read field by field
+    cases = 0
+    for data in _corpus_streams():
+        for end in range(10, len(data)):
+            assert _outcome(decode, data[:end]) == _outcome(reference_decode, data[:end])
+            cases += 1
+    assert cases == 3666
+
+
+# the nine single-bit flips of the corpus streams, all in conj_s3 under
+# CodecParams(1, 1), after which field 5 gives a high colour of T+ a map
+# other than the one field 2 holds
+@pytest.mark.parametrize("bit, colour", [(129, 1), (130, 2), (139, 5), (148, 5), (156, 1),
+                                         (157, 2), (165, 1), (166, 2), (175, 5)])
+def test_decode_matches_the_per_part_decoder_on_conflicting_maps(bit, colour):
+    corrupt = bytearray(encode(conjugation_quandle(symmetric_group_table(3)), CodecParams(1, 1)))
+    corrupt[bit // 8] ^= 0x80 >> bit % 8
+    expected = (InconsistentDecode, f"conflicting maps for colour {colour}")
+    assert _outcome(reference_decode, bytes(corrupt)) == expected
+    assert _outcome(decode, bytes(corrupt)) == expected
 
 
 def test_short_stream_with_huge_order_fails_before_factorial(monkeypatch):
@@ -349,7 +375,7 @@ def test_info_counts_bounded_by_cp_squared():
             cp = len(info.gt_components)
             assert len(res.entries) <= cp * cp
             for _, _, width, idx in res.entries:
-                assert idx < (1 << width) if width else idx == 0
+                assert width >= 1 and idx < (1 << width)
 
 
 def test_reconstructed_maps_conjugate_within_components():

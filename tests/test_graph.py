@@ -91,6 +91,9 @@ def test_bfs_forest_matches_fifo_bfs_from_each_minimum(family):
     structure = components(g)
     assert forest.parts == structure.parts
     assert tuple(forest.part_index.tolist()) == structure.part_index
+    sizes = [len(part) for part in structure.parts]
+    assert forest.members.tolist() == [v for part in structure.parts for v in part]
+    assert forest.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
     edges = [(x, u, c) for tail, head, colour in forest.levels
              for x, u, c in zip(tail.tolist(), head.tolist(), colour.tolist())]
     succ = successors(g)
