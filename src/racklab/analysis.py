@@ -22,8 +22,7 @@ import numpy as np
 
 from .codec import degree_split
 from .core import Rack
-from .graph import (bfs_forest, component_structure, conjugate_along_forest, out_degrees,
-                    rack_graph)
+from .graph import bfs_forest, component_structure, conjugate_along_forest
 
 
 class CheckParameterError(ValueError):
@@ -345,15 +344,20 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
                              bad_threshold=bad_threshold, size_cap=size_cap,
                              component_count=0, maps_match=True)
     maps = np.array(rack.maps, dtype=np.int32)
+    vertices = np.arange(n)
+    high_vertices = np.array(s_high)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         x = tuple(v for v in range(n) if rng.random() < p)
         if len(x) > size_cap or not x:
             continue
-        degs = out_degrees(rack_graph(rack, x))
-        if any(degs[v] <= bad_threshold for v in s_high):
-            continue
         x_maps = maps[list(x)]
+        # out-degree of v: the distinct heads in column v, v itself not counted
+        heads = np.sort(x_maps, axis=0)
+        degs = (1 + (heads[1:] != heads[:-1]).sum(axis=0)
+                - (x_maps == vertices).any(axis=0))
+        if (degs[high_vertices] <= bad_threshold).any():
+            continue
         forest = bfs_forest(x_maps)
         inside = [part for part in forest.parts if part[0] in high]
         for part in inside:

@@ -6,12 +6,13 @@ multigraph with an edge u -> v of colour c whenever u != v and
 undirected multigraph.  Besides components and out-degrees, the module
 has the directed BFS forest the decoder walks (as numpy arrays, with the
 conjugation along it), component counts of edge multisets under
-adjunction, and the greedy ordering of colours.
+adjunction, and the greedy ordering of colours.  The forest's components
+and the greedy's re-scoring share one numpy min-label connectivity pass,
+`_min_labels`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,24 @@ class Forest:
     levels: tuple           # per depth, (tail, head, colour position) arrays of tree edges
 
 
+def _min_labels(size: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Label each of the nodes 0..size-1 with the smallest node joined to it
+    by the undirected edges (tails[i], heads[i])."""
+    label = np.arange(size, dtype=tails.dtype)
+    # hook each root onto the smallest root across an edge, shortcut every
+    # label to its root, and repeat until no edge joins two roots; an edge
+    # inside one root's tree stays there, so it is dropped
+    while True:
+        a, b = label[tails], label[heads]
+        joins = a != b
+        if not joins.any():
+            return label
+        tails, heads, a, b = tails[joins], heads[joins], a[joins], b[joins]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while ((up := label[label]) != label).any():
+            label = up
+
+
 def bfs_forest(maps: np.ndarray) -> Forest:
     """The components of the graph of the rows of maps, a (k, n) array of
     permutations of [n], and the directed BFS tree of each from its minimum.
@@ -145,19 +164,7 @@ def bfs_forest(maps: np.ndarray) -> Forest:
     moved = maps != vertices
     tails = np.nonzero(moved)[1]
     heads = maps[moved]
-    # label every vertex with its part's minimum: hook each root onto the
-    # smallest root across an edge, shortcut every label to its root, and
-    # repeat until no edge joins two roots
-    label = vertices.copy()
-    while True:
-        a, b = label[tails], label[heads]
-        joins = a != b
-        if not joins.any():
-            break
-        a, b = a[joins], b[joins]
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(up := label[label], label):
-            label = up
+    label = _min_labels(n, tails, heads)
     # vertices fixed by every map keep their own label: singletons, in the same sort
     members = np.argsort(label, kind="stable")
     first = np.diff(label[members], prepend=-1) != 0
@@ -234,6 +241,54 @@ def multigraph_component_count(n: int, *edge_sets) -> int:
 # greedy merge ordering: repeatedly pick the colour whose edges join up the
 # most components of the graph of the colours chosen so far
 
+# rows per block of the greedy's permutation check and re-scoring: memory O(64 n)
+_BLOCK_ROWS = 64
+
+
+def _candidate_rows(n: int, maps_by_color: dict, colours: list) -> np.ndarray:
+    """The maps of colours as a (len(colours), n) int array, checked a block at a time.
+
+    Raises ValueError for the first colour, in the given order, whose map is
+    not a permutation of [n].
+    """
+    rows = np.empty((len(colours), n), dtype=np.int32)
+    vertices = np.arange(n)
+    for start in range(0, len(colours), _BLOCK_ROWS):
+        chunk = colours[start:start + _BLOCK_ROWS]
+        maps = [maps_by_color[c] for c in chunk]
+        try:
+            block = np.array(maps)
+            integral = block.dtype.kind in "iu" and block.shape == (len(chunk), n)
+        except ValueError:  # ragged rows
+            integral = False
+        if integral:
+            bad = [chunk[i] for i in
+                   np.flatnonzero((np.sort(block, axis=1) != vertices).any(axis=1))]
+        else:
+            # wrong lengths, non-integer entries or an empty order: check row by row
+            bad = [c for c, p in zip(chunk, maps) if not is_permutation(p, n)]
+        if bad:
+            raise ValueError(f"colour {bad[0]}: not a permutation of [{n}]")
+        rows[start:start + len(chunk)] = block if integral else maps
+    return rows
+
+
+def _merges(comp: np.ndarray, rows: np.ndarray):
+    """Each row's drop in component count when its edges join the parts labelled comp.
+
+    comp labels every vertex with its part's minimum.  Node row * n + x
+    stands for the part with minimum x in that row's graph.  Returns the
+    drops and the merged label of every node, as an (r, n) array.
+    """
+    r, n = rows.shape
+    nodes = np.arange(r * n, dtype=np.int32).reshape(r, n)
+    tails = comp + nodes[:, :1]
+    heads = comp[rows] + nodes[:, :1]
+    cross = tails != heads
+    label = _min_labels(r * n, tails[cross], heads[cross]).reshape(r, n)
+    return (label != nodes).sum(axis=1), label
+
+
 def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
     """Order all candidate colours greedily; returns (order, cp_sequence).
 
@@ -242,46 +297,52 @@ def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
 
     Picks are evaluated lazily (Minoux's accelerated greedy): a colour's drop
     in component count is n minus a graphic-matroid rank, which is submodular,
-    so the drop only shrinks as picks accumulate.  Stale heap keys
-    (-drop, colour) are therefore bounds, and the re-evaluated top colour is
-    the eager pick as soon as its fresh key still beats the next stale one.
-    A key of 0 is exact, so zero-drop colours come out in label order.
+    so the drop only shrinks as picks accumulate, and a stale drop is an
+    upper bound.  At each pick the live colours are taken in (bound
+    descending, label ascending) order and re-scored in blocks of 1, 2, 4,
+    ... rows, at most _BLOCK_ROWS, until the best fresh (drop, label) beats
+    the next stale bound; it is then the eager pick.  A block is scored by
+    one min-label pass over the nodes (row, part), so the working memory
+    stays O(_BLOCK_ROWS n) beside one int32 copy of the candidate maps.
+    Once cp is 1 or the best drop is 0, the rest follow in label order.
     """
-    remaining = sorted(candidates)
-    for c in remaining:
-        if not is_permutation(maps_by_color[c], n):
-            raise ValueError(f"colour {c}: not a permutation of [{n}]")
-    current = UnionFind(n)
-    find = current.find
-    heap = [(-n, c) for c in remaining]  # sorted, hence already a heap
+    colours = sorted(candidates)
+    rows = _candidate_rows(n, maps_by_color, colours)
+    k = len(colours)
+    # (bound, -label) packed as bound * k - position: larger is picked first;
+    # a picked colour's key is done, below every live key
+    key = n * k - np.arange(k)
+    done = -k
+    comp = np.arange(n, dtype=np.int32)
+    cp = n
     order = []
     cps = []
-    while heap:
-        key, c = heapq.heappop(heap)
-        if key:
-            p = maps_by_color[c]
-            # merges of this colour's edges, on a dict overlaying the roots
-            overlay = {}
-            drop = 0
-            for u, v in enumerate(p):
-                if u != v:
-                    a, b = find(u), find(v)
-                    while a in overlay:
-                        a = overlay[a]
-                    while b in overlay:
-                        b = overlay[b]
-                    if a != b:
-                        overlay[a] = b
-                        drop += 1
-            if heap and (-drop, c) > heap[0]:
-                heapq.heappush(heap, (-drop, c))
-                continue
-            for u, v in enumerate(p):
-                if u != v:
-                    current.union(u, v)
-        order.append(c)
-        cps.append(current.count)
-    return tuple(order), tuple(cps)
+    while cp > 1 and len(order) < k:
+        queue = np.argsort(-key)[:k - len(order)]
+        best_key = done
+        start, size = 0, 1
+        while start < queue.size:
+            block = queue[start:start + size]
+            drops, labels = _merges(comp, rows[block])
+            fresh = drops * k - block
+            key[block] = fresh
+            i = fresh.argmax()
+            if fresh[i] > best_key:
+                best_key, best, best_drop = fresh[i], block[i], int(drops[i])
+                merged = labels[i] - i * n
+            start += size
+            size = min(2 * size, _BLOCK_ROWS)
+            if start < queue.size and best_key > key[queue[start]]:
+                break
+        if best_drop == 0:
+            break
+        key[best] = done
+        comp = merged[comp]
+        cp -= best_drop
+        order.append(colours[best])
+        cps.append(cp)
+    rest = [colours[i] for i in np.flatnonzero(key > done).tolist()]
+    return tuple(order + rest), tuple(cps + [cp] * len(rest))
 
 
 def component_out_degree_constant(rack, subset) -> bool:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 from racklab import (CodecParams, Rack, alexander_quandle, conjugation_quandle,
                      cyclic_group_table, dihedral_group_table, dihedral_quandle,
                      permutation_rack, symmetric_group_table, trivial_rack)
 from racklab.core import table_order
-from racklab.perms import is_permutation
+from racklab.perms import identity, is_permutation
 
 
 def from_cycles(n: int, cycles) -> tuple:
@@ -76,6 +77,29 @@ def family_racks(max_n: int = 8):
         racks.append(("mixed_8",
                       permutation_rack(from_cycles(8, [(0, 1, 2, 3), (4, 5), (6, 7)]))))
     return racks
+
+
+def commuting_rack(n: int, seed: int) -> Rack:
+    """A seeded commuting rack of order n.
+
+    [n] splits into A = {0..m-1}, m = 3 * (n // 6), and B, the rest.  f_a is
+    the identity for a in A; each f_b fixes B and applies an independent
+    power 0, 1 or 2 of each fixed 3-cycle (0 1 2)(3 4 5)... on A.  It is a
+    rack: (x)f_y stays in x's half, so either f_{(x)f_y} = id = f_y^-1 id f_y,
+    or (x)f_y = x and f_x commutes with f_y.  Its graph has many 3-vertex
+    components, which the greedy merges over several picks.
+    """
+    rng = random.Random(seed)
+    m = n // 6 * 3
+    maps = [identity(n)] * m
+    for _ in range(m, n):
+        images = list(range(n))
+        for start in range(0, m, 3):
+            power = rng.randrange(3)
+            for i in range(3):
+                images[start + i] = start + (i + power) % 3
+        maps.append(tuple(images))
+    return Rack(maps)
 
 
 def unchecked_non_rack() -> Rack:

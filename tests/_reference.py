@@ -5,12 +5,14 @@ a faster or more specialised way: isomorphism search for canonical_form,
 the self-distributive identity for the orbit-closure axiom check, the
 merge calculus on raw edge multisets for build_info and the audit, exact
 rational zeta for the zeta sweep's block scorer, per-root FIFO BFS trees
-and tuple conjugation for the BFS forest, and the decoder and find_W that
-walked them one part at a time for their array forms.
+and tuple conjugation for the BFS forest, the decoder and find_W that
+walked them one part at a time for their array forms, and the union-find
+lazy greedy with a heap for the block-scored greedy ordering.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import struct
@@ -21,8 +23,9 @@ from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
 from racklab.core import AxiomReport, Rack, Violation, rack_from_table, table_order, trivial_rack
-from racklab.graph import (ColoredDigraph, ComponentStructure, component_structure, components,
-                           multigraph_component_count, out_degrees, rack_graph, validate_edges)
+from racklab.graph import (ColoredDigraph, ComponentStructure, UnionFind, component_structure,
+                           components, multigraph_component_count, out_degrees, rack_graph,
+                           validate_edges)
 from racklab.perms import conjugate, is_permutation, lehmer_unrank
 
 
@@ -147,6 +150,56 @@ def zeta_of_exact(eta):
         inv += Fraction(e, q)
         logs += Fraction(e * k, q)
     return inv * logs
+
+
+def lazy_greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
+    """Order all candidate colours greedily; returns (order, cp_sequence).
+
+    cp_sequence[i] is the component count after the first i+1 picks; ties are
+    broken by the smallest colour label, so the result is deterministic.
+
+    Picks are evaluated lazily (Minoux's accelerated greedy): a colour's drop
+    in component count is n minus a graphic-matroid rank, which is submodular,
+    so the drop only shrinks as picks accumulate.  Stale heap keys
+    (-drop, colour) are therefore bounds, and the re-evaluated top colour is
+    the eager pick as soon as its fresh key still beats the next stale one.
+    A key of 0 is exact, so zero-drop colours come out in label order.
+    """
+    remaining = sorted(candidates)
+    for c in remaining:
+        if not is_permutation(maps_by_color[c], n):
+            raise ValueError(f"colour {c}: not a permutation of [{n}]")
+    current = UnionFind(n)
+    find = current.find
+    heap = [(-n, c) for c in remaining]  # sorted, hence already a heap
+    order = []
+    cps = []
+    while heap:
+        key, c = heapq.heappop(heap)
+        if key:
+            p = maps_by_color[c]
+            # merges of this colour's edges, on a dict overlaying the roots
+            overlay = {}
+            drop = 0
+            for u, v in enumerate(p):
+                if u != v:
+                    a, b = find(u), find(v)
+                    while a in overlay:
+                        a = overlay[a]
+                    while b in overlay:
+                        b = overlay[b]
+                    if a != b:
+                        overlay[a] = b
+                        drop += 1
+            if heap and (-drop, c) > heap[0]:
+                heapq.heappush(heap, (-drop, c))
+                continue
+            for u, v in enumerate(p):
+                if u != v:
+                    current.union(u, v)
+        order.append(c)
+        cps.append(current.count)
+    return tuple(order), tuple(cps)
 
 
 def successors(graph: ColoredDigraph) -> list:

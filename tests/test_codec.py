@@ -20,7 +20,7 @@ from racklab.core import dihedral_group_table
 from racklab.graph import ColoredDigraph, components, out_degrees
 from racklab.perms import compose, identity, inverse
 
-from _corpus import (family_racks, from_cycles, is_subrack, param_grid,
+from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, param_grid,
                      random_relabeling, unchecked_non_rack)
 from _reference import count_components_with, merged_part_indices
 from _reference import decode as reference_decode
@@ -161,6 +161,14 @@ def test_round_trip_families():
             assert decode(encode(rack, params)) == rack
         relabeled = random_relabeling(rng, rack)
         assert decode(encode(relabeled)) == relabeled
+
+
+def test_commuting_rack_round_trips():
+    # many 3-vertex components; with seed 4 the greedy needs two picks to merge them
+    for seed in (1, 4):
+        rack = commuting_rack(48, seed)
+        for params in param_grid(rack.n):
+            assert decode(encode(rack, params)) == rack
 
 
 def test_encode_deterministic():

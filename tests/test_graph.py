@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -12,9 +13,10 @@ from racklab import (ColoredDigraph, component_out_degree_constant, components,
 from racklab.graph import UnionFind, bfs_forest, conjugate_along_forest, greedy_merge_order
 from racklab.perms import identity
 
-from _corpus import family_racks, from_cycles, is_subrack, orbit_closure, param_grid
+from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
+                     param_grid)
 from _reference import (bfs_tree, conjugates_along_tree, count_components_with,
-                        multigraph_merged_parts, successors)
+                        lazy_greedy_merge_order, multigraph_merged_parts, successors)
 
 
 def test_build_graph_edges():
@@ -269,22 +271,23 @@ def eager_greedy_merge_order(n, maps_by_color, candidates):
     return tuple(order), tuple(cps)
 
 
+def transposition(n, i, j):
+    p = list(range(n))
+    p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
 @st.composite
 def permutation_families(draw):
     """(n, maps_by_color, candidates) with identities, repeats and transpositions."""
     n = draw(st.integers(1, 10))
-
-    def transposition(ij):
-        p = list(range(n))
-        p[ij[0]], p[ij[1]] = p[ij[1]], p[ij[0]]
-        return tuple(p)
-
     k = draw(st.integers(1, 8))
     labels = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True))
     maps = {}
     for c in labels:
         kinds = [st.permutations(range(n)).map(tuple), st.just(identity(n)),
-                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(transposition)]
+                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .map(lambda ij: transposition(n, *ij))]
         if maps:
             kinds.append(st.sampled_from(sorted(maps.values())))
         maps[c] = draw(st.one_of(kinds))
@@ -292,28 +295,142 @@ def permutation_families(draw):
     return n, maps, candidates
 
 
+def assert_matches_references(n, maps, candidates):
+    result = greedy_merge_order(n, maps, candidates)
+    assert result == lazy_greedy_merge_order(n, maps, candidates)
+    assert result == eager_greedy_merge_order(n, maps, candidates)
+
+
 @settings(max_examples=400, deadline=None)
 @given(permutation_families())
 def test_lazy_greedy_matches_eager(family):
-    n, maps, candidates = family
-    assert greedy_merge_order(n, maps, candidates) == eager_greedy_merge_order(n, maps, candidates)
+    assert_matches_references(*family)
+
+
+@st.composite
+def long_chain_families(draw):
+    """(n, maps_by_color, candidates) whose greedy makes many positive-drop picks:
+    transposition paths, random transpositions and commuting racks, n <= 64."""
+    n = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(["path", "transpositions", "commuting"]))
+    if kind == "path":
+        perms = [transposition(n, i, i + 1) for i in range(n - 1)]
+    elif kind == "transpositions":
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        perms = [transposition(n, i, j) for i, j in draw(st.lists(pairs, max_size=n))]
+    else:
+        perms = list(commuting_rack(n, draw(st.integers(0, 10**6))).maps)
+    labels = draw(st.permutations(range(len(perms))))
+    maps = dict(zip(labels, perms))
+    subset = labels and draw(st.booleans())
+    candidates = draw(st.sets(st.sampled_from(labels))) if subset else set(maps)
+    return n, maps, candidates
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_chain_families())
+def test_greedy_matches_references_on_long_chains(family):
+    assert_matches_references(*family)
 
 
 def test_lazy_greedy_matches_eager_on_labeled_racks():
     for rack in enumerate_labeled(4):
-        maps = dict(enumerate(rack.maps))
-        assert greedy_merge_order(4, maps, range(4)) == eager_greedy_merge_order(4, maps, range(4))
+        assert_matches_references(4, dict(enumerate(rack.maps)), range(4))
 
 
 def test_lazy_greedy_matches_eager_on_corpus():
-    for _, rack in family_racks(8):
+    racks = [rack for _, rack in family_racks(8)]
+    racks += [commuting_rack(n, seed) for n in (12, 30, 48) for seed in (1, 4)]
+    for rack in racks:
         maps = dict(enumerate(rack.maps))
         for params in param_grid(rack.n):
             low, _ = degree_split(rack, params.delta)
             expected = eager_greedy_merge_order(rack.n, maps, low)
             assert greedy_merge_order(rack.n, maps, low) == expected
+            assert lazy_greedy_merge_order(rack.n, maps, low) == expected
             report = merge_bound_audit(rack, params)
             assert (report.order, report.cp_seq) == expected
+
+
+def test_greedy_matches_lazy_reference_at_n_256():
+    # the six codec benchmark shapes, from their formulas, each relabeled;
+    # maps_by_color[y] sends x to x > y
+    def dihedral(n):
+        return [tuple((2 * y - x) % n for x in range(n)) for y in range(n)]
+
+    def alexander(n, a):
+        return [tuple(((x - y) * a + y) % n for x in range(n)) for y in range(n)]
+
+    def conjugation(elements, mul, inv):
+        index = {g: i for i, g in enumerate(elements)}
+        return [tuple(index[mul(mul(inv(y), x), y)] for x in elements) for y in elements]
+
+    sym5 = list(itertools.permutations(range(5)))
+    dih128 = [(i, s) for i in range(64) for s in (0, 1)]
+    cycles = lambda length, count: tuple(x - x % length + (x + 1) % length
+                                         if x < length * count else x for x in range(256))
+    families = [
+        dihedral(256),
+        alexander(256, 3),
+        conjugation(sym5, lambda a, b: tuple(b[v] for v in a),
+                    lambda a: tuple(sorted(range(5), key=a.__getitem__))),
+        conjugation(dih128, lambda a, b: ((a[0] + (b[0] if a[1] == 0 else -b[0])) % 64,
+                                          a[1] ^ b[1]),
+                    lambda a: ((-a[0]) % 64, 0) if a[1] == 0 else a),
+        [cycles(2, 128)] * 256,
+        [cycles(4, 4)] * 256,
+    ]
+    rng = random.Random(11)
+    for maps in families:
+        n = len(maps)
+        phi = list(range(n))
+        rng.shuffle(phi)
+        relabeled = [None] * n
+        for y, p in enumerate(maps):
+            images = [0] * n
+            for x in range(n):
+                images[phi[x]] = phi[p[x]]
+            relabeled[phi[y]] = tuple(images)
+        by_colour = dict(enumerate(relabeled))
+        result = greedy_merge_order(n, by_colour, range(n))
+        assert result == lazy_greedy_merge_order(n, by_colour, range(n))
+
+
+def bad_rows(n):
+    """(name, row): every kind of row that is not a permutation of [n]."""
+    ident = list(range(n))
+    return [
+        ("short", tuple(ident[:-1])),
+        ("long", tuple(ident + [n])),
+        ("empty", ()),
+        ("repeated", tuple([0] + ident[:-1])),
+        ("too large", tuple(ident[:-1] + [n])),
+        ("negative", tuple([-1] + ident[1:])),
+        ("huge", tuple(ident[:-1] + [2 ** 70])),
+        ("float", tuple(ident[:-1] + [float(n - 1)])),
+        ("string", tuple(ident[:-1] + [str(n - 1)])),
+        ("none", tuple(ident[:-1] + [None])),
+        ("nested", tuple((v,) for v in ident)),
+        ("text", "".join(map(str, ident))),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("position", [0, 5, 70])
+def test_greedy_rejects_non_permutations_like_the_reference(n, position):
+    # 80 candidates, so a bad row may sit in the first block or a later one;
+    # a second bad row further on must not be the one reported
+    for name, row in bad_rows(n):
+        maps = {c: tuple(np.random.default_rng(c).permutation(n).tolist()) for c in range(80)}
+        maps[position] = row
+        maps[79] = (0,) * (n + 1)
+        candidates = sorted(maps, reverse=True)
+        with pytest.raises(ValueError) as expected:
+            lazy_greedy_merge_order(n, maps, candidates)
+        with pytest.raises(ValueError) as raised:
+            greedy_merge_order(n, maps, candidates)
+        assert str(raised.value) == str(expected.value), name
+        assert str(raised.value) == f"colour {position}: not a permutation of [{n}]", name
 
 
 def test_to_dot():
