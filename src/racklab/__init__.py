@@ -19,7 +19,6 @@ from .enumeration import (EnumReport, OrderOutOfRange, OrderTooLarge,
                           enumerate_classes, enumerate_labeled, oracle_enumerate,
                           oracle_labeled_tables, write_witnesses)
 from .graph import (ColoredDigraph, ComponentStructure, component_out_degree_constant,
-                    components, greedy_merge_order, multigraph_component_count,
-                    out_degrees, rack_graph, to_dot)
+                    components, greedy_merge_order, out_degrees, rack_graph, to_dot)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .codec import degree_split
 from .core import Rack
-from .graph import bfs_forest, component_structure, conjugate_along_forest
+from .graph import bfs_forest, conjugate_along_forest, cycle_types
 
 
 class CheckParameterError(ValueError):
@@ -112,9 +112,9 @@ def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
         if trials < 1:
             raise CheckParameterError("trials >= 1 required when n > 10")
         rng = np.random.default_rng(seed)
-        rows = (component_structure(n, enumerate(rng.permutation(n).tolist())).eta
-                for _ in range(trials))
-        blocks = _row_blocks(rows, n, size)
+        counts = (min(size, trials - start) for start in range(0, trials, size))
+        blocks = (cycle_types(np.array([rng.permutation(n) for _ in range(count)]))
+                  for count in counts)
         mode = "sampled"
     count = violations = 0
     max_zeta = -1.0

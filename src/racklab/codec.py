@@ -14,11 +14,15 @@ unmerged component); its bit budget is
 where eta_q counts vertices of the T-graph in components of size q.
 The T-graph's components and their directed BFS forest are built once
 per stream, as numpy arrays (graph.Forest); the info tuple keeps them,
-and the audit runs on them.  The merged blocks Y_j (_block) and the
+and the audit runs on them.  One scoring of the remaining low colours
+against the forest (graph.part_merges) gives both field 6's merge lists
+and the audit's drops after T.  The merged blocks Y_j (_block) and the
 residual's layout (_residual_layout) are derived from the forest by the
 same code when writing and when reading.  The decoder rebuilds each
 representative map by propagating images down the forest one depth at a
 time and conjugates everything else into place, again one depth at a time.
+It allocates the n x n maps only once field 4, n bitmaps of n bits, has
+been read.
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -38,8 +42,7 @@ import numpy as np
 
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import (Forest, bfs_forest, conjugate_along_forest, greedy_merge_order,
-                    multigraph_component_count)
+from .graph import Forest, bfs_forest, conjugate_along_forest, greedy_merge_order, part_merges
 from .perms import lehmer_rank, lehmer_unrank
 
 MAGIC = b"RKE1"
@@ -106,10 +109,12 @@ def degree_split(rack: Rack, delta: int):
 
 
 def _greedy_pass(rack: Rack, delta: int):
-    """(s_low, s_high, order, cps): the degree split, then the greedy ordering of s_low."""
+    """(s_low, s_high, order, cps, low_maps): the degree split, the greedy
+    ordering of s_low, and the maps of s_low as an int32 array."""
     s_low, s_high = degree_split(rack, delta)
-    order, cps = greedy_merge_order(rack.n, dict(enumerate(rack.maps)), s_low)
-    return s_low, s_high, order, cps
+    low_maps = np.array([rack.maps[j] for j in s_low], dtype=np.int32).reshape(-1, rack.n)
+    order, cps = greedy_merge_order(rack.n, dict(zip(s_low, low_maps)), s_low)
+    return s_low, s_high, order, cps, low_maps
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     """Assemble the full information tuple of a rack."""
     if params is None:
         params = CodecParams.default(rack.n)
-    return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))
+    return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))[0]
 
 
 def _block(forest: Forest, merged) -> np.ndarray:
@@ -174,19 +179,6 @@ def _residual_layout(forest: Forest, unmerged: np.ndarray):
     return row, part, widths[part]
 
 
-def _joins(part_index: np.ndarray, maps: np.ndarray):
-    """(row, a, b, touched) over every u and row p of maps with (u)p in
-    another part of a T-graph: the row, the part of u and the part of
-    (u)p, in row order, and a (rows, parts) mask of the parts each row's
-    joins touch."""
-    b = part_index[maps]
-    row, u = np.nonzero(b != part_index)
-    a, b = part_index[u], b[row, u]
-    touched = np.zeros((len(maps), int(part_index.max(initial=-1)) + 1), dtype=bool)
-    touched[row, a] = touched[row, b] = True
-    return row, a, b, touched
-
-
 def _t_plus(n: int, t_cols: np.ndarray, restrictions: np.ndarray) -> np.ndarray:
     """T and its out-neighbours in the full graph, ascending: the colours of field 5."""
     mark = np.zeros(n, dtype=bool)
@@ -195,16 +187,17 @@ def _t_plus(n: int, t_cols: np.ndarray, restrictions: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
-def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
-    """build_info on the result of _greedy_pass(rack, params.delta)."""
+def _info_from_pass(rack: Rack, params: CodecParams, greedy):
+    """(info, drops): build_info on the result of _greedy_pass(rack,
+    params.delta), and the drop in T-graph component count that each
+    colour of info.s_low_minus_t would give."""
     n = rack.n
-    s_low, s_high, order, _ = greedy
+    s_low, s_high, order, _, low_maps = greedy
     t_order = order[:min(params.cap_l, len(order))]
     t_set = set(t_order)
     t_sorted = tuple(sorted(t_set))
 
-    # arrays of the low maps only (T is low), and of the table's rows at T
-    low_maps = np.array([rack.maps[j] for j in s_low], dtype=np.int32).reshape(-1, n)
+    # T's maps are rows of low_maps (T is low); restrictions are the table's rows at T
     low_pos = {j: pos for pos, j in enumerate(s_low)}
     t_cols = np.array(t_sorted, dtype=np.intp)
     forest = bfs_forest(low_maps[[low_pos[i] for i in t_sorted]])
@@ -222,7 +215,7 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
     merge_lists = [()] * len(s_low_minus_t)
     merged_restrictions = [()] * len(s_low_minus_t)
     rest_maps = low_maps[[low_pos[j] for j in s_low_minus_t]]
-    touched = _joins(forest.part_index, rest_maps)[3]
+    drops, touched = part_merges(forest, rest_maps)
     for pos in np.flatnonzero(touched.any(axis=1)).tolist():
         merge_lists[pos] = tuple(np.flatnonzero(touched[pos]).tolist())
         block = _block(forest, merge_lists[pos])
@@ -237,7 +230,7 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy) -> InfoTuple:
         merge_lists=tuple(merge_lists),
         merged_restrictions=tuple(merged_restrictions),
         forest=forest,
-    )
+    ), drops
 
 
 @dataclass(frozen=True)
@@ -368,8 +361,7 @@ def _encode_with_info(rack: Rack, params: CodecParams | None):
     residual_bits = w.nbits - header_bits
     data = head + w.getvalue()
 
-    sizes = np.bincount(info.forest.part_index)
-    eta = tuple((np.bincount(sizes - 1, minlength=n) * np.arange(1, n + 1)).tolist())
+    eta = info.forest.eta
     stats = CodecStats(
         n=n, delta=params.delta, cap_l=params.cap_l, eta=eta,
         cp=len(info.gt_components), zeta=_zeta(eta),
@@ -456,13 +448,9 @@ def _decode_body(n: int, r: BitReader) -> Rack:
             raise CorruptStream(f"permutation rank {rank} out of range")
         return lehmer_unrank(rank, n)
 
-    maps = np.zeros((n, n), dtype=np.int32)     # row j is f_j once known[j]
-    known = np.zeros(n, dtype=bool)
     low_set = set(s_low)
-    for j in range(n):
-        if j not in low_set:
-            maps[j] = read_perm()
-            known[j] = True
+    high = [j for j in range(n) if j not in low_set]
+    high_maps = [np.array(read_perm(), dtype=np.int32) for _ in high]
 
     t_len = r.read(uint_width(n + 1))
     if t_len > n:
@@ -492,6 +480,11 @@ def _decode_body(n: int, r: BitReader) -> Rack:
             raise CorruptStream(f"restriction domain mismatch for colour {whole}")
         read_vertices(t_len)
 
+    # the n x n maps only now: field 4 held n domain bitmaps of n bits each
+    maps = np.zeros((n, n), dtype=np.int32)     # row j is f_j once known[j]
+    known = np.zeros(n, dtype=bool)
+    maps[high] = np.reshape(high_maps, (len(high), n))
+    known[high] = True
     for k in _t_plus(n, t_cols, restrictions).tolist():
         p = read_perm()
         if known[k] and not np.array_equal(maps[k], p):
@@ -611,9 +604,9 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     if params is None:
         params = CodecParams.default(rack.n)
     greedy = _greedy_pass(rack, params.delta)
-    info = _info_from_pass(rack, params, greedy)
+    info, drops = _info_from_pass(rack, params, greedy)
     n = rack.n
-    s_low, _, order, cps = greedy
+    s_low, _, order, cps, _ = greedy
     x_seq = []
     prev = n
     for cp in cps:
@@ -630,16 +623,8 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     cp_t = len(info.gt_components)
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
-    rest = [j for j in s_low if j not in t]
-    maps = np.array([rack.maps[j] for j in rest], dtype=np.int32).reshape(-1, n)
-    row, a, b, _ = _joins(info.forest.part_index, maps)
-    bounds = np.searchsorted(row, np.arange(len(rest) + 1)).tolist()
     post = []
-    for pos, j in enumerate(rest):
-        # the components of G_T plus colour j are those of the parts joined by its pairs
-        pairs = zip(a[bounds[pos]:bounds[pos + 1]].tolist(), b[bounds[pos]:bounds[pos + 1]].tolist())
-        drop = cp_t - multigraph_component_count(cp_t, pairs)
-        merged = len(info.merge_lists[pos])
+    for j, drop, merged in zip(info.s_low_minus_t, drops.tolist(), map(len, info.merge_lists)):
         post.append((j, drop, merged))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)

@@ -5,10 +5,12 @@ multigraph with an edge u -> v of colour c whenever u != v and
 (u)sigma_c = v.  Components always mean components of the underlying
 undirected multigraph.  Besides components and out-degrees, the module
 has the directed BFS forest the decoder walks (as numpy arrays, with the
-conjugation along it), component counts of edge multisets under
-adjunction, and the greedy ordering of colours.  The forest's components
-and the greedy's re-scoring share one numpy min-label connectivity pass,
-`_min_labels`.
+conjugation along it), the greedy ordering of colours, the drop in
+component count and the merged parts when one more colour joins a
+forest's parts, and the cycle types of permutations.  All of them label
+components by one numpy min-label connectivity pass, `_min_labels`; the
+union-find is kept for the axiom check, which adds one colour at a time
+between queries.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class ColoredDigraph:
             out.extend((u, p[u], c) for u in range(self.n) if p[u] != u)
         return out
 
-    def undirected_support(self) -> list:
-        """One undirected pair per edge, multiplicities kept."""
-        return [(u, v) for u, v, _ in self.edges()]
-
     def out_neighbors(self, v: int) -> set:
         return {p[v] for p in self._sigma.values() if p[v] != v}
 
@@ -91,28 +89,11 @@ class ComponentStructure:
     part_index: tuple   # vertex -> index into parts
 
 
-def component_structure(n: int, pairs) -> ComponentStructure:
-    """Components of the undirected multigraph on [n] with the given pairs."""
-    uf = UnionFind(n)
-    for u, v in pairs:
-        uf.union(u, v)
-    groups = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
-    parts = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    eta = [0] * n
-    for part in parts:
-        eta[len(part) - 1] += len(part)
-    index = [0] * n
-    for i, part in enumerate(parts):
-        for v in part:
-            index[v] = i
-    return ComponentStructure(parts=parts, eta=tuple(eta), cp=len(parts),
-                              part_index=tuple(index))
-
-
 def components(graph: ColoredDigraph) -> ComponentStructure:
-    return component_structure(graph.n, graph.undirected_support())
+    maps = np.array(list(graph._sigma.values()), dtype=np.int32)
+    forest = bfs_forest(maps.reshape(len(graph._sigma), graph.n))
+    return ComponentStructure(parts=forest.parts, eta=forest.eta, cp=len(forest.parts),
+                              part_index=tuple(forest.part_index.tolist()))
 
 
 def out_degrees(graph: ColoredDigraph) -> tuple:
@@ -128,6 +109,11 @@ class Forest:
     members: np.ndarray     # the vertices, part after part
     starts: np.ndarray      # where each part begins in members
     levels: tuple           # per depth, (tail, head, colour position) arrays of tree edges
+
+    @property
+    def eta(self) -> tuple:
+        """eta[q-1] = number of vertices in parts of size q."""
+        return tuple(_eta_rows(self.part_index[None])[0].tolist())
 
 
 def _min_labels(size: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -146,6 +132,25 @@ def _min_labels(size: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while ((up := label[label]) != label).any():
             label = up
+
+
+def _eta_rows(label: np.ndarray) -> np.ndarray:
+    """eta of each row of label, an (r, n) array that names the part of the
+    node row * n + x by an id below r * n that no other part has: row i,
+    column q-1 counts the nodes of row i in parts of size q."""
+    r, n = label.shape
+    size = np.bincount(label.ravel(), minlength=r * n)[label]
+    rows = np.arange(0, r * n, n)[:, None]
+    return np.bincount((size - 1 + rows).ravel(), minlength=r * n).reshape(r, n)
+
+
+def cycle_types(perms: np.ndarray) -> np.ndarray:
+    """eta of the graph of each row of perms, an (r, n) array of permutations
+    of [n], on its own: its cycle type, as vertices per cycle length."""
+    nodes = np.arange(perms.size).reshape(perms.shape)
+    heads = perms + nodes[:, :1]
+    moved = heads != nodes
+    return _eta_rows(_min_labels(perms.size, nodes[moved], heads[moved]).reshape(perms.shape))
 
 
 def bfs_forest(maps: np.ndarray) -> Forest:
@@ -216,28 +221,6 @@ def conjugate_along_forest(maps: np.ndarray, colour_maps: np.ndarray, levels,
 
 
 # ---------------------------------------------------------------------------
-# component counts of raw undirected edge multisets
-
-def validate_edges(n: int, edges) -> list:
-    edges = list(edges)
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range")
-        if u == v:
-            raise ValueError(f"loop at {u}")
-    return edges
-
-
-def multigraph_component_count(n: int, *edge_sets) -> int:
-    """cp of the undirected multigraph on [n] with all given edge multisets."""
-    uf = UnionFind(n)
-    for edges in edge_sets:
-        for u, v in validate_edges(n, edges):
-            uf.union(u, v)
-    return uf.count
-
-
-# ---------------------------------------------------------------------------
 # greedy merge ordering: repeatedly pick the colour whose edges join up the
 # most components of the graph of the colours chosen so far
 
@@ -287,6 +270,26 @@ def _merges(comp: np.ndarray, rows: np.ndarray):
     cross = tails != heads
     label = _min_labels(r * n, tails[cross], heads[cross]).reshape(r, n)
     return (label != nodes).sum(axis=1), label
+
+
+def part_merges(forest: Forest, rows: np.ndarray):
+    """(drops, touched) for each row of rows, a (k, n) array of permutations,
+    whose edges join the parts of forest: the drop in part count, and a
+    (k, parts) mask of the parts merged with at least one other part.
+
+    Rows are scored _BLOCK_ROWS at a time by _merges, with every vertex
+    labelled by its part's minimum.
+    """
+    mins = forest.members[forest.starts]
+    comp = mins[forest.part_index].astype(np.int32)
+    drops = np.empty(len(rows), dtype=np.int64)
+    touched = np.empty((len(rows), len(mins)), dtype=bool)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        drops[block], label = _merges(comp, rows[block])
+        group = label[:, mins]     # each part's merged group, named by its least node
+        touched[block] = np.bincount(group.ravel(), minlength=label.size)[group] > 1
+    return drops, touched
 
 
 def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:

@@ -2,8 +2,9 @@
 
 Each is a plain, slow implementation of something the library computes in
 a faster or more specialised way: isomorphism search for canonical_form,
-the self-distributive identity for the orbit-closure axiom check, the
-merge calculus on raw edge multisets for build_info and the audit, exact
+the self-distributive identity for the orbit-closure axiom check,
+union-find components and the merge calculus on raw edge multisets for
+the numpy labelling behind components, build_info and the audit, exact
 rational zeta for the zeta sweep's block scorer, per-root FIFO BFS trees
 and tuple conjugation for the BFS forest, the decoder and find_W that
 walked them one part at a time for their array forms, and the union-find
@@ -23,9 +24,7 @@ from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
 from racklab.core import AxiomReport, Rack, Violation, rack_from_table, table_order, trivial_rack
-from racklab.graph import (ColoredDigraph, ComponentStructure, UnionFind, component_structure,
-                           components, multigraph_component_count, out_degrees, rack_graph,
-                           validate_edges)
+from racklab.graph import ColoredDigraph, ComponentStructure, UnionFind, out_degrees, rack_graph
 from racklab.perms import conjugate, is_permutation, lehmer_unrank
 
 
@@ -107,6 +106,50 @@ def find_isomorphism(r1: Rack, r2: Rack):
     return None
 
 
+def component_structure(n: int, pairs) -> ComponentStructure:
+    """Components of the undirected multigraph on [n] with the given pairs."""
+    uf = UnionFind(n)
+    for u, v in pairs:
+        uf.union(u, v)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(uf.find(v), []).append(v)
+    parts = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    eta = [0] * n
+    for part in parts:
+        eta[len(part) - 1] += len(part)
+    index = [0] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            index[v] = i
+    return ComponentStructure(parts=parts, eta=tuple(eta), cp=len(parts),
+                              part_index=tuple(index))
+
+
+def graph_components(graph: ColoredDigraph) -> ComponentStructure:
+    """component_structure of a coloured digraph's edges, directions dropped."""
+    return component_structure(graph.n, [(u, v) for u, v, _ in graph.edges()])
+
+
+def validate_edges(n: int, edges) -> list:
+    edges = list(edges)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise ValueError(f"loop at {u}")
+    return edges
+
+
+def multigraph_component_count(n: int, *edge_sets) -> int:
+    """cp of the undirected multigraph on [n] with all given edge multisets."""
+    uf = UnionFind(n)
+    for edges in edge_sets:
+        for u, v in validate_edges(n, edges):
+            uf.union(u, v)
+    return uf.count
+
+
 def merged_part_indices(structure: ComponentStructure, pairs) -> tuple:
     """Ascending indices of the parts that some pair (u, v) joins to another part."""
     merged = set()
@@ -130,7 +173,7 @@ def multigraph_merged_parts(n: int, base_edges, extra_edges) -> tuple:
 
 def count_components_with(graph: ColoredDigraph, extra_edges) -> int:
     """cp of the graph after adjoining extra_edges as uncoloured edges."""
-    return multigraph_component_count(graph.n, graph.undirected_support(), extra_edges)
+    return multigraph_component_count(graph.n, [(u, v) for u, v, _ in graph.edges()], extra_edges)
 
 
 def zeta_of_exact(eta):
@@ -312,7 +355,7 @@ def _decode_body(n: int, r: BitReader) -> Rack:
             raise InconsistentDecode(f"restriction mismatch for colour {j}")
 
     g_t = ColoredDigraph(n, {i: known[i] for i in t_sorted})
-    parts = components(g_t).parts
+    parts = graph_components(g_t).parts
     cp = len(parts)
 
     s_low_minus_t = tuple(j for j in s_low if j not in t_set)
@@ -415,7 +458,7 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float, max_attempts:
         degs = out_degrees(g_x)
         if any(degs[v] <= bad_threshold for v in s_high):
             continue
-        inside = [part for part in components(g_x).parts if part[0] in high]
+        inside = [part for part in graph_components(g_x).parts if part[0] in high]
         for part in inside:
             if not all(u in high for u in part):
                 raise DegreeSplitError("degree split is not separated in the sampled graph")

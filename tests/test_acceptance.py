@@ -15,10 +15,10 @@ from racklab import (CodecParams, axiom_report, chernoff_check,
                      merge_bound_audit, oracle_enumerate, oracle_labeled_tables,
                      random_subset_check, symmetric_group_table, trivial_rack,
                      zeta_bound_sweep)
-from racklab.graph import ColoredDigraph, components, multigraph_component_count
+from racklab.graph import ColoredDigraph, components
 
 from _corpus import family_racks, is_subrack, orbit_closure, param_grid, random_relabeling
-from _reference import multigraph_merged_parts, satisfies_rack_axioms
+from _reference import multigraph_component_count, multigraph_merged_parts, satisfies_rack_axioms
 
 CONFORMANCE_TRIVIAL_3 = bytes.fromhex("524b4531000300040002f0e1c3840000")
 

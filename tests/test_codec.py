@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +19,12 @@ from racklab import codec, core
 from racklab.bits import BitWriter
 from racklab.codec import MAGIC, CodecError, CodecParamsError
 from racklab.core import dihedral_group_table
-from racklab.graph import ColoredDigraph, components, out_degrees
+from racklab.graph import ColoredDigraph, bfs_forest, out_degrees, part_merges
 from racklab.perms import compose, identity, inverse
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, param_grid,
                      random_relabeling, unchecked_non_rack)
-from _reference import count_components_with, merged_part_indices
+from _reference import count_components_with, graph_components, merged_part_indices
 from _reference import decode as reference_decode
 
 # encode(trivial_rack(3)) with default parameters (delta=4, cap_l=2), frozen
@@ -338,6 +340,20 @@ def test_short_stream_with_huge_order_fails_before_factorial(monkeypatch):
         decode(data)
 
 
+def test_stream_too_short_for_the_maps_fails_before_allocating_them():
+    # n = 30000, every colour low and T empty: field 4 alone needs n^2 bits,
+    # so the stream ends inside it, before the n x n maps (3.6 GB) are made
+    data = MAGIC + struct.pack(">HHH", 30000, 1, 0) + b"\xff" * 3750 + bytes(4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStream, match="^need 1 bits at position 30032$"):
+            decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 def test_decode_corrupt_streams():
     data = encode(dihedral_quandle(3), CodecParams(2, 1))
     with pytest.raises(CorruptStream):
@@ -447,7 +463,7 @@ def test_invariance_checked_during_build_info():
     for _, rack in family_racks(8):
         for params in param_grid(rack.n):
             info = build_info(rack, params)
-            struct = components(rack_graph(rack, info.t_sorted))
+            struct = graph_components(rack_graph(rack, info.t_sorted))
             for pos, j in enumerate(info.s_low_minus_t):
                 merged = set(info.merge_lists[pos])
                 for ci, part in enumerate(struct.parts):
@@ -476,11 +492,13 @@ def test_unmerged_parts_are_kept_by_any_permutation_family(family):
     # why build_info needs no invariance check: a colour in T merges nothing,
     # and a map that sends no vertex of a part outside it permutes that part
     maps, t = family
-    struct = components(ColoredDigraph(len(maps), {c: maps[c] for c in t}))
+    n = len(maps)
+    t_maps = np.array([maps[c] for c in sorted(t)], dtype=np.int32).reshape(len(t), n)
+    touched = part_merges(bfs_forest(t_maps), np.array(maps, dtype=np.int32))[1]
+    struct = graph_components(ColoredDigraph(n, {c: maps[c] for c in t}))
     for j, p in enumerate(maps):
         merged = merged_part_indices(struct, enumerate(p))
-        touched = codec._joins(np.array(struct.part_index), np.array([p]))[3]
-        assert tuple(np.flatnonzero(touched[0]).tolist()) == merged
+        assert tuple(np.flatnonzero(touched[j]).tolist()) == merged
         if j in t:
             assert merged == ()
         for ci, part in enumerate(struct.parts):
@@ -493,7 +511,7 @@ def reference_merges(rack, params):
     s_low, _ = degree_split(rack, params.delta)
     t = build_info(rack, params).t_order
     g_t = rack_graph(rack, t)
-    struct = components(g_t)
+    struct = graph_components(g_t)
     post, merge_lists = [], []
     for j in s_low:
         if j in t:
@@ -514,6 +532,8 @@ def test_audit_and_merge_lists_match_the_per_colour_reference():
     # at default parameters no colour merges after T; (n, 1) keeps T to one colour
     for rack in (dihedral_quandle(64), conjugation_quandle(dihedral_group_table(16))):
         cases += [(rack, CodecParams.default(rack.n)), (rack, CodecParams(rack.n, 1))]
+    # 129 colours remain after a one-colour T, more than one block of merge scoring
+    cases.append((dihedral_quandle(130), CodecParams(130, 1)))
     for rack, params in cases:
         post, merge_lists = reference_merges(rack, params)
         assert merge_bound_audit(rack, params).post_t_drops == post

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      degree_split, dihedral_quandle, enumerate_labeled,
-                     merge_bound_audit, multigraph_component_count, out_degrees,
-                     rack_graph, to_dot, trivial_rack)
-from racklab.graph import UnionFind, bfs_forest, conjugate_along_forest, greedy_merge_order
+                     merge_bound_audit, out_degrees, rack_graph, to_dot, trivial_rack)
+from racklab.graph import (UnionFind, bfs_forest, conjugate_along_forest, cycle_types,
+                           greedy_merge_order)
 from racklab.perms import identity
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
                      param_grid)
-from _reference import (bfs_tree, conjugates_along_tree, count_components_with,
-                        lazy_greedy_merge_order, multigraph_merged_parts, successors)
+from _reference import (bfs_tree, component_structure, conjugates_along_tree,
+                        count_components_with, graph_components, lazy_greedy_merge_order,
+                        multigraph_component_count, multigraph_merged_parts, successors)
 
 
 def test_build_graph_edges():
@@ -62,11 +63,19 @@ def test_directed_reachability_equals_undirected():
         n = rng.randrange(2, 9)
         sigma = {c: tuple(rng.sample(range(n), n)) for c in range(rng.randrange(1, 4))}
         g = ColoredDigraph(n, sigma)
-        s = components(g)
+        s = graph_components(g)
         succ = successors(g)
         for u in range(n):
             reached = {head for _, head, _ in bfs_tree(succ, u)}
             assert reached == set(s.parts[s.part_index[u]]) - {u}
+
+
+def test_cycle_types_match_the_union_find_components():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 40):
+        perms = np.array([rng.permutation(n) for _ in range(50)])
+        expected = [component_structure(n, enumerate(p)).eta for p in perms.tolist()]
+        assert list(map(tuple, cycle_types(perms).tolist())) == expected
 
 
 @st.composite
@@ -90,7 +99,8 @@ def test_bfs_forest_matches_fifo_bfs_from_each_minimum(family):
     n, maps = family
     forest = bfs_forest(np.array(maps, dtype=np.int32).reshape(len(maps), n))
     g = ColoredDigraph(n, dict(enumerate(maps)))
-    structure = components(g)
+    structure = graph_components(g)
+    assert components(g) == structure
     assert forest.parts == structure.parts
     assert tuple(forest.part_index.tolist()) == structure.part_index
     sizes = [len(part) for part in structure.parts]
