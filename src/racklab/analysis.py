@@ -214,12 +214,6 @@ def _witness_colours(rack: Rack):
     return out
 
 
-def _popcount_rows(masks: np.ndarray) -> np.ndarray:
-    b, n = masks.shape
-    bits = np.unpackbits(masks.view(np.uint8), axis=1)
-    return bits.reshape(b, n, 64).sum(axis=2)
-
-
 def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int = 0,
                         chunk: int = 2_000, threads: int = 1) -> dict:
     """Keep each element with probability p and check two tails per trial:
@@ -262,7 +256,7 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
                 if rows.any():
                     masks[rows] |= np.int64(1) << images[j]
             masks &= ~self_bits
-            dcounts = _popcount_rows(masks)
+            dcounts = np.bitwise_count(masks)    # n <= 63: no sign bit
             d_part = (dcounts <= thresh[None, :] + 1e-12).sum(axis=0).astype(np.int64)
         return size, j_part, d_part
 

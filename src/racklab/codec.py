@@ -18,11 +18,11 @@ and the audit runs on them.  One scoring of the remaining low colours
 against the forest (graph.part_merges) gives both field 6's merge lists
 and the audit's drops after T.  The merged blocks Y_j (_block) and the
 residual's layout (_residual_layout) are derived from the forest by the
-same code when writing and when reading.  The decoder rebuilds each
-representative map by propagating images down the forest one depth at a
-time and conjugates everything else into place, again one depth at a time.
-It allocates the n x n maps only once field 4, n bitmaps of n bits, has
-been read.
+same code when writing and when reading.  The decoder allocates the n x n
+int32 maps once field 4, n bitmaps of n bits, has been read, unranks
+fields 2 and 5 into them in one call, rebuilds each representative map by
+propagating images down the forest, conjugates everything else into place,
+one depth at a time, and hands the array as it is to rack_from_table.
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -43,7 +43,7 @@ import numpy as np
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
 from .graph import Forest, bfs_forest, conjugate_along_forest, greedy_merge_order, part_merges
-from .perms import lehmer_rank, lehmer_unrank
+from .perms import lehmer_ranks, lehmer_unranks
 
 MAGIC = b"RKE1"
 
@@ -315,16 +315,16 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
     w_vertex = uint_width(n)
     w_perm = perm_width(n)
     w.write_bitmap(info.s_low, n)
-    for p in info.high_maps:
-        w.write(lehmer_rank(p), w_perm)
+    for rank in lehmer_ranks(info.high_maps):
+        w.write(rank, w_perm)
     w.write(len(info.t_order), uint_width(n + 1))
     w.write_block(info.t_order, w_vertex)
     # field 4 in one block: per colour, the domain bitmap of T and the images of T
     domain, widths = _restriction_layout(n, info.t_sorted)
     images = np.array(info.t_restrictions, dtype=np.int64).reshape(n, len(info.t_order))
     w.write_varblock(np.hstack([np.tile(domain, (n, 1)), images]).ravel(), np.tile(widths, n))
-    for p in info.t_plus_maps:
-        w.write(lehmer_rank(p), w_perm)
+    for rank in lehmer_ranks(info.t_plus_maps):
+        w.write(rank, w_perm)
     cp = len(info.gt_components)
     for merged in info.merge_lists:
         w.write_bitmap(merged, cp)
@@ -442,15 +442,14 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     nfact = math.factorial(n)
     w_perm = uint_width(nfact)
 
-    def read_perm():
+    def read_rank():
         rank = r.read(w_perm)
         if rank >= nfact:
             raise CorruptStream(f"permutation rank {rank} out of range")
-        return lehmer_unrank(rank, n)
+        return rank
 
     low_set = set(s_low)
-    high = [j for j in range(n) if j not in low_set]
-    high_maps = [np.array(read_perm(), dtype=np.int32) for _ in high]
+    ranks = {j: read_rank() for j in range(n) if j not in low_set}     # colour -> its map's rank
 
     t_len = r.read(uint_width(n + 1))
     if t_len > n:
@@ -483,14 +482,12 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     # the n x n maps only now: field 4 held n domain bitmaps of n bits each
     maps = np.zeros((n, n), dtype=np.int32)     # row j is f_j once known[j]
     known = np.zeros(n, dtype=bool)
-    maps[high] = np.reshape(high_maps, (len(high), n))
-    known[high] = True
     for k in _t_plus(n, t_cols, restrictions).tolist():
-        p = read_perm()
-        if known[k] and not np.array_equal(maps[k], p):
+        rank = read_rank()
+        if ranks.setdefault(k, rank) != rank:      # equal ranks, equal maps
             raise InconsistentDecode(f"conflicting maps for colour {k}")
-        maps[k] = p
-        known[k] = True
+    maps[list(ranks)] = lehmer_unranks(list(ranks.values()), n)
+    known[list(ranks)] = True
     bad = np.flatnonzero(known & (maps[:, t_cols] != restrictions).any(axis=1))
     if bad.size:
         raise InconsistentDecode(f"restriction mismatch for colour {bad[0]}")
@@ -563,7 +560,7 @@ def _decode_body(n: int, r: BitReader) -> Rack:
         u = min(differ.tolist(), key=lambda u: (forest.part_index[u], u))
         raise InconsistentDecode(f"conjugation mismatch at {u}")
 
-    result = rack_from_table(tuple(tuple(row.tolist()) for row in maps.T.copy()))
+    result = rack_from_table(maps.T)
     if isinstance(result, AxiomReport):
         raise InconsistentDecode("reconstructed maps violate the rack axioms")
     for j in s_low_minus_t:

@@ -79,6 +79,16 @@ class AxiomReport:
 
 def table_order(table) -> int:
     """Validate shape and entry range of an operation table; return its order."""
+    if isinstance(table, np.ndarray):
+        if table.ndim != 2 or not table.size or table.shape[0] != table.shape[1] \
+                or not np.issubdtype(table.dtype, np.integer):
+            raise MalformedTableError(f"table is a {table.shape} {table.dtype} array")
+        bad = np.argwhere((table < 0) | (table >= len(table)))
+        if len(bad):
+            x, y = bad[0]
+            raise MalformedTableError(f"entry ({x},{y}) = {table[x, y]} out of range "
+                                      f"0..{len(table) - 1}")
+        return len(table)
     try:
         n = len(table)
     except TypeError:
@@ -143,13 +153,13 @@ def axiom_report(table) -> AxiomReport:
     and the witnesses of a check of every column.
     """
     n = table_order(table)
-    cols = np.array(table, dtype=np.int32).T.copy()   # row y is the map f_y
+    cols = np.ascontiguousarray(np.asarray(table, dtype=np.int32).T)   # row y is the map f_y
     bad = (np.sort(cols, axis=1) != np.arange(n)).any(axis=1)
     violations = [Violation("NotBijective", (int(y),)) for y in np.flatnonzero(bad)]
     if not violations:
         violations = _conjugation_violations(cols, n)
     is_rack = not violations
-    is_quandle = is_rack and all(table[x][x] == x for x in range(n))
+    is_quandle = is_rack and bool((np.diagonal(cols) == np.arange(n)).all())
     return AxiomReport(n=n, is_rack=is_rack, is_quandle=is_quandle,
                        violations=tuple(violations))
 
@@ -218,12 +228,14 @@ class Rack:
 def rack_from_table(table):
     """Rack if the table satisfies the axioms, else the full AxiomReport.
 
-    Malformed input (wrong shape, out-of-range entry) raises
-    MalformedTableError instead of being reported as an axiom violation.
+    The table is rows or a square integer numpy array, checked in numpy; the
+    rack's entries are Python ints either way.  Malformed input (wrong shape,
+    out-of-range entry) raises MalformedTableError, not an AxiomReport.
     """
     report = axiom_report(table)
     if report.is_rack:
-        return Rack._unchecked(tuple(zip(*table)), tuple(tuple(row) for row in table))
+        rows = tuple(map(tuple, table.tolist())) if isinstance(table, np.ndarray) else table
+        return Rack._unchecked(tuple(zip(*rows)), tuple(tuple(row) for row in rows))
     return report
 
 

@@ -4,8 +4,8 @@ Maps act on the right throughout the package: ``compose(f, g)`` is
 "apply f, then g", so writing a product fg means f first.  With this
 convention a conjugate g^-1 f g sends x to (((x)g^-1)f)g.
 
-Lexicographic Lehmer ranks are computed with numpy: an O(n^2) compare in
-O(n) memory for the digits, and about log2(n!)/62 big-int steps.
+Lexicographic Lehmer ranks: the digits of 64 maps at a time are bitset popcounts
+in O(n/64) words per map, then about log2(n!)/62 big-int steps make a rank.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ def conjugate(f, g) -> tuple:
 # Lehmer digits are reduced in runs of consecutive positions whose radix
 # product stays below 2**62, so that each run's value fits an int64.
 _RUN_LIMIT = 1 << 62
-# rows per block of the digit compare: its memory is O(n * _BLOCK_ROWS)
-_BLOCK_ROWS = 64
-_STRICT_UPPER = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
+_MAPS = 64      # maps per block of the batch functions
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))   # _BITS[b] = 1 << b
 
 
 @functools.lru_cache(maxsize=16)
@@ -84,47 +83,75 @@ def _runs(n: int):
     return np.array(starts, dtype=np.intp), products, weights, run_of, radix
 
 
-def _lehmer_digits(p) -> np.ndarray:
-    """d_i = #{j > i : p_j < p_i}, compared in blocks of _BLOCK_ROWS rows."""
-    a = np.array(p, dtype=np.int32)
-    n = len(a)
-    digits = np.empty(n, dtype=np.int32)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        smaller = a[lo:hi, None] > a[lo:]      # row i - lo, column j - lo
-        smaller[:, :hi - lo] &= _STRICT_UPPER[:hi - lo, :hi - lo]
-        np.add.reduce(smaller, axis=1, dtype=np.int32, out=digits[lo:hi])
+def _lehmer_digits(perms: np.ndarray) -> np.ndarray:
+    """d[r, i] = #{j > i : perms[r, j] < v} = popcount(S_i & below(v)), v = perms[r, i].
+
+    Blocks of 64 positions go right to left, carrying S, the values after the
+    block, as uint64 words: its bits below v are those of the words before v's
+    and of v's word under v.  Inside the block, ranks within it fit one word."""
+    k, n = perms.shape
+    digits = np.empty((k, n), dtype=np.int64)
+    s = np.zeros((k, -(-n // 64)), dtype=np.uint64)
+    for hi in range(n, 0, -64):
+        lo = max(hi - 64, 0)
+        block = perms[:, lo:hi]
+        word, bit = block >> 6, _BITS[block & 63]
+        counts = np.bitwise_count(s)
+        before = np.cumsum(counts, axis=1, dtype=np.int64) - counts
+        d = np.take_along_axis(before, word, 1)
+        d += np.bitwise_count(np.take_along_axis(s, word, 1) & (bit - 1))
+        inner = np.empty_like(bit)          # the bit of each value's rank in the block
+        np.put_along_axis(inner, np.argsort(block, axis=1), _BITS[:hi - lo], 1)
+        suffix = np.bitwise_or.accumulate(inner[:, ::-1], axis=1)[:, ::-1]   # from i on
+        digits[:, lo:hi] = d + np.bitwise_count(suffix & (inner - 1))
+        np.bitwise_or.at(s, (np.arange(k)[:, None], word), bit)
     return digits
 
 
-def lehmer_rank(p) -> int:
-    """Rank of p among the permutations of its length in lexicographic order.
+def lehmer_ranks(perms) -> list:
+    """Lexicographic ranks of the rows of a (k, n) int array or sequence, as
+    Python ints: each run of Lehmer digits is one int64, the runs one int."""
+    ranks = []
+    for lo in range(0, len(perms), _MAPS):
+        block = np.asarray(perms[lo:lo + _MAPS], dtype=np.int64)
+        starts, products, weights, _, _ = _runs(block.shape[1])
+        for row in np.add.reduceat(_lehmer_digits(block) * weights, starts, axis=1).tolist():
+            rank = 0
+            for prod, v in zip(products, row):
+                rank = rank * prod + v
+            ranks.append(rank)
+    return ranks
 
-    The Lehmer digits come from one O(n^2) compare in blocks of
-    _BLOCK_ROWS rows.  Each run of digits is reduced to one int64, and the
-    run values, about log2(n!)/62 of them, are combined in Python ints.
-    """
-    starts, products, weights, _, _ = _runs(len(p))
-    values = np.add.reduceat(_lehmer_digits(p) * weights, starts).tolist()
-    rank = 0
-    for prod, v in zip(products, values):
-        rank = rank * prod + v
-    return rank
+
+def lehmer_unranks(ranks, n: int) -> np.ndarray:
+    """Inverse of lehmer_ranks: a (len(ranks), n) int32 array; every rank must
+    lie in [0, n!), and the first that does not raises ValueError."""
+    _, products, weights, run_of, radix = _runs(n)
+    perms = np.empty((len(ranks), n), dtype=np.int32)
+    for lo in range(0, len(ranks), _MAPS):
+        values = []
+        for rank in ranks[lo:lo + _MAPS]:
+            rest, row = rank, []
+            for prod in reversed(products):
+                rest, v = divmod(rest, prod)
+                row.append(v)
+            if rest:    # rank < 0 or rank >= n!, the product of the runs
+                raise ValueError(f"rank {rank} out of range for n={n}")
+            values.append(row[::-1])
+        values = np.array(values, dtype=np.int64).reshape(len(values), len(products))
+        digits = (values[:, run_of] // weights % radix).tolist()
+        perms[lo:lo + len(digits)] = [list(map(list(range(n)).pop, row)) for row in digits]
+    return perms
+
+
+def lehmer_rank(p) -> int:
+    """Rank of p among the permutations of its length in lexicographic order."""
+    return lehmer_ranks([p])[0]
 
 
 def lehmer_unrank(rank: int, n: int) -> tuple:
     """Inverse of lehmer_rank; rank must lie in [0, n!)."""
-    _, products, weights, run_of, radix = _runs(n)
-    values = []
-    rest = rank
-    for prod in reversed(products):
-        rest, v = divmod(rest, prod)
-        values.append(v)
-    if rest:    # rank < 0 or rank >= n!, the product of the runs
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    values.reverse()
-    digits = np.array(values, dtype=np.int64)[run_of] // weights % radix
-    return tuple(map(list(range(n)).pop, digits.tolist()))
+    return tuple(lehmer_unranks([rank], n)[0].tolist())
 
 
 def all_permutations(n: int):

@@ -328,6 +328,19 @@ def test_decode_matches_the_per_part_decoder_on_conflicting_maps(bit, colour):
     assert _outcome(decode, bytes(corrupt)) == expected
 
 
+def test_conflicting_map_is_reported_before_a_truncated_rank():
+    # bit 129 makes high colour 1 the first colour of T+ in conj_s3 under
+    # CodecParams(1, 1); cut to 24 bytes, the stream holds that field-5 rank
+    # in full and ends inside the next one, which is never read
+    data = encode(conjugation_quandle(symmetric_group_table(3)), CodecParams(1, 1))
+    assert _outcome(decode, data[:24]) == (CorruptStream, "need 10 bits at position 106")
+    corrupt = bytearray(data[:24])
+    corrupt[129 // 8] ^= 0x80 >> 129 % 8
+    expected = (InconsistentDecode, "conflicting maps for colour 1")
+    assert _outcome(reference_decode, bytes(corrupt)) == expected
+    assert _outcome(decode, bytes(corrupt)) == expected
+
+
 def test_short_stream_with_huge_order_fails_before_factorial(monkeypatch):
     # the header claims n = 65535, but 4 body bytes cannot hold the n-bit
     # low-degree bitmap; n! must not be computed to find that out

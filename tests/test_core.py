@@ -61,6 +61,42 @@ def test_malformed_tables_raise():
         rack_from_table([])
 
 
+def test_array_tables_give_the_tuple_rack():
+    for _, rack in family_racks(8):
+        # int64, and decode's case: a transposed int32 view of the maps
+        for table in (np.array(rack.table), np.array(rack.maps, dtype=np.int32).T):
+            result = rack_from_table(table)
+            assert result == rack
+            assert hash(result) == hash(rack) and repr(result) == repr(rack)
+            assert result.table == rack.table
+            assert {type(v) for row in result.table + result.maps for v in row} == {int}
+
+
+def test_array_tables_give_the_tuple_report():
+    rng = random.Random(8)
+    tables = [random_table(rng, rng.randrange(1, 7)) for _ in range(200)]
+    tables += [swapped(dihedral_quandle(65).table, 5, [(0, 1)])]
+    tables += [rack.table for _, rack in family_racks(8)]
+    tables += [permutation_rack((1, 2, 0, 4, 3)).table]
+    for table in tables:
+        assert axiom_report(np.array(table)) == axiom_report(table)
+        result = rack_from_table(np.array(table, dtype=np.uint8))
+        assert result == rack_from_table(table)
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64),
+    np.zeros((0, 0), dtype=np.int64), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool),
+    np.zeros(2, dtype=np.int64), np.array(0), np.array([[0, -1], [1, 0]]),
+    np.array([[0, 1], [1, 2]], dtype=np.int32)])
+def test_malformed_arrays_raise(table):
+    with pytest.raises(MalformedTableError):
+        rack_from_table(table)
+    if table.ndim == 2 and table.shape[0] == table.shape[1] > 0 and table.dtype.kind == "i":
+        # an entry out of range has the tuple scan's message
+        assert _outcome(table_order, table) == _outcome(table_order, table.tolist())
+
+
 def reference_table_order(table) -> int:
     """The entry-by-entry scan that table_order replaced, kept as a test oracle."""
     try:

@@ -1,12 +1,16 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from racklab import perms
 from racklab.perms import (all_permutations, compose, conjugate, identity, inverse,
-                           is_permutation, lehmer_rank, lehmer_unrank)
+                           is_permutation, lehmer_rank, lehmer_ranks, lehmer_unrank,
+                           lehmer_unranks)
 
 from _corpus import from_cycles
 
@@ -90,6 +94,53 @@ def test_lehmer_round_trip_over_many_row_blocks():
     rank = lehmer_rank(p)
     assert rank == reference_lehmer_rank(p)
     assert lehmer_unrank(rank, 2000) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.integers(0, perms._MAPS + 2), st.integers(0, 2 ** 32))
+# the digit count takes 64 positions at a time, the batch 64 maps at a time
+@example(63, 65, 0)
+@example(64, 64, 1)
+@example(65, 1, 2)
+@example(128, 66, 3)
+@example(129, 2, 4)
+@example(0, 3, 5)
+def test_lehmer_ranks_match_the_reference_row_by_row(n, k, seed):
+    rng = random.Random(seed)
+    rows = [rng.sample(range(n), n) for _ in range(k)]
+    table = np.array(rows, dtype=np.int64).reshape(k, n)
+    ranks = lehmer_ranks(table)
+    assert ranks == [reference_lehmer_rank(row) for row in rows]
+    assert lehmer_ranks(tuple(map(tuple, rows))) == ranks
+    maps = lehmer_unranks(ranks, n)
+    assert maps.dtype == np.int32 and maps.shape == (k, n)
+    assert maps.tolist() == rows
+
+
+def test_lehmer_unranks_names_the_first_rank_out_of_range():
+    # the bad rank sits in the second block of 64 ranks
+    n = 70
+    ranks = [random.Random(i).randrange(math.factorial(n)) for i in range(66)]
+    bad = math.factorial(n) + 7
+    ranks[65] = bad
+    with pytest.raises(ValueError, match=f"^rank {bad} out of range for n={n}$"):
+        lehmer_unranks(ranks, n)
+    with pytest.raises(ValueError, match=f"^rank -1 out of range for n={n}$"):
+        lehmer_unranks([0, -1, bad], n)
+
+
+def test_lehmer_rank_memory_is_linear_in_n():
+    # an n x n/64 table of bitsets would take 32 MB here
+    n = 16384
+    p = tuple(random.Random(n).sample(range(n), n))
+    tracemalloc.start()
+    try:
+        rank = lehmer_rank(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert lehmer_unrank(rank, n) == p
 
 
 def test_is_permutation():
