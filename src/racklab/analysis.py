@@ -22,7 +22,7 @@ import numpy as np
 
 from .codec import degree_split
 from .core import Rack
-from .graph import bfs_forest, conjugate_along_forest, cycle_types
+from .graph import bfs_forest, conjugate_along_forest, cycle_types, distinct_heads
 
 
 class CheckParameterError(ValueError):
@@ -198,22 +198,6 @@ def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
     }
 
 
-def _witness_colours(rack: Rack):
-    """For each v, one colour per distinct out-neighbour (smallest wins)."""
-    n = rack.n
-    out = []
-    for v in range(n):
-        seen = set()
-        chosen = []
-        for j in range(n):
-            w = rack.maps[j][v]
-            if w != v and w not in seen:
-                seen.add(w)
-                chosen.append(j)
-        out.append(chosen)
-    return out
-
-
 def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int = 0,
                         chunk: int = 2_000, threads: int = 1) -> dict:
     """Keep each element with probability p and check two tails per trial:
@@ -229,17 +213,18 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     if trials < 1:
         raise CheckParameterError("trials >= 1 required")
     n = rack.n
-    witness = _witness_colours(rack)
-    d = np.array([len(w) for w in witness], dtype=np.float64)
-    active = d > 0
+    # row v of jm marks J_v, the least colour per out-neighbour of v
+    order, first = distinct_heads(rack.array)
     jm = np.zeros((n, n), dtype=np.float32)
-    for v, cols in enumerate(witness):
-        jm[v, cols] = 1.0
+    jm[np.nonzero(first)[1], order[first]] = 1.0
+    del order, first    # not kept through the trials
+    d = jm.sum(axis=1, dtype=np.float64)
+    active = d > 0
     delta = d * p
     thresh = (1 - eps) * delta
     direct = n <= 63
     if direct:
-        images = np.array(rack.maps, dtype=np.int64)  # images[j][v] = (v)f_j
+        images = rack.array.astype(np.int64)  # images[j][v] = (v)f_j
         self_bits = np.int64(1) << np.arange(n, dtype=np.int64)
 
     def worker(idx, b):
@@ -337,19 +322,14 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         return WSearchResult(w=(), p=p, attempts=0, certified=True, n=n, delta=delta,
                              bad_threshold=bad_threshold, size_cap=size_cap,
                              component_count=0, maps_match=True)
-    maps = np.array(rack.maps, dtype=np.int32)
-    vertices = np.arange(n)
     high_vertices = np.array(s_high)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         x = tuple(v for v in range(n) if rng.random() < p)
         if len(x) > size_cap or not x:
             continue
-        x_maps = maps[list(x)]
-        # out-degree of v: the distinct heads in column v, v itself not counted
-        heads = np.sort(x_maps, axis=0)
-        degs = (1 + (heads[1:] != heads[:-1]).sum(axis=0)
-                - (x_maps == vertices).any(axis=0))
+        x_maps = rack.array[list(x)]
+        degs = distinct_heads(x_maps)[1].sum(axis=0)
         if (degs[high_vertices] <= bad_threshold).any():
             continue
         forest = bfs_forest(x_maps)
@@ -361,7 +341,7 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         w = tuple(sorted(set(x) | set(reps)))
 
         # conjugate every map from its part's minimum; compare the parts inside the high set
-        differ = conjugate_along_forest(maps.copy(), x_maps, forest.levels,
+        differ = conjugate_along_forest(rack.array.copy(), x_maps, forest.levels,
                                         np.ones(n, dtype=bool))
         match = not any(forest.parts[i][0] in high for i in forest.part_index[differ].tolist())
         return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,

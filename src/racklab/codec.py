@@ -22,7 +22,8 @@ same code when writing and when reading.  The decoder allocates the n x n
 int32 maps once field 4, n bitmaps of n bits, has been read, unranks
 fields 2 and 5 into them in one call, rebuilds each representative map by
 propagating images down the forest, conjugates everything else into place,
-one depth at a time, and hands the array as it is to rack_from_table.
+one depth at a time, and hands the array to rack_from_table.  The encoder
+reads maps and restrictions as rows and columns of Rack.array.
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -42,7 +43,8 @@ import numpy as np
 
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import Forest, bfs_forest, conjugate_along_forest, greedy_merge_order, part_merges
+from .graph import (Forest, bfs_forest, conjugate_along_forest, distinct_heads,
+                    greedy_merge_order, part_merges)
 from .perms import lehmer_ranks, lehmer_unranks
 
 MAGIC = b"RKE1"
@@ -101,23 +103,18 @@ class CodecParams:
 
 def degree_split(rack: Rack, delta: int):
     """(low, high): elements with out-degree <= delta in the full rack graph, rest."""
-    # row v of the table holds (v)f_y for every colour y: v's out-neighbours, and v on loops
-    degs = [len(set(row) - {v}) for v, row in enumerate(rack.table)]
-    low = tuple(v for v in range(rack.n) if degs[v] <= delta)
-    high = tuple(v for v in range(rack.n) if degs[v] > delta)
-    return low, high
+    low = distinct_heads(rack.array)[1].sum(axis=0) <= delta
+    return tuple(np.flatnonzero(low).tolist()), tuple(np.flatnonzero(~low).tolist())
 
 
 def _greedy_pass(rack: Rack, delta: int):
-    """(s_low, s_high, order, cps, low_maps): the degree split, the greedy
-    ordering of s_low, and the maps of s_low as an int32 array."""
+    """(s_low, s_high, order, cps): the degree split and the greedy ordering of s_low."""
     s_low, s_high = degree_split(rack, delta)
-    low_maps = np.array([rack.maps[j] for j in s_low], dtype=np.int32).reshape(-1, rack.n)
-    order, cps = greedy_merge_order(rack.n, dict(zip(s_low, low_maps)), s_low)
-    return s_low, s_high, order, cps, low_maps
+    order, cps = greedy_merge_order(rack.n, {j: rack.array[j] for j in s_low}, s_low)
+    return s_low, s_high, order, cps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfoTuple:
     n: int
     delta: int
@@ -126,13 +123,13 @@ class InfoTuple:
     s_high: tuple               # ascending
     t_order: tuple              # greedy pick order
     t_plus: tuple               # ascending: T plus its out-neighbourhood in the full graph
-    high_maps: tuple            # permutations aligned with s_high
-    t_restrictions: tuple       # [j][k] = image of t_sorted[k] under map j, all j
-    t_plus_maps: tuple          # permutations aligned with t_plus
+    high_maps: np.ndarray       # (|s_high|, n) int32: the maps of s_high
+    t_restrictions: np.ndarray  # (n, |T|) int32: [j][k] = image of t_sorted[k] under map j
+    t_plus_maps: np.ndarray     # (|t_plus|, n) int32: the maps of t_plus
     merge_lists: tuple          # aligned with s_low_minus_t: ascending component indices
     merged_restrictions: tuple  # aligned with s_low_minus_t: images of sorted(Y_j)
     # the T-graph's forest; it follows from the maps of T, which t_plus_maps holds
-    forest: Forest = field(compare=False, repr=False)
+    forest: Forest = field(repr=False)
 
     @property
     def gt_components(self) -> tuple:
@@ -192,17 +189,12 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy):
     params.delta), and the drop in T-graph component count that each
     colour of info.s_low_minus_t would give."""
     n = rack.n
-    s_low, s_high, order, _, low_maps = greedy
+    s_low, s_high, order, _ = greedy
     t_order = order[:min(params.cap_l, len(order))]
     t_set = set(t_order)
-    t_sorted = tuple(sorted(t_set))
-
-    # T's maps are rows of low_maps (T is low); restrictions are the table's rows at T
-    low_pos = {j: pos for pos, j in enumerate(s_low)}
-    t_cols = np.array(t_sorted, dtype=np.intp)
-    forest = bfs_forest(low_maps[[low_pos[i] for i in t_sorted]])
-    restrictions = np.array([rack.table[i] for i in t_sorted],
-                            dtype=np.int32).reshape(-1, n).T    # [j][k] = (t_sorted[k])f_j
+    t_cols = np.array(sorted(t_set), dtype=np.intp)
+    forest = bfs_forest(rack.array[t_cols])
+    restrictions = rack.array[:, t_cols]    # [j][k] = (t_cols[k])f_j
     low = np.zeros(n, dtype=bool)
     low[list(s_low)] = True
     if not low[restrictions].all():
@@ -214,7 +206,7 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy):
     s_low_minus_t = [j for j in s_low if j not in t_set]
     merge_lists = [()] * len(s_low_minus_t)
     merged_restrictions = [()] * len(s_low_minus_t)
-    rest_maps = low_maps[[low_pos[j] for j in s_low_minus_t]]
+    rest_maps = rack.array[s_low_minus_t]
     drops, touched = part_merges(forest, rest_maps)
     for pos in np.flatnonzero(touched.any(axis=1)).tolist():
         merge_lists[pos] = tuple(np.flatnonzero(touched[pos]).tolist())
@@ -224,9 +216,9 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy):
     return InfoTuple(
         n=n, delta=params.delta, cap_l=params.cap_l,
         s_low=s_low, s_high=s_high, t_order=t_order, t_plus=tuple(t_plus.tolist()),
-        high_maps=tuple(rack.maps[j] for j in s_high),
-        t_restrictions=tuple(map(tuple, restrictions.tolist())),
-        t_plus_maps=tuple(rack.maps[k] for k in t_plus.tolist()),
+        high_maps=rack.array[list(s_high)],
+        t_restrictions=restrictions,
+        t_plus_maps=rack.array[t_plus],
         merge_lists=tuple(merge_lists),
         merged_restrictions=tuple(merged_restrictions),
         forest=forest,
@@ -258,8 +250,7 @@ def extract_residual(rack: Rack, info: InfoTuple) -> Residual:
     unmerged = np.ones((len(reps), len(mins)), dtype=bool)
     for row, v in enumerate(reps.tolist()):
         unmerged[row, list(info.merge_lists[rest[v]])] = False
-    images = np.array([rack.maps[v] for v in reps.tolist()],
-                      dtype=np.int32).reshape(-1, n)[:, mins]
+    images = rack.array[np.ix_(reps, mins)]
     escaped = unmerged & (forest.part_index[images] != np.arange(len(mins)))
     if escaped.any():
         row, di = divmod(int(escaped.argmax()), len(mins))
@@ -321,8 +312,8 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
     w.write_block(info.t_order, w_vertex)
     # field 4 in one block: per colour, the domain bitmap of T and the images of T
     domain, widths = _restriction_layout(n, info.t_sorted)
-    images = np.array(info.t_restrictions, dtype=np.int64).reshape(n, len(info.t_order))
-    w.write_varblock(np.hstack([np.tile(domain, (n, 1)), images]).ravel(), np.tile(widths, n))
+    w.write_varblock(np.hstack([np.tile(domain, (n, 1)), info.t_restrictions]).ravel(),
+                     np.tile(widths, n))
     for rank in lehmer_ranks(info.t_plus_maps):
         w.write(rank, w_perm)
     cp = len(info.gt_components)
@@ -603,7 +594,7 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     greedy = _greedy_pass(rack, params.delta)
     info, drops = _info_from_pass(rack, params, greedy)
     n = rack.n
-    s_low, _, order, cps, _ = greedy
+    s_low, _, order, cps = greedy
     x_seq = []
     prev = n
     for cp in cps:

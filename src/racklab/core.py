@@ -1,9 +1,10 @@
 """Finite racks on {0, ..., n-1}.
 
-A rack is stored both as an n x n operation table (table[x][y] = x > y)
-and as the tuple of right translations (maps[y][x] = x > y); column y of
-the table is the translation map of y.  A table defines a rack iff every
-column is a bijection and the translations satisfy the conjugation rule
+A rack is stored as one read-only C-contiguous int32 (n, n) array whose
+row y is the right translation f_y, so array[y, x] = x > y.  The
+operation table (table[x][y] = x > y) is its transpose.  A table defines
+a rack iff every column is a bijection and the translations satisfy the
+conjugation rule
 
     f[(y)f_z] = f_z^-1 f_y f_z   for all y, z,
 
@@ -18,11 +19,11 @@ column.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import UnionFind
+from .graph import _min_labels
 from .perms import compose, identity, inverse, is_permutation
 
 
@@ -75,6 +76,8 @@ class AxiomReport:
     is_rack: bool
     is_quandle: bool
     violations: tuple
+    # the table's maps, row y is f_y, as a read-only int32 array the report owns
+    array: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def table_order(table) -> int:
@@ -119,14 +122,15 @@ def _conjugation_violations(cols, n) -> list:
     map.  Every other z is checked, so the violations are exactly those of
     a check of every column: n^2 work per orbit, n^3 in the worst case.
     """
-    known = UnionFind(n + 1)    # vertex n is joined to every known member of A
-    passed = set()              # maps of the checked columns in A
+    label = np.arange(n)                # vertex -> least vertex of its component
+    known = np.zeros(n, dtype=bool)     # labels of the components holding a known member of A
+    passed = set()                      # maps of the checked columns in A
     out = []
     for z in range(n):
         p = cols[z]
         key = p.tobytes()
-        if key in passed or known.find(z) == known.find(n):
-            known.union(z, n)
+        if key in passed or known[label[z]]:
+            known[label[z]] = True
             continue
         p_inv = np.empty(n, dtype=np.int32)
         p_inv[p] = np.arange(n, dtype=np.int32)
@@ -138,9 +142,12 @@ def _conjugation_violations(cols, n) -> list:
             out.append(Violation("ConjugationFail", (int(np.argmax(neq[y])), int(y), z)))
         if bad.size == 0:
             passed.add(key)
-            known.union(z, n)
-            for x, fx in enumerate(p.tolist()):
-                known.union(x, fx)
+            known[label[z]] = True
+            # join the components over the edges of f_z; a label that stops
+            # being one keeps its mark, which no vertex can then read
+            merged = _min_labels(n, label, label[p])
+            known[merged[known]] = True
+            label = merged[label]
     out.sort(key=lambda v: (v.witness[1], v.witness[2]))
     return out
 
@@ -153,7 +160,8 @@ def axiom_report(table) -> AxiomReport:
     and the witnesses of a check of every column.
     """
     n = table_order(table)
-    cols = np.ascontiguousarray(np.asarray(table, dtype=np.int32).T)   # row y is the map f_y
+    cols = np.asarray(table, dtype=np.int32).T.copy()    # row y is the map f_y
+    cols.flags.writeable = False
     bad = (np.sort(cols, axis=1) != np.arange(n)).any(axis=1)
     violations = [Violation("NotBijective", (int(y),)) for y in np.flatnonzero(bad)]
     if not violations:
@@ -161,14 +169,15 @@ def axiom_report(table) -> AxiomReport:
     is_rack = not violations
     is_quandle = is_rack and bool((np.diagonal(cols) == np.arange(n)).all())
     return AxiomReport(n=n, is_rack=is_rack, is_quandle=is_quandle,
-                       violations=tuple(violations))
+                       violations=tuple(violations), array=cols)
 
 
 class Rack:
     """Immutable rack; construction checks the axioms in n^2 per orbit of the
-    verified colours (n^3 in the worst case), with a full scan's witnesses."""
+    verified colours (n^3 in the worst case), with a full scan's witnesses.
+    It stores only array; maps and table are built from it on each access."""
 
-    __slots__ = ("n", "maps", "table")
+    __slots__ = ("array",)
 
     def __init__(self, maps):
         maps = tuple(tuple(m) for m in maps)
@@ -178,21 +187,16 @@ class Rack:
         for y, m in enumerate(maps):
             if len(m) != n:
                 raise MalformedTableError(f"map {y} has length {len(m)}, expected {n}")
-        table = tuple(tuple(maps[y][x] for y in range(n)) for x in range(n))
-        report = axiom_report(table)
+        report = axiom_report(tuple(zip(*maps)))
         if not report.is_rack:
             raise NotARackError(report)
-        self.n = n
-        self.maps = maps
-        self.table = table
+        self.array = report.array
 
     @classmethod
-    def _unchecked(cls, maps, table) -> "Rack":
-        """A rack from tuple maps and table whose axioms the caller has just checked."""
+    def _unchecked(cls, array) -> "Rack":
+        """A rack of the maps in a read-only (n, n) int32 array, axioms checked."""
         rack = cls.__new__(cls)
-        rack.n = len(maps)
-        rack.maps = maps
-        rack.table = table
+        rack.array = array
         return rack
 
     @classmethod
@@ -203,23 +207,37 @@ class Rack:
         return result
 
     @property
+    def n(self) -> int:
+        return len(self.array)
+
+    @property
+    def maps(self) -> tuple:
+        """maps[y][x] = x > y: the translations f_y."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    @property
+    def table(self) -> tuple:
+        """table[x][y] = x > y: the operation table."""
+        return tuple(map(tuple, self.array.T.tolist()))
+
+    @property
     def is_quandle(self):
-        return all(self.table[x][x] == x for x in range(self.n))
+        return bool((np.diagonal(self.array) == np.arange(self.n)).all())
 
     def relabel(self, phi) -> "Rack":
         """The isomorphic rack with x renamed to phi[x]."""
         if not is_permutation(phi, self.n):
             raise ValueError("relabeling must be a permutation of the ground set")
-        psi = inverse(phi)
-        table = tuple(tuple(phi[self.table[psi[x]][psi[y]]] for y in range(self.n))
-                      for x in range(self.n))
-        return Rack.from_table(table)
+        phi = np.asarray(phi)
+        psi = np.argsort(phi)
+        # (x)f'_y = phi[(psi[x])f_psi[y]]: row y of the relabeled maps
+        return Rack.from_table(phi[self.array[np.ix_(psi, psi)]].T)
 
     def __eq__(self, other):
-        return isinstance(other, Rack) and self.maps == other.maps
+        return isinstance(other, Rack) and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash(self.maps)
+        return hash(self.array.tobytes())
 
     def __repr__(self):
         return f"Rack(n={self.n}, maps={self.maps})"
@@ -229,14 +247,11 @@ def rack_from_table(table):
     """Rack if the table satisfies the axioms, else the full AxiomReport.
 
     The table is rows or a square integer numpy array, checked in numpy; the
-    rack's entries are Python ints either way.  Malformed input (wrong shape,
-    out-of-range entry) raises MalformedTableError, not an AxiomReport.
+    rack keeps the report's int32 copy of the maps.  Malformed input (wrong
+    shape, out-of-range entry) raises MalformedTableError, not an AxiomReport.
     """
     report = axiom_report(table)
-    if report.is_rack:
-        rows = tuple(map(tuple, table.tolist())) if isinstance(table, np.ndarray) else table
-        return Rack._unchecked(tuple(zip(*rows)), tuple(tuple(row) for row in rows))
-    return report
+    return Rack._unchecked(report.array) if report.is_rack else report
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +276,8 @@ def dihedral_quandle(n: int) -> Rack:
     """x > y = 2y - x mod n (the cyclic Alexander quandle with negation)."""
     if n < 1:
         raise ValueError("order must be positive")
-    table = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
-    return Rack.from_table(table)
+    x = np.arange(n)
+    return Rack.from_table((2 * x - x[:, None]) % n)
 
 
 def _group_check(table):

@@ -7,10 +7,9 @@ undirected multigraph.  Besides components and out-degrees, the module
 has the directed BFS forest the decoder walks (as numpy arrays, with the
 conjugation along it), the greedy ordering of colours, the drop in
 component count and the merged parts when one more colour joins a
-forest's parts, and the cycle types of permutations.  All of them label
-components by one numpy min-label connectivity pass, `_min_labels`; the
-union-find is kept for the axiom check, which adds one colour at a time
-between queries.
+forest's parts, and the cycle types of permutations.  All of them, and
+the axiom check's orbit closure, label components by one numpy min-label
+connectivity pass, `_min_labels`.
 """
 
 from __future__ import annotations
@@ -20,32 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .perms import is_permutation
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return False
-        if self.size[x] < self.size[y]:
-            x, y = y, x
-        self.parent[y] = x
-        self.size[x] += self.size[y]
-        self.count -= 1
-        return True
 
 
 class ColoredDigraph:
@@ -76,9 +49,8 @@ class ColoredDigraph:
 
 def rack_graph(rack, colors=None) -> ColoredDigraph:
     """The graph of a rack restricted to a colour subset (all colours if None)."""
-    if colors is None:
-        colors = range(rack.n)
-    return ColoredDigraph(rack.n, {c: rack.maps[c] for c in colors})
+    colors = list(range(rack.n) if colors is None else colors)
+    return ColoredDigraph(rack.n, dict(zip(colors, rack.array[colors].tolist())))
 
 
 @dataclass(frozen=True)
@@ -99,6 +71,20 @@ def components(graph: ColoredDigraph) -> ComponentStructure:
 def out_degrees(graph: ColoredDigraph) -> tuple:
     """Per vertex, the number of distinct heads over all colours."""
     return tuple(len(graph.out_neighbors(v)) for v in range(graph.n))
+
+
+def distinct_heads(maps: np.ndarray):
+    """(order, first) for maps, a (k, n) array whose rows are maps of [n].
+
+    order sorts each column v stably by its heads (v)f, and first marks, in
+    that order, the first row of each distinct head other than v: the least
+    colour per out-neighbour.  Column v of first sums to v's out-degree in
+    the graph of the rows.
+    """
+    order = np.argsort(maps, axis=0, kind="stable")
+    heads = np.take_along_axis(maps, order, axis=0)
+    first = (np.diff(heads, axis=0, prepend=-1) != 0) & (heads != np.arange(maps.shape[1]))
+    return order, first
 
 
 @dataclass(frozen=True)

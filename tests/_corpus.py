@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from racklab import (CodecParams, Rack, alexander_quandle, conjugation_quandle,
                      cyclic_group_table, dihedral_group_table, dihedral_quandle,
                      permutation_rack, symmetric_group_table, trivial_rack)
@@ -36,7 +38,8 @@ def direct_product_table(t1, t2):
 
 def is_subrack(rack: Rack, subset) -> bool:
     """True iff the subset is closed under the operation."""
-    return all(rack.table[z][y] in subset for y in subset for z in subset)
+    table = rack.table
+    return all(table[z][y] in subset for y in subset for z in subset)
 
 
 def family_racks(max_n: int = 8):
@@ -102,6 +105,28 @@ def commuting_rack(n: int, seed: int) -> Rack:
     return Rack(maps)
 
 
+def pair_swap_rack(n: int, seed: int, quandle: bool = False) -> Rack:
+    """A seeded rack at the paper's lower bound, 2^{k^2} of them for k = n // 2.
+
+    The pairs {2j, 2j+1} are the orbits.  A mask M_j in {0,1}^k per pair
+    gives f_{2j} = f_{2j+1} = the product of the transpositions (2i 2i+1)
+    over the i with M_j[i] = 1, and f_{n-1} = id when n is odd.  All the
+    maps commute and are constant on the pairs, which each map preserves,
+    so f_{(x)f_y} = f_x = f_y^-1 f_x f_y.  With M_j[j] = 0 every f_x fixes
+    x: a quandle.
+    """
+    rng = random.Random(seed)
+    k = n // 2
+    maps = []
+    for j in range(k):
+        images = list(range(n))
+        for i in range(k):
+            if rng.randrange(2) and not (quandle and i == j):
+                images[2 * i], images[2 * i + 1] = 2 * i + 1, 2 * i
+        maps += [tuple(images)] * 2
+    return Rack(maps + [identity(n)] * (n % 2))
+
+
 def unchecked_non_rack() -> Rack:
     """A permutation family that is not a rack, built without the axiom check.
 
@@ -109,9 +134,15 @@ def unchecked_non_rack() -> Rack:
     delta = 1 the low set is {1, 2}, T = (1,), and f_0 sends 1 to the
     high-degree vertex 0.
     """
-    maps = ((1, 0, 2), (2, 1, 0), (0, 1, 2))
-    table = tuple(tuple(maps[y][x] for y in range(3)) for x in range(3))
-    return Rack._unchecked(maps, table)
+    maps = np.array(((1, 0, 2), (2, 1, 0), (0, 1, 2)), dtype=np.int32)
+    maps.flags.writeable = False
+    return Rack._unchecked(maps)
+
+
+def broadcast_trivial_rack(n: int) -> Rack:
+    """The trivial rack of order n, built without the axiom check on a
+    zero-stride read-only view of one identity row: no n^2 memory."""
+    return Rack._unchecked(np.broadcast_to(np.arange(n, dtype=np.int32), (n, n)))
 
 
 def param_grid(n: int):

@@ -24,8 +24,36 @@ from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
 from racklab.core import AxiomReport, Rack, Violation, rack_from_table, table_order, trivial_rack
-from racklab.graph import ColoredDigraph, ComponentStructure, UnionFind, out_degrees, rack_graph
+from racklab.graph import ColoredDigraph, ComponentStructure, out_degrees, rack_graph
 from racklab.perms import conjugate, is_permutation, lehmer_unrank
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.count = n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        x, y = self.find(x), self.find(y)
+        if x == y:
+            return False
+        if self.size[x] < self.size[y]:
+            x, y = y, x
+        self.parent[y] = x
+        self.size[x] += self.size[y]
+        self.count -= 1
+        return True
 
 
 def self_distributivity_violations(table) -> list:
@@ -245,6 +273,21 @@ def lazy_greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
     return tuple(order), tuple(cps)
 
 
+def witness_colours(n: int, maps) -> list:
+    """For each vertex v, the least colour j per distinct head (v)f_j != v,
+    colours ascending: the loop analysis.random_subset_check used for J_v."""
+    out = []
+    for v in range(n):
+        seen = set()
+        chosen = []
+        for j, f in enumerate(maps):
+            if f[v] != v and f[v] not in seen:
+                seen.add(f[v])
+                chosen.append(j)
+        out.append(chosen)
+    return out
+
+
 def successors(graph: ColoredDigraph) -> list:
     """succ[u]: the (head, colour) pairs of the edges leaving u, colours ascending."""
     succ = [[] for _ in range(graph.n)]
@@ -427,13 +470,14 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     result = rack_from_table(table)
     if isinstance(result, AxiomReport):
         raise InconsistentDecode("reconstructed maps violate the rack axioms")
+    maps = result.maps
     for j in s_low_minus_t:
         for y, img in merged_map[j].items():
-            if result.maps[j][y] != img:
+            if maps[j][y] != img:
                 raise InconsistentDecode(f"merged restriction mismatch for colour {j}")
     for j in range(n):
         for i, img in zip(t_sorted, t_restrictions[j]):
-            if result.maps[j][i] != img:
+            if maps[j][i] != img:
                 raise InconsistentDecode(f"restriction mismatch for colour {j}")
     return result
 
@@ -465,9 +509,10 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float, max_attempts:
         w = tuple(sorted(set(x) | {part[0] for part in inside}))
         succ = successors(g_x)
         match = True
+        maps = rack.maps
         for part in inside:
-            conj = conjugates_along_tree(succ, part[0], rack.maps)
-            match = len(conj) == len(part) and all(conj[u] == rack.maps[u] for u in part)
+            conj = conjugates_along_tree(succ, part[0], maps)
+            match = len(conj) == len(part) and all(conj[u] == maps[u] for u in part)
             if not match:
                 break
         return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,

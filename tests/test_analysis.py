@@ -320,8 +320,9 @@ def test_find_w_matches_the_per_part_walk():
     families = [rack for _, rack in family_racks(8)] + [dihedral_quandle(64)]
     for n in (5, 9, 16):
         for _ in range(4):
-            maps = tuple(tuple(rng.permutation(n).tolist()) for _ in range(n))
-            families.append(Rack._unchecked(maps, tuple(zip(*maps))))
+            maps = np.array([rng.permutation(n) for _ in range(n)], dtype=np.int32)
+            maps.flags.writeable = False
+            families.append(Rack._unchecked(maps))
     outcomes = set()
     for rack in families:
         for delta, p, threshold, seed in ((1, 0.5, 0, 0), (1, 0.8, 1, 3), (2, 0.3, 0.5, 7)):

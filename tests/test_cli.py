@@ -4,11 +4,11 @@ import math
 
 import pytest
 
-from racklab import CodecParams, Rack, dihedral_quandle, encode, format_rack, trivial_rack
+from racklab import CodecParams, dihedral_quandle, encode, format_rack, trivial_rack
 from racklab import analysis, cli, codec, enumeration
 from racklab.cli import main
 
-from _corpus import family_racks, unchecked_non_rack
+from _corpus import broadcast_trivial_rack, family_racks, unchecked_non_rack
 
 
 @pytest.fixture
@@ -163,7 +163,7 @@ def test_error_table_exit_codes(capsys, tmp_path, argv, content, code, message):
 
 
 def test_encode_order_over_header_limit_exits_with_resource_code(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "load_rack", lambda path: Rack._unchecked([()] * 65536, None))
+    monkeypatch.setattr(cli, "load_rack", lambda path: broadcast_trivial_rack(65536))
     rke = tmp_path / "big.rke"
     code, _, err = run(capsys, "encode", "any.rack", "--out", str(rke))
     assert code == 3

@@ -22,8 +22,9 @@ from racklab.core import dihedral_group_table
 from racklab.graph import ColoredDigraph, bfs_forest, out_degrees, part_merges
 from racklab.perms import compose, identity, inverse
 
-from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, param_grid,
-                     random_relabeling, unchecked_non_rack)
+from _corpus import (broadcast_trivial_rack, commuting_rack, family_racks, from_cycles,
+                     is_subrack, pair_swap_rack, param_grid, random_relabeling,
+                     unchecked_non_rack)
 from _reference import count_components_with, graph_components, merged_part_indices
 from _reference import decode as reference_decode
 
@@ -85,7 +86,7 @@ def test_build_info_dihedral3():
     assert info.t_order == (0,)
     assert info.gt_components == ((0,), (1, 2))
     assert info.t_plus == (0, 1, 2)
-    assert info.t_restrictions == ((0,), (2,), (1,))
+    assert info.t_restrictions.tolist() == [[0], [2], [1]]
     assert info.s_low_minus_t == (1, 2)
     assert info.merge_lists == ((0, 1), (0, 1))
     assert info.merged_vertices(0) == (0, 1, 2)  # colour 1 merges (0,) and (1, 2)
@@ -94,7 +95,7 @@ def test_build_info_dihedral3():
 
 def test_build_info_trivial():
     info = build_info(trivial_rack(4), CodecParams(1, 2))
-    assert info.s_high == () and info.high_maps == ()
+    assert info.s_high == () and info.high_maps.shape == (0, 4)
     assert info.t_order == (0, 1)
     assert all(ms == () for ms in info.merge_lists)
     assert all(mr == () for mr in info.merged_restrictions)
@@ -171,6 +172,18 @@ def test_commuting_rack_round_trips():
         rack = commuting_rack(48, seed)
         for params in param_grid(rack.n):
             assert decode(encode(rack, params)) == rack
+
+
+def test_pair_swap_rack_round_trips_at_256():
+    # 2^(n^2/4) such racks: a high-entropy rack at the paper's lower bound
+    params = CodecParams(1, 4)
+    for quandle in (False, True):
+        rack = pair_swap_rack(256, 1, quandle)
+        data, stats = encode_with_stats(rack, params)
+        result = decode(data)
+        assert result == rack and result.array.dtype == np.int32
+        assert encode(result, params) == data
+        assert stats.residual_bits > 0
 
 
 def test_encode_deterministic():
@@ -422,9 +435,10 @@ def test_reconstructed_maps_conjugate_within_components():
         info = build_info(rack, CodecParams(1, 1))
         t = info.t_sorted
         n = rack.n
+        maps = rack.maps
         succ = [[] for _ in range(n)]
         for c in t:
-            p = rack.maps[c]
+            p = maps[c]
             for u in range(n):
                 if p[u] != u:
                     succ[u].append((p[u], c))
@@ -436,12 +450,12 @@ def test_reconstructed_maps_conjugate_within_components():
                 x = frontier.pop()
                 for u, colour in succ[x]:
                     if u not in word:
-                        word[u] = compose(word[x], rack.maps[colour])
+                        word[u] = compose(word[x], maps[colour])
                         frontier.append(u)
             assert set(word) == set(part)
             for u in part:
                 g = word[u]
-                assert rack.maps[u] == compose(compose(inverse(g), rack.maps[v]), g)
+                assert maps[u] == compose(compose(inverse(g), maps[v]), g)
 
 
 def test_merge_bound_audit_trivial():
@@ -481,7 +495,7 @@ def test_invariance_checked_during_build_info():
                 merged = set(info.merge_lists[pos])
                 for ci, part in enumerate(struct.parts):
                     if ci not in merged:
-                        assert {rack.maps[j][v] for v in part} == set(part)
+                        assert set(rack.array[j, list(part)].tolist()) == set(part)
 
 
 @st.composite
@@ -529,8 +543,9 @@ def reference_merges(rack, params):
     for j in s_low:
         if j in t:
             continue
-        edges = [(u, rack.maps[j][u]) for u in range(rack.n) if rack.maps[j][u] != u]
-        merged = merged_part_indices(struct, enumerate(rack.maps[j]))
+        f = rack.maps[j]
+        edges = [(u, f[u]) for u in range(rack.n) if f[u] != u]
+        merged = merged_part_indices(struct, enumerate(f))
         post.append((j, struct.cp - count_components_with(g_t, edges), len(merged)))
         merge_lists.append(merged)
     return tuple(post), tuple(merge_lists)
@@ -585,7 +600,7 @@ def test_build_info_inconsistency_is_typed():
 
 def test_encode_order_over_header_limit_is_typed():
     # n = 65536 does not fit the u16 header field; nothing is computed first
-    stub = Rack._unchecked([()] * 65536, None)
+    stub = broadcast_trivial_rack(65536)
     with pytest.raises(OrderTooLargeForHeader, match="u16 header limit 65535"):
         encode(stub)
 

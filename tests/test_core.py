@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      NotAGroupError, NotARackError, NotAutomorphismError, Rack,
                      RackParseError, Violation, alexander_quandle, axiom_report,
-                     canonical_form, conjugation_quandle, cyclic_group_table,
-                     dihedral_quandle, format_rack, parse_rack_table,
+                     canonical_form, conjugation_quandle, cyclic_group_table, decode,
+                     dihedral_quandle, encode, format_rack, parse_rack_table,
                      permutation_rack, rack_from_table, symmetric_group_table,
                      trivial_rack)
 from racklab import core
 from racklab.core import table_order
 from racklab.perms import compose, inverse, is_permutation
 
-from _corpus import family_racks, random_relabeling, random_table
+from _corpus import family_racks, pair_swap_rack, random_relabeling, random_table
 from _reference import find_isomorphism, satisfies_rack_axioms
 
 
@@ -62,14 +62,55 @@ def test_malformed_tables_raise():
 
 
 def test_array_tables_give_the_tuple_rack():
+    rng = random.Random(3)
     for _, rack in family_racks(8):
-        # int64, and decode's case: a transposed int32 view of the maps
-        for table in (np.array(rack.table), np.array(rack.maps, dtype=np.int32).T):
-            result = rack_from_table(table)
+        n = rack.n
+        phi = rng.sample(range(n), n)
+        maps = np.array(rack.maps, dtype=np.int32)
+        paths = [
+            Rack(rack.maps),                                  # tuple maps
+            Rack.from_table(rack.table),                      # tuple table
+            rack_from_table(np.array(rack.table)),            # int64 table
+            rack_from_table(maps.T),                          # decode's transposed int32 view
+            decode(encode(rack)),
+            rack.relabel(phi).relabel(inverse(phi)),
+        ]
+        for result in paths:
             assert result == rack
             assert hash(result) == hash(rack) and repr(result) == repr(rack)
-            assert result.table == rack.table
+            assert result.table == rack.table and result.maps == rack.maps
             assert {type(v) for row in result.table + result.maps for v in row} == {int}
+            array = result.array
+            assert array.dtype == np.int32 and array.shape == (n, n)
+            assert array.flags.c_contiguous and not array.flags.writeable
+            assert array.base is None or not array.base.flags.writeable
+        # the rack owns its array: changing the input afterwards changes nothing
+        view = rack_from_table(maps.T)
+        maps[:] = 0
+        assert view == rack
+
+
+def test_malformed_map_families_keep_their_messages():
+    for maps, message in (([], "empty map family"),
+                          ([(0, 1), (0,)], "map 1 has length 1, expected 2"),
+                          ([(0, 1.0), (1, 0)], "entry (1,0) = 1.0 out of range 0..1"),
+                          ([(0, 1), (1, "x")], "entry (1,1) = 'x' out of range 0..1"),
+                          ([(0, 1), (0, 2)], "entry (1,1) = 2 out of range 0..1")):
+        with pytest.raises(MalformedTableError) as err:
+            Rack(maps)
+        assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10**6), st.booleans())
+def test_pair_swap_racks_are_racks(n, seed, quandle):
+    rack = pair_swap_rack(n, seed, quandle)
+    assert satisfies_rack_axioms(rack.table)
+    assert rack.is_quandle or not quandle
+    # the maps come in equal pairs, and each preserves every pair {2i, 2i+1}
+    maps = rack.array
+    assert (maps[0:n - 1:2] == maps[1::2]).all()
+    assert (maps[:, :n - n % 2] // 2 == np.arange(n - n % 2) // 2).all()
 
 
 def test_array_tables_give_the_tuple_report():
@@ -378,11 +419,12 @@ def test_operator_word_conjugation():
             length = rng.randrange(0, 7)
             word = [(rng.randrange(n), rng.choice((1, -1))) for _ in range(length)]
             g = tuple(range(n))
+            maps = rack.maps
             for c, e in word:
-                step = rack.maps[c] if e == 1 else inverse(rack.maps[c])
+                step = maps[c] if e == 1 else inverse(maps[c])
                 g = compose(g, step)
             for y in range(n):
-                assert rack.maps[g[y]] == compose(compose(inverse(g), rack.maps[y]), g)
+                assert maps[g[y]] == compose(compose(inverse(g), maps[y]), g)
 
 
 def test_relabel_produces_isomorphic_rack():
@@ -422,6 +464,25 @@ def test_not_a_rack_error_from_constructor():
     with pytest.raises(NotARackError) as err:
         Rack(((0, 1), (1, 0)))  # the id/swap pair again, via the maps view
     assert not err.value.report.is_rack
+
+
+def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
+    # every passing column check relabels the components once; a column in
+    # the component of a passing one, or with its map, is not checked
+    relabels = []
+    original = core._min_labels
+
+    def counting(*args):
+        relabels.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(core, "_min_labels", counting)
+    cycle = tuple(range(1, 7)) + (0,)
+    for rack, checks in ((trivial_rack(6), 1), (permutation_rack(cycle), 1),
+                         (dihedral_quandle(8), 2), (dihedral_quandle(9), 2)):
+        relabels.clear()
+        assert axiom_report(rack.table).is_rack
+        assert relabels == [rack.n] * checks
 
 
 def test_from_table_checks_the_table_once(monkeypatch):

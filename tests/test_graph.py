@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      degree_split, dihedral_quandle, enumerate_labeled,
                      merge_bound_audit, out_degrees, rack_graph, to_dot, trivial_rack)
-from racklab.graph import (UnionFind, bfs_forest, conjugate_along_forest, cycle_types,
+from racklab.graph import (bfs_forest, conjugate_along_forest, cycle_types, distinct_heads,
                            greedy_merge_order)
 from racklab.perms import identity
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
                      param_grid)
-from _reference import (bfs_tree, component_structure, conjugates_along_tree,
+from _reference import (UnionFind, bfs_tree, component_structure, conjugates_along_tree,
                         count_components_with, graph_components, lazy_greedy_merge_order,
-                        multigraph_component_count, multigraph_merged_parts, successors)
+                        multigraph_component_count, multigraph_merged_parts, successors,
+                        witness_colours)
 
 
 def test_build_graph_edges():
@@ -53,6 +54,20 @@ def test_out_degrees():
     assert out_degrees(rack_graph(dihedral_quandle(3))) == (2, 2, 2)
     tri = ColoredDigraph(3, {0: from_cycles(3, [(0, 1, 2)])})
     assert out_degrees(tri) == (1, 1, 1)
+
+
+def test_distinct_heads_match_the_witness_loop():
+    # racks, and random permutation families with k = 0..n rows
+    rng = np.random.default_rng(11)
+    families = [(rack.n, rack.maps) for _, rack in family_racks(8)]
+    families += [(n, [tuple(rng.permutation(n).tolist()) for _ in range(k)])
+                 for n in (1, 5, 9) for k in (0, 1, n // 2, n)]
+    for n, maps in families:
+        order, first = distinct_heads(np.array(maps, dtype=np.int32).reshape(len(maps), n))
+        assert [sorted(order[first[:, v], v].tolist()) for v in range(n)] == \
+            witness_colours(n, maps)
+        degrees = out_degrees(ColoredDigraph(n, dict(enumerate(maps))))
+        assert tuple(first.sum(axis=0).tolist()) == degrees
 
 
 def test_directed_reachability_equals_undirected():
