@@ -16,14 +16,15 @@ The T-graph's components and their directed BFS forest are built once
 per stream, as numpy arrays (graph.Forest); the info tuple keeps them,
 and the audit runs on them.  One scoring of the remaining low colours
 against the forest (graph.part_merges) gives both field 6's merge lists
-and the audit's drops after T.  The merged blocks Y_j (_block) and the
-residual's layout (_residual_layout) are derived from the forest by the
-same code when writing and when reading.  The decoder allocates the n x n
-int32 maps once field 4, n bitmaps of n bits, has been read, unranks
-fields 2 and 5 into them in one call, rebuilds each representative map by
-propagating images down the forest, conjugates everything else into place,
-one depth at a time, and hands the array to rack_from_table.  The encoder
-reads maps and restrictions as rows and columns of Rack.array.
+and the audit's drops after T.  Writer and reader lay out fields 6 and 7
+(_merged_layout) and 8 (_residual_layout) with the same code.  Fields 4,
+6, 7 and 8 move as blocks; the decoder checks a block's colours at once
+and re-reads only a colour that over-runs the stream, so errors keep
+stream order.  It allocates the n x n int32 maps after field 4, unranks
+fields 2 and 5 into them in one call, rebuilds the representative maps
+down the forest, conjugates the rest into place one depth at a time, and
+hands the array to rack_from_table.  The encoder reads maps and
+restrictions as rows and columns of Rack.array.
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -126,8 +127,8 @@ class InfoTuple:
     high_maps: np.ndarray       # (|s_high|, n) int32: the maps of s_high
     t_restrictions: np.ndarray  # (n, |T|) int32: [j][k] = image of t_sorted[k] under map j
     t_plus_maps: np.ndarray     # (|t_plus|, n) int32: the maps of t_plus
-    merge_lists: tuple          # aligned with s_low_minus_t: ascending component indices
-    merged_restrictions: tuple  # aligned with s_low_minus_t: images of sorted(Y_j)
+    merged: np.ndarray          # (|s_low_minus_t|, parts) bool: the parts each colour merges
+    merged_images: np.ndarray   # int32: the images of each colour's block Y_j, ascending, in turn
     # the T-graph's forest; it follows from the maps of T, which t_plus_maps holds
     forest: Forest = field(repr=False)
 
@@ -145,9 +146,14 @@ class InfoTuple:
         t = set(self.t_order)
         return tuple(j for j in self.s_low if j not in t)
 
+    @property
+    def merge_lists(self) -> tuple:
+        """Aligned with s_low_minus_t: the indices of the merged parts, ascending."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.merged)
+
     def merged_vertices(self, pos: int) -> tuple:
         """Sorted vertices of the merged block of the pos-th remaining low colour."""
-        return tuple(_block(self.forest, self.merge_lists[pos]).tolist())
+        return tuple(np.flatnonzero(self.merged[pos, self.forest.part_index]).tolist())
 
 
 def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
@@ -157,12 +163,47 @@ def build_info(rack: Rack, params: CodecParams | None = None) -> InfoTuple:
     return _info_from_pass(rack, params, _greedy_pass(rack, params.delta))[0]
 
 
-def _block(forest: Forest, merged) -> np.ndarray:
-    """Field 7's domain Y_j: the vertices of the parts merged (indices into
-    forest.parts), ascending."""
-    in_merged = np.zeros(len(forest.parts), dtype=bool)
-    in_merged[list(merged)] = True
-    return np.flatnonzero(in_merged[forest.part_index])
+def _bitmap_widths(m: int) -> np.ndarray:
+    """The fields of an m-bit bitmap in a block: its bytes, the last one short."""
+    return np.minimum(8, m - np.arange(0, m, 8))
+
+
+def _bitmap_fields(mask: np.ndarray) -> np.ndarray:
+    """Each row of a (k, m) bool mask as the bitmap write_bitmap gives, one
+    int64 per field of _bitmap_widths(m)."""
+    values = np.packbits(mask, axis=1).astype(np.int64)
+    values[:, -1:] >>= -mask.shape[1] % 8
+    return values
+
+
+def _bitmap_members(values: np.ndarray, m: int) -> np.ndarray:
+    """The (k, m) bool mask whose rows have the bitmap fields values."""
+    values = values.astype(np.uint8)
+    values[:, -1:] <<= -m % 8
+    return np.unpackbits(values, axis=1, count=m).view(bool)
+
+
+def _merged_layout(forest: Forest, merged: np.ndarray):
+    """Fields 6 and 7 of the remaining low colours, whose (colours, parts)
+    mask of merged parts is merged.
+
+    Field 6 is each row of merged as a bitmap, in fields of
+    _bitmap_widths(parts).  Field 7 is, colour by colour, the n-bit domain
+    bitmap of the block Y_j and the image of each vertex of Y_j, ascending.
+    Returns (blocks, domains, widths, is_domain, starts) for field 7: the
+    (colours, n) mask of the blocks, their bitmap fields, the width of
+    every field, which fields are bitmap fields, and where each colour's
+    fields start, with the total last.
+    """
+    n = len(forest.part_index)
+    blocks = merged[:, forest.part_index]
+    head = _bitmap_widths(n)
+    starts = np.concatenate([[0], np.cumsum(len(head) + blocks.sum(axis=1))])
+    is_domain = np.zeros(starts[-1], dtype=bool)
+    is_domain[(starts[:-1, None] + np.arange(len(head))).ravel()] = True
+    widths = np.full(starts[-1], uint_width(n), dtype=np.int64)
+    widths[is_domain] = np.tile(head, len(blocks))
+    return blocks, _bitmap_fields(blocks), widths, is_domain, starts
 
 
 def _residual_layout(forest: Forest, unmerged: np.ndarray):
@@ -203,15 +244,8 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy):
 
     # no check that the other parts are kept: a colour in T has every edge
     # inside a part, and a map sending no vertex of a part outside it permutes it
-    s_low_minus_t = [j for j in s_low if j not in t_set]
-    merge_lists = [()] * len(s_low_minus_t)
-    merged_restrictions = [()] * len(s_low_minus_t)
-    rest_maps = rack.array[s_low_minus_t]
-    drops, touched = part_merges(forest, rest_maps)
-    for pos in np.flatnonzero(touched.any(axis=1)).tolist():
-        merge_lists[pos] = tuple(np.flatnonzero(touched[pos]).tolist())
-        block = _block(forest, merge_lists[pos])
-        merged_restrictions[pos] = tuple(rest_maps[pos, block].tolist())
+    rest_maps = rack.array[[j for j in s_low if j not in t_set]]
+    drops, merged = part_merges(forest, rest_maps)
 
     return InfoTuple(
         n=n, delta=params.delta, cap_l=params.cap_l,
@@ -219,8 +253,8 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy):
         high_maps=rack.array[list(s_high)],
         t_restrictions=restrictions,
         t_plus_maps=rack.array[t_plus],
-        merge_lists=tuple(merge_lists),
-        merged_restrictions=tuple(merged_restrictions),
+        merged=merged,
+        merged_images=rest_maps[merged[:, forest.part_index]],
         forest=forest,
     ), drops
 
@@ -246,10 +280,7 @@ def extract_residual(rack: Rack, info: InfoTuple) -> Residual:
     known[list(info.s_high + info.t_plus)] = True
     mins = forest.members[forest.starts]
     reps = mins[~known[mins]]
-    rest = {j: pos for pos, j in enumerate(info.s_low_minus_t)}
-    unmerged = np.ones((len(reps), len(mins)), dtype=bool)
-    for row, v in enumerate(reps.tolist()):
-        unmerged[row, list(info.merge_lists[rest[v]])] = False
+    unmerged = ~info.merged[np.searchsorted(info.s_low_minus_t, reps)]
     images = rack.array[np.ix_(reps, mins)]
     escaped = unmerged & (forest.part_index[images] != np.arange(len(mins)))
     if escaped.any():
@@ -284,21 +315,13 @@ def _zeta(eta) -> float:
 
 
 def _restriction_layout(n: int, t_sorted) -> tuple:
-    """(domain, widths) of one colour's entry in field 4 when it moves as a block.
-
-    An entry is the n-bit domain bitmap of T, then the images of T.  In a
-    block every field is about as wide as a vertex, so the bitmap goes as
-    fields of uint_width(n) bits, whose values are domain; widths lists
-    the field widths of the whole entry.
-    """
-    w_vertex = uint_width(n)
-    bits = np.zeros(n, dtype=np.int64)
-    bits[list(t_sorted)] = 1
-    starts = np.arange(0, n, w_vertex)
-    ends = np.minimum(starts + w_vertex, n)
-    places = np.repeat(ends - 1, ends - starts) - np.arange(n)
-    domain = np.add.reduceat(bits << places, starts)
-    return domain, np.concatenate([ends - starts, np.full(len(t_sorted), w_vertex)])
+    """(domain, widths) of one colour's entry in field 4 when it moves as a
+    block: the n-bit domain bitmap of T, whose fields are domain, then the
+    images of T; widths lists the field widths of the whole entry."""
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, list(t_sorted)] = True
+    return _bitmap_fields(mask)[0], np.concatenate([_bitmap_widths(n),
+                                                    np.full(len(t_sorted), uint_width(n))])
 
 
 def _write_info(w: BitWriter, info: InfoTuple) -> None:
@@ -316,12 +339,16 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
                      np.tile(widths, n))
     for rank in lehmer_ranks(info.t_plus_maps):
         w.write(rank, w_perm)
+    # fields 6 and 7 in one block each: the merge bitmaps, then per colour
+    # the domain bitmap of its block and the block's images
     cp = len(info.gt_components)
-    for merged in info.merge_lists:
-        w.write_bitmap(merged, cp)
-    for pos in range(len(info.merge_lists)):
-        w.write_bitmap(info.merged_vertices(pos), n)
-        w.write_block(info.merged_restrictions[pos], w_vertex)
+    w.write_varblock(_bitmap_fields(info.merged).ravel(),
+                     np.tile(_bitmap_widths(cp), len(info.merged)))
+    _, domains, widths, is_domain, _ = _merged_layout(info.forest, info.merged)
+    values = np.empty(len(widths), dtype=np.int64)
+    values[is_domain] = domains.ravel()
+    values[~is_domain] = info.merged_images
+    w.write_varblock(values, widths)
 
 
 def encode_with_stats(rack: Rack, params: CodecParams | None = None):
@@ -448,8 +475,7 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     t_order = tuple(read_vertices(t_len).tolist())
     if len(set(t_order)) != t_len or not set(t_order) <= low_set:
         raise CorruptStream("invalid t set")
-    t_set = set(t_order)
-    t_cols = np.array(sorted(t_set), dtype=np.intp)
+    t_cols = np.array(sorted(t_order), dtype=np.intp)
 
     # field 4 in one block of whole colours; a colour that over-runs is read
     # field by field, so its errors come in stream order
@@ -488,27 +514,55 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     forest = bfs_forest(t_maps)
     cp = len(forest.parts)
 
-    s_low_minus_t = tuple(j for j in s_low if j not in t_set)
-    merge_lists = [r.read_bitmap(cp) for _ in s_low_minus_t]
-    merged_maps = {}        # colour -> (sorted merged block, its images)
-    for j, merged in zip(s_low_minus_t, merge_lists):
-        domain = _block(forest, merged)
-        if r.read_bitmap(n) != tuple(domain.tolist()):
-            raise CorruptStream(f"merged domain mismatch for colour {j}")
-        images = read_vertices(len(domain))
-        if not np.array_equal(np.sort(images), domain):
-            raise InconsistentDecode(f"merged block of colour {j} is not preserved")
-        merged_maps[j] = (domain, images)
-    merged_index = dict(zip(s_low_minus_t, merge_lists))
+    # field 6 in one block of whole bitmaps; an over-run fails as read_bitmap does
+    in_rest = np.zeros(n, dtype=bool)
+    in_rest[list(s_low)] = True
+    in_rest[t_cols] = False
+    rest = np.flatnonzero(in_rest)      # S \ T, ascending
+    whole = min(len(rest), r.bits_remaining() // cp)
+    bitmap = _bitmap_widths(cp)
+    merged = _bitmap_members(r.read_varblock(np.tile(bitmap, whole)).reshape(whole, len(bitmap)),
+                             cp)
+    if whole < len(rest):
+        r.read_bitmap(cp)
+
+    # field 7 in one block of whole colours, checked together; the colour
+    # that over-runs is read field by field, so its errors come in stream order
+    blocks, domains, widths, is_domain, starts = _merged_layout(forest, merged)
+    bit_ends = np.cumsum(widths)[starts[1:] - 1]
+    whole = int(np.searchsorted(bit_ends, r.bits_remaining(), side="right"))
+    fields = r.read_varblock(widths[:starts[whole]])
+    in_domain = is_domain[:len(fields)]
+    block_row, block_vertex = np.nonzero(blocks[:whole])    # stream order
+    block_images = fields[~in_domain]
+    domains = domains[:whole]
+    wrong_domain = (fields[in_domain].reshape(domains.shape) != domains).any(axis=1)
+    out_of_range = block_images >= n
+    # sorted by (colour, image), which leaves each colour's entries in their
+    # places, a kept block's images are its vertices
+    order = np.lexsort((block_images, block_row))
+    moved = out_of_range | (block_images[order] != block_vertex)
+    bad = np.flatnonzero(wrong_domain | (np.bincount(block_row[moved], minlength=whole) > 0))
+    if bad.size:
+        j = int(bad[0])
+        if wrong_domain[j]:
+            raise CorruptStream(f"merged domain mismatch for colour {rest[j]}")
+        over = np.flatnonzero(out_of_range & (block_row == j))
+        if over.size:
+            raise CorruptStream(f"vertex {block_images[over[0]]} out of range")
+        raise InconsistentDecode(f"merged block of colour {rest[j]} is not preserved")
+    if whole < len(rest):
+        if r.read_bitmap(n) != tuple(np.flatnonzero(blocks[whole]).tolist()):
+            raise CorruptStream(f"merged domain mismatch for colour {rest[whole]}")
+        read_vertices(int(blocks[whole].sum()))
 
     # one residual index per (representative, unmerged part), all in one block:
     # the image of the part's minimum, as a place in the part.  A representative
     # without a map lies in S \ T (T+ contains T), so it has a merge list.
     mins = forest.members[forest.starts]
     reps = mins[~known[mins]]
-    unmerged = np.ones((len(reps), cp), dtype=bool)
-    for pos, v in enumerate(reps.tolist()):
-        unmerged[pos, list(merged_index[v])] = False
+    rep_rows = np.searchsorted(rest, reps)     # each representative's row of merged
+    unmerged = ~merged[rep_rows]
     entry_rep, entry_part, widths = _residual_layout(forest, unmerged)
     idx, error = _read_until_bad(r, widths, np.bincount(forest.part_index)[entry_part],
                                  lambda _: "residual index out of range")
@@ -526,9 +580,10 @@ def _decode_body(n: int, r: BitReader) -> Rack:
         colour_of = restrictions[rows]
         for tail, head, colour in forest.levels:
             images[:, head] = maps[colour_of[:, colour], images[:, tail]]
-        for i, v in enumerate(rows.tolist()):
-            domain, merged_images = merged_maps[v]
-            images[i, domain] = merged_images
+        row_of = np.full(len(rest), -1)     # row of merged -> row of images
+        row_of[rep_rows[:done]] = np.arange(done)
+        mine = row_of[block_row] >= 0
+        images[row_of[block_row[mine]], block_vertex[mine]] = block_images[mine]
         hit = np.zeros((done, n), dtype=bool)
         hit[np.arange(done)[:, None], images] = True
         bad = np.flatnonzero(~hit.all(axis=1))
@@ -554,10 +609,9 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     result = rack_from_table(maps.T)
     if isinstance(result, AxiomReport):
         raise InconsistentDecode("reconstructed maps violate the rack axioms")
-    for j in s_low_minus_t:
-        domain, images = merged_maps[j]
-        if (maps[j, domain] != images).any():
-            raise InconsistentDecode(f"merged restriction mismatch for colour {j}")
+    bad = block_row[maps[rest[block_row], block_vertex] != block_images]
+    if bad.size:
+        raise InconsistentDecode(f"merged restriction mismatch for colour {rest[bad[0]]}")
     bad = np.flatnonzero((maps[:, t_cols] != restrictions).any(axis=1))
     if bad.size:
         raise InconsistentDecode(f"restriction mismatch for colour {bad[0]}")
@@ -612,7 +666,8 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
     post = []
-    for j, drop, merged in zip(info.s_low_minus_t, drops.tolist(), map(len, info.merge_lists)):
+    for j, drop, merged in zip(info.s_low_minus_t, drops.tolist(),
+                               info.merged.sum(axis=1).tolist()):
         post.append((j, drop, merged))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import _min_labels
-from .perms import compose, identity, inverse, is_permutation
+from .perms import compose, inverse, is_permutation
 
 
 class RackError(Exception):
@@ -121,14 +121,26 @@ def _conjugation_violations(cols, n) -> list:
     colours, is in A without a check; so is a z whose map equals a checked
     map.  Every other z is checked, so the violations are exactly those of
     a check of every column: n^2 work per orbit, n^3 in the worst case.
+    The components are joined over a passing colour's edges only when a
+    later z finds no mark under the labels it has.
     """
     label = np.arange(n)                # vertex -> least vertex of its component
     known = np.zeros(n, dtype=bool)     # labels of the components holding a known member of A
     passed = set()                      # maps of the checked columns in A
+    pending = []                        # maps in A whose edges label does not join yet
     out = []
     for z in range(n):
         p = cols[z]
         key = p.tobytes()
+        if pending and not known[label[z]]:
+            # label is finer than the components, so a hit needs no relabel;
+            # on a miss, join the pending edges, and a label that stops
+            # being one keeps its mark, which no vertex can then read
+            merged = _min_labels(n, np.concatenate([label] * len(pending)),
+                                 label[np.concatenate(pending)])
+            known[merged[known]] = True
+            label = merged[label]
+            pending = []
         if key in passed or known[label[z]]:
             known[label[z]] = True
             continue
@@ -143,11 +155,7 @@ def _conjugation_violations(cols, n) -> list:
         if bad.size == 0:
             passed.add(key)
             known[label[z]] = True
-            # join the components over the edges of f_z; a label that stops
-            # being one keeps its mark, which no vertex can then read
-            merged = _min_labels(n, label, label[p])
-            known[merged[known]] = True
-            label = merged[label]
+            pending.append(p)
     out.sort(key=lambda v: (v.witness[1], v.witness[2]))
     return out
 
@@ -261,7 +269,7 @@ def trivial_rack(n: int) -> Rack:
     """x > y = x: every translation is the identity."""
     if n < 1:
         raise ValueError("order must be positive")
-    return Rack([identity(n)] * n)
+    return permutation_rack(range(n))
 
 
 def permutation_rack(perm) -> Rack:
@@ -269,7 +277,11 @@ def permutation_rack(perm) -> Rack:
     perm = tuple(perm)
     if not is_permutation(perm):
         raise ValueError("not a permutation")
-    return Rack([perm] * len(perm))
+    if not perm:
+        raise MalformedTableError("empty map family")
+    # x > y = perm[x]: one column, repeated without copying it
+    column = np.array(perm, dtype=np.int32)[:, None]
+    return Rack.from_table(np.broadcast_to(column, (len(perm), len(perm))))
 
 
 def dihedral_quandle(n: int) -> Rack:
@@ -310,8 +322,9 @@ def conjugation_quandle(group_table) -> Rack:
     """x > y = y^-1 x y over a (checked) group multiplication table."""
     n = table_order(group_table)
     _, inv = _group_check(group_table)
-    table = [[group_table[group_table[inv[y]][x]][y] for y in range(n)] for x in range(n)]
-    return Rack.from_table(table)
+    g, x = np.asarray(group_table), np.arange(n)
+    # x > y = g[g[inv[y]][x]][y], row x and column y
+    return Rack.from_table(g[g[np.array(inv), x[:, None]], x])
 
 
 def alexander_quandle(add_table, tau) -> Rack:
@@ -329,8 +342,9 @@ def alexander_quandle(add_table, tau) -> Rack:
         for b in range(n):
             if tau[add_table[a][b]] != add_table[tau[a]][tau[b]]:
                 raise NotAutomorphismError(f"tau({a}+{b}) != tau({a})+tau({b})")
-    table = [[add_table[tau[add_table[x][neg[y]]]][y] for y in range(n)] for x in range(n)]
-    return Rack.from_table(table)
+    add, x = np.asarray(add_table), np.arange(n)
+    # x > y = add[tau[add[x][neg[y]]]][y], row x and column y
+    return Rack.from_table(add[np.array(tau)[add[x[:, None], np.array(neg)]], x])
 
 
 def cyclic_group_table(n: int):

@@ -6,12 +6,15 @@ convention a conjugate g^-1 f g sends x to (((x)g^-1)f)g.
 
 Lexicographic Lehmer ranks: the digits of 64 maps at a time are bitset popcounts
 in O(n/64) words per map, then about log2(n!)/62 big-int steps make a rank.
+Unranking splits all the ranks at once down a balanced tree of run products,
+one vectorised divmod per level.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -83,6 +86,27 @@ def _runs(n: int):
     return np.array(starts, dtype=np.intp), products, weights, run_of, radix
 
 
+@functools.lru_cache(maxsize=16)
+def _run_tree(n: int):
+    """(n!, pad, levels): a balanced product tree over the runs of [n].
+
+    The runs are padded in front with pad runs of product 1, up to 2^d
+    leaves.  Level l has 2^l nodes, and levels[l] holds, per node, the
+    product of its right half: divmod by it splits the node's value into
+    the values of its two halves, so d levels turn a rank into its runs.
+    """
+    products = _runs(n)[1]
+    pad = (1 << max(len(products) - 1, 0).bit_length()) - len(products)
+    tiers = [[1] * pad + products]
+    while len(tiers[-1]) > 1:
+        tiers.append([a * b for a, b in zip(tiers[-1][::2], tiers[-1][1::2])])
+    levels = tuple(np.array(tier[1::2], dtype=object) for tier in tiers[-2::-1])
+    return tiers[-1][0], pad, levels
+
+
+_divmod = np.frompyfunc(divmod, 2, 2)
+
+
 def _lehmer_digits(perms: np.ndarray) -> np.ndarray:
     """d[r, i] = #{j > i : perms[r, j] < v} = popcount(S_i & below(v)), v = perms[r, i].
 
@@ -125,21 +149,23 @@ def lehmer_ranks(perms) -> list:
 
 def lehmer_unranks(ranks, n: int) -> np.ndarray:
     """Inverse of lehmer_ranks: a (len(ranks), n) int32 array; every rank must
-    lie in [0, n!), and the first that does not raises ValueError."""
-    _, products, weights, run_of, radix = _runs(n)
-    perms = np.empty((len(ranks), n), dtype=np.int32)
-    for lo in range(0, len(ranks), _MAPS):
-        values = []
-        for rank in ranks[lo:lo + _MAPS]:
-            rest, row = rank, []
-            for prod in reversed(products):
-                rest, v = divmod(rest, prod)
-                row.append(v)
-            if rest:    # rank < 0 or rank >= n!, the product of the runs
-                raise ValueError(f"rank {rank} out of range for n={n}")
-            values.append(row[::-1])
-        values = np.array(values, dtype=np.int64).reshape(len(values), len(products))
-        digits = (values[:, run_of] // weights % radix).tolist()
+    lie in [0, n!), and the first that does not raises ValueError.
+
+    The ranks of 64 maps at a time are split into their run values down
+    _run_tree(n), one vectorised divmod per level."""
+    nfact, pad, levels = _run_tree(n)
+    _, _, weights, run_of, radix = _runs(n)
+    values = np.array(list(map(operator.index, ranks)), dtype=object)    # numpy ints too
+    bad = np.flatnonzero((values < 0) | (values >= nfact))
+    if bad.size:
+        raise ValueError(f"rank {values[bad[0]]} out of range for n={n}")
+    perms = np.empty((len(values), n), dtype=np.int32)
+    for lo in range(0, len(values), _MAPS):
+        block = values[lo:lo + _MAPS, None]
+        for divisors in levels:
+            high, low = _divmod(block, divisors)
+            block = np.stack([high, low], axis=2).reshape(len(block), 2 * len(divisors))
+        digits = (block[:, pad:].astype(np.int64)[:, run_of] // weights % radix).tolist()
         perms[lo:lo + len(digits)] = [list(map(list(range(n)).pop, row)) for row in digits]
     return perms
 

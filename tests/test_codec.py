@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import struct
 import tracemalloc
 
@@ -90,7 +91,7 @@ def test_build_info_dihedral3():
     assert info.s_low_minus_t == (1, 2)
     assert info.merge_lists == ((0, 1), (0, 1))
     assert info.merged_vertices(0) == (0, 1, 2)  # colour 1 merges (0,) and (1, 2)
-    assert info.merged_restrictions == ((2, 1, 0), (1, 0, 2))
+    assert info.merged_images.tolist() == [2, 1, 0, 1, 0, 2]    # f_1, then f_2, on (0, 1, 2)
 
 
 def test_build_info_trivial():
@@ -98,7 +99,7 @@ def test_build_info_trivial():
     assert info.s_high == () and info.high_maps.shape == (0, 4)
     assert info.t_order == (0, 1)
     assert all(ms == () for ms in info.merge_lists)
-    assert all(mr == () for mr in info.merged_restrictions)
+    assert info.merged_images.size == 0
     assert info.gt_components == ((0,), (1,), (2,), (3,))
 
 
@@ -326,6 +327,61 @@ def test_decode_matches_the_per_part_decoder_on_truncations():
             assert _outcome(decode, data[:end]) == _outcome(reference_decode, data[:end])
             cases += 1
     assert cases == 3666
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 30, 64, 65, 256])
+def test_bitmap_fields_are_the_bits_of_write_bitmap(m):
+    rng = np.random.default_rng(m)
+    mask = rng.random((5, m)) < 0.4
+    mask[0] = False
+    one_by_one, block = BitWriter(), BitWriter()
+    for row in mask:
+        one_by_one.write_bitmap(np.flatnonzero(row).tolist(), m)
+    values = codec._bitmap_fields(mask)
+    block.write_varblock(values.ravel(), np.tile(codec._bitmap_widths(m), len(mask)))
+    assert block.getvalue() == one_by_one.getvalue()
+    assert (codec._bitmap_members(values, m) == mask).all()
+
+
+def _merged_fields(rack, params):
+    """(stream, field 6 start, field 7 start, field 7 end, nonempty merge lists),
+    as bit positions in the stream, 10-byte header included."""
+    data, stats, info = codec._encode_with_info(rack, params)
+    lists = len(info.s_low_minus_t)
+    field6 = lists * len(info.gt_components)
+    field7 = lists * rack.n + len(info.merged_images) * (rack.n - 1).bit_length()
+    end = 80 + stats.header_bits
+    return data, end - field7 - field6, end - field7, end, int(info.merged.any(axis=1).sum())
+
+
+def test_decode_matches_the_per_part_decoder_inside_fields_6_and_7():
+    # bit flips inside the merge lists and the merged blocks, and cuts inside
+    # field 7, of racks with many merge lists: the same outcome in either decoder
+    rng = random.Random(67)
+    outcomes, nonempty = set(), 0
+    for make in (commuting_rack, pair_swap_rack):
+        for n in (30, 48):
+            rack = make(n, 1)
+            for params in param_grid(n):
+                data, start6, start7, end7, lists = _merged_fields(rack, params)
+                nonempty += lists
+                if start6 == end7:
+                    continue
+                cases = []
+                for bit in rng.sample(range(start6, end7), min(16, end7 - start6)):
+                    corrupt = bytearray(data)
+                    corrupt[bit // 8] ^= 0x80 >> bit % 8
+                    cases.append(bytes(corrupt))
+                cuts = range(start7 // 8 + 1, (end7 - 1) // 8 + 1)
+                cases += [data[:end] for end in rng.sample(cuts, min(4, len(cuts)))]
+                for case in cases:
+                    expected = _outcome(reference_decode, case)
+                    assert _outcome(decode, case) == expected
+                    if isinstance(expected[0], type):
+                        outcomes.add(re.sub(r"\d+", "#", expected[1]))
+    assert nonempty > 100
+    assert {"merged domain mismatch for colour #", "vertex # out of range",
+            "merged block of colour # is not preserved", "need # bits at position #"} <= outcomes
 
 
 # the nine single-bit flips of the corpus streams, all in conj_s3 under

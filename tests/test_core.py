@@ -485,6 +485,56 @@ def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
         assert relabels == [rack.n] * checks
 
 
+def test_axiom_check_relabels_only_on_a_stale_miss(monkeypatch):
+    # f_0 = f_1 = id, f_2 = (0 1).  Columns 0 and 2 pass.  The identity joins
+    # nothing, and no column after 2 looks its edges up, so the one relabel
+    # is column 1's miss, where relabelling after each passing column made two
+    relabels = []
+    original = core._min_labels
+
+    def counting(*args):
+        relabels.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(core, "_min_labels", counting)
+    assert axiom_report(((0, 0, 1), (1, 1, 0), (2, 2, 2))).is_rack
+    assert relabels == [3]
+
+
+def test_families_build_the_racks_of_their_formulas():
+    # numpy-built tables give the racks, reprs and errors of the Python formulas
+    def python_rack(table):
+        return Rack.from_table([list(row) for row in table])
+
+    for n in (1, 2, 5, 9):
+        assert trivial_rack(n) == python_rack([[x] * n for x in range(n)])
+        sigma = random.Random(n).sample(range(n), n)
+        rack = permutation_rack(sigma)
+        assert rack == python_rack([[sigma[x]] * n for x in range(n)])
+        assert repr(rack) == repr(Rack([sigma] * n))
+        g = cyclic_group_table(n)
+        inv = [(-a) % n for a in range(n)]
+        assert conjugation_quandle(g) == python_rack(
+            [[g[g[inv[y]][x]][y] for y in range(n)] for x in range(n)])
+        tau = tuple(a * (n - 1) % n for a in range(n))
+        assert alexander_quandle(g, tau) == python_rack(
+            [[g[tau[g[x][inv[y]]]][y] for y in range(n)] for x in range(n)])
+    s3 = symmetric_group_table(3)
+    assert conjugation_quandle(s3).array.flags.writeable is False
+    with pytest.raises(ValueError, match="^not a permutation$"):
+        permutation_rack((0, 0))
+    with pytest.raises(MalformedTableError, match="^empty map family$"):
+        permutation_rack(())
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        trivial_rack(0)
+    with pytest.raises(NotAGroupError, match="NoIdentity"):
+        conjugation_quandle(((1, 0), (1, 1)))
+    with pytest.raises(NotAbelianError):
+        alexander_quandle(s3, tuple(range(6)))
+    with pytest.raises(NotAutomorphismError):
+        alexander_quandle(cyclic_group_table(3), (1, 2, 0))
+
+
 def test_from_table_checks_the_table_once(monkeypatch):
     calls = []
     original = core.table_order

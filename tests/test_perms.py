@@ -129,6 +129,51 @@ def test_lehmer_unranks_names_the_first_rank_out_of_range():
         lehmer_unranks([0, -1, bad], n)
 
 
+@pytest.mark.parametrize("n, runs, pad", [(20, 1, 0), (21, 2, 0), (256, 29, 3)])
+def test_lehmer_unranks_splits_through_the_run_tree(n, runs, pad):
+    # one run needs no split; 29 runs are padded to 32 leaves, 5 levels
+    nfact, tree_pad, levels = perms._run_tree(n)
+    assert len(perms._runs(n)[1]) == runs and tree_pad == pad
+    assert nfact == math.factorial(n)
+    depth = (runs + pad).bit_length() - 1
+    assert [len(level) for level in levels] == [2 ** i for i in range(depth)]
+    rng = random.Random(n)
+    rows = [list(range(n)), list(range(n - 1, -1, -1))] + [rng.sample(range(n), n)
+                                                        for _ in range(perms._MAPS + 3)]
+    ranks = [reference_lehmer_rank(row) for row in rows]
+    assert ranks[:2] == [0, nfact - 1]
+    maps = lehmer_unranks(ranks, n)
+    assert maps.dtype == np.int32 and maps.tolist() == rows
+
+
+def test_lehmer_unranks_checks_every_rank_before_the_split():
+    # the first bad rank is named even past the first block of 64 maps, and
+    # before a later negative one
+    n = 256
+    nfact = math.factorial(n)
+    ranks = [random.Random(i).randrange(nfact) for i in range(100)]
+    ranks[70], ranks[90] = nfact, -5
+    with pytest.raises(ValueError, match=f"^rank {nfact} out of range for n={n}$"):
+        lehmer_unranks(ranks, n)
+    ranks[70] = 0
+    with pytest.raises(ValueError, match=f"^rank -5 out of range for n={n}$"):
+        lehmer_unranks(ranks, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 20, 256])
+def test_lehmer_unranks_of_no_ranks(n):
+    maps = lehmer_unranks([], n)
+    assert maps.dtype == np.int32 and maps.shape == (0, n)
+
+
+def test_lehmer_unranks_takes_numpy_int_ranks():
+    # the tree's divisors pass 2**63 at n = 30, so ranks become Python ints first
+    ranks = [0, 5, 2 ** 62]
+    maps = lehmer_unranks(np.array(ranks, dtype=np.int64), 30)
+    assert maps.tolist() == lehmer_unranks(ranks, 30).tolist()
+    assert lehmer_unrank(np.int64(5), 30) == tuple(maps[1].tolist())
+
+
 def test_lehmer_rank_memory_is_linear_in_n():
     # an n x n/64 table of bitsets would take 32 MB here
     n = 16384
