@@ -18,13 +18,14 @@ column.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import _min_labels
-from .perms import compose, inverse, is_permutation
+from .perms import compose, is_permutation
 
 
 class RackError(Exception):
@@ -292,30 +293,33 @@ def dihedral_quandle(n: int) -> Rack:
     return Rack.from_table((2 * x - x[:, None]) % n)
 
 
+GROUP_BLOCK_ENTRIES = 1 << 18  # (a, b, c) triples compared at once by _group_check
+
+
 def _group_check(table):
-    """Return (identity, inverses) of a group table; raise NotAGroupError."""
+    """Return (identity, inverses) of a group table; raise NotAGroupError.
+
+    Associativity compares (ab)c with a(bc) in blocks of rows a, so its
+    witness is the lexicographically first failing (a, b, c).
+    """
     n = table_order(table)
-    e = None
-    for c in range(n):
-        if all(table[c][b] == b for b in range(n)) and all(table[a][c] == a for a in range(n)):
-            e = c
-            break
-    if e is None:
+    g, x = np.asarray(table, dtype=np.intp), np.arange(n)
+    units = np.flatnonzero((g == x).all(axis=1) & (g == x[:, None]).all(axis=0))
+    if not len(units):
         raise NotAGroupError("NoIdentity", ())
-    inv = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == e and table[b][a] == e:
-                inv[a] = b
-                break
-        if inv[a] is None:
-            raise NotAGroupError("NoInverse", (a,))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAGroupError("NotAssociative", (a, b, c))
-    return e, inv
+    e = int(units[0])
+    pairs = (g == e) & (g.T == e)
+    found = pairs.any(axis=1)
+    if not found.all():
+        raise NotAGroupError("NoInverse", (int(found.argmin()),))
+    step = max(1, GROUP_BLOCK_ENTRIES // (n * n))
+    for a in range(0, n, step):
+        rows = g[a:a + step]
+        bad = g[rows] != rows[:, g]
+        if bad.any():
+            i, b, c = np.unravel_index(bad.argmax(), bad.shape)
+            raise NotAGroupError("NotAssociative", (a + int(i), int(b), int(c)))
+    return e, pairs.argmax(axis=1)
 
 
 def conjugation_quandle(group_table) -> Rack:
@@ -324,7 +328,7 @@ def conjugation_quandle(group_table) -> Rack:
     _, inv = _group_check(group_table)
     g, x = np.asarray(group_table), np.arange(n)
     # x > y = g[g[inv[y]][x]][y], row x and column y
-    return Rack.from_table(g[g[np.array(inv), x[:, None]], x])
+    return Rack.from_table(g[g[inv, x[:, None]], x])
 
 
 def alexander_quandle(add_table, tau) -> Rack:
@@ -344,7 +348,7 @@ def alexander_quandle(add_table, tau) -> Rack:
                 raise NotAutomorphismError(f"tau({a}+{b}) != tau({a})+tau({b})")
     add, x = np.asarray(add_table), np.arange(n)
     # x > y = add[tau[add[x][neg[y]]]][y], row x and column y
-    return Rack.from_table(add[np.array(tau)[add[x[:, None], np.array(neg)]], x])
+    return Rack.from_table(add[np.array(tau)[add[x[:, None], neg]], x])
 
 
 def cyclic_group_table(n: int):
@@ -382,34 +386,34 @@ def dihedral_group_table(m: int):
 # ---------------------------------------------------------------------------
 # canonical form
 
+@functools.lru_cache(maxsize=None)
+def _relabelings(n):
+    """Gather indices from a rack's flat array to all n! relabeled tables.
+
+    For psi over the permutations of [n] and phi = psi^-1, row x of the
+    relabeled table is phi[table[psi[x], psi[y]]] over y, and table[x, y]
+    is array[y, x].  Returns (cells, offsets, phi): row k of cells reads the
+    flat array in table order under psi_k, and phi holds the inverses flat,
+    so phi_k[v] is phi[offsets[k] + v].
+    """
+    psi = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    cells = (psi[:, None, :] * n + psi[:, :, None]).reshape(len(psi), n * n)
+    return cells, n * np.arange(len(psi))[:, None], np.argsort(psi, axis=1).ravel()
+
+
 def canonical_form(rack: Rack):
     """Lexicographically minimal operation table over all relabelings.
 
-    Equal canonical tables characterise isomorphic racks.  Full n! scan with
-    row-level pruning; intended for n <= 8.
+    Equal canonical tables characterise isomorphic racks.  One gather
+    builds all n! relabeled tables, so it is meant for n <= 8.
     """
     n = rack.n
-    table = rack.table
-    best = None
-    for psi in itertools.permutations(range(n)):
-        phi = inverse(psi)
-        rows = []
-        better = False
-        worse = False
-        for x in range(n):
-            row = tuple(phi[table[psi[x]][psi[y]]] for y in range(n))
-            if best is not None and not better:
-                if row > best[x]:
-                    worse = True
-                    break
-                if row < best[x]:
-                    better = True
-            rows.append(row)
-        if worse:
-            continue
-        if best is None or better:
-            best = tuple(rows)
-    return best
+    cells, offsets, phi = _relabelings(n)
+    tables = phi[rack.array.ravel()[cells] + offsets]
+    # a row read as one base-n numeral keeps the lexicographic row order
+    codes = tables.reshape(-1, n, n) @ n ** np.arange(n - 1, -1, -1)
+    best = tables[np.lexsort(codes.T[::-1])[0]].reshape(n, n)
+    return tuple(map(tuple, best.tolist()))
 
 
 # ---------------------------------------------------------------------------

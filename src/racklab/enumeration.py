@@ -5,10 +5,18 @@ checking: once maps y and z are both set, the map of (y)f_z is forced
 to f_z^-1 f_y f_z, so conflicting branches are pruned early.  Racks are
 emitted in lexicographic order of the concatenated map tuples
 (f_0, ..., f_{n-1}), each exactly once.  The search runs on lexicographic
-ranks of S_n and reads conjugates from a rank table.  Classes are counted
-with one canonical form each: the first rack of a class marks its whole
-orbit seen.  A naive full-scan oracle with no shared search code is
-provided for cross-checking at tiny orders.
+ranks of S_n and reads conjugates from a rank table; at each free column
+one numpy pass over all ranks drops those that clash with a set column
+before forward checking starts.
+
+Classes are counted without the labeled stream.  A relabeling that fixes
+0 conjugates f_0 inside Stab(0), so every class has a rack whose f_0 is
+the first permutation of its key (cycle type, length of 0's cycle); the
+search runs from those first columns only.  Each output's orbit key is
+the least of its n! relabeled rank tuples, all read with one gather from
+the rank table, and the number of tuples equal to it is |Aut|.  A naive
+full-scan oracle with no shared search code is provided for
+cross-checking at tiny orders.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,13 +35,14 @@ import numpy as np
 from .core import AxiomReport, Rack, canonical_form, format_rack, rack_from_table
 from .perms import all_permutations
 
-MAX_ORDER = 7        # hard cap; orders above 6 are slow in practice
+MAX_ORDER = 7        # hard cap: the rank table is (n!)^2 entries, 50 MB at n = 7
 ORACLE_MAX_ORDER = 3
+ORBIT_BATCH = 64     # search outputs deduplicated per numpy batch
 
 # External reference class counts, shown in reports as "reference (unverified)".
 # Never asserted by tests; the in-repo oracle is the only trusted source.
-REFERENCE_RACK_CLASSES = {1: 1, 2: 2, 3: 6, 4: 19, 5: 74, 6: 353}
-REFERENCE_QUANDLE_CLASSES = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 73}
+REFERENCE_RACK_CLASSES = {1: 1, 2: 2, 3: 6, 4: 19, 5: 74, 6: 353, 7: 2080}
+REFERENCE_QUANDLE_CLASSES = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 73, 7: 298}
 
 
 class OrderTooLarge(Exception):
@@ -59,8 +68,8 @@ def _tables(n):
     """Rank tables of S_n, (perms, conj), built on first use of each order.
 
     perms lists the permutations of [n] in lexicographic order, so rank
-    order is stream order; conj[r][s] is the rank of f_s^-1 f_r f_s.  Rows
-    are uint16 arrays: 1 MB in all at n = 6, 50 MB at n = 7.
+    order is stream order; conj[r, s] is the rank of f_s^-1 f_r f_s, in
+    one uint16 array: 1 MB at n = 6, 50 MB at n = 7.
     """
     if not 1 <= n <= MAX_ORDER:
         raise (OrderOutOfRange if n < 1 else OrderTooLarge)(
@@ -72,12 +81,18 @@ def _tables(n):
     weights = n ** np.arange(n - 1, -1, -1)
     rank_of = np.zeros(n ** n, dtype=np.uint16)
     rank_of[a @ weights] = np.arange(len(perms))
-    conj = []
-    for f in a:
+    conj = np.empty((len(perms), len(perms)), dtype=np.uint16)
+    for r, f in enumerate(a):
         # row r: x -> g[f[g^-1[x]]] for every g at once
-        images = np.take_along_axis(a, f[inv], axis=1)
-        conj.append(array("H", rank_of[images @ weights].tobytes()))
+        conj[r] = rank_of[np.take_along_axis(a, f[inv], axis=1) @ weights]
+    conj.flags.writeable = False
     return perms, conj
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(n):
+    """The rows of the rank table as memoryviews, which index to Python ints."""
+    return [memoryview(row) for row in _tables(n)[1]]
 
 
 def _propagate(known, col, rank, perms, conj):
@@ -127,13 +142,36 @@ def _propagate(known, col, rank, perms, conj):
     return trail
 
 
+@functools.lru_cache(maxsize=None)
+def _images(n):
+    """images[q, r] = (q)f_r, one contiguous row per point q."""
+    return np.array(_tables(n)[0], dtype=np.intp).T.copy()
+
+
+def _candidates(n, known):
+    """Ranks r that pass _propagate's first checks at a free column.
+
+    For every set column q whose image (q)f_r is set, the conjugation rule
+    needs f_{(q)f_r} = f_r^-1 f_q f_r, which has rank conj[f_q, r]; numpy
+    tests that for all r at once, and _propagate does the rest.
+    """
+    images, conj = _images(n), _tables(n)[1]
+    ranks = np.array([-1 if r is None else r for r in known])
+    ok = np.ones(len(conj), dtype=bool)
+    for q, fq in enumerate(known):
+        if fq is not None:
+            found = ranks[images[q]]
+            ok &= (found < 0) | (found == conj[fq])
+    return np.flatnonzero(ok).tolist()
+
+
 def _search(n, perms, conj, known, col):
     while col < n and known[col] is not None:
         col += 1
     if col == n:
         yield tuple(known)
         return
-    for r in range(len(perms)):
+    for r in _candidates(n, known):
         trail = _propagate(known, col, r, perms, conj)
         if trail is None:
             continue
@@ -143,24 +181,24 @@ def _search(n, perms, conj, known, col):
 
 
 def _branch(n, rank):
-    perms, conj = _tables(n)
+    """Rank tuples of the racks whose f_0 has this rank, in stream order."""
+    perms, conj = _tables(n)[0], _rows(n)
     known = [None] * n
     if _propagate(known, 0, rank, perms, conj) is None:
         return []
     return list(_search(n, perms, conj, known, 1))
 
 
-def _labeled_ranks(n, jobs):
-    """Rank tuples (r_0, ..., r_{n-1}) of every rack on [n], in stream order."""
-    perms, conj = _tables(n)
+def _branches(n, ranks, jobs):
+    """_branch over each first-column rank in ranks, concatenated in order."""
     jobs = min(jobs, os.cpu_count() or 1)    # a fork pool starts all workers at once
     if jobs <= 1:
-        yield from _search(n, perms, conj, [None] * n, 0)
+        for rank in ranks:
+            yield from _branch(n, rank)
         return
-    # branches over the first column are independent; merging them in first
-    # column order keeps the stream identical to the serial one
+    # branches are independent; merging them in rank order keeps the serial order
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_branch, n, rank) for rank in range(len(perms))]
+        futures = [pool.submit(_branch, n, rank) for rank in ranks]
         for fut in futures:
             yield from fut.result()
 
@@ -168,35 +206,80 @@ def _labeled_ranks(n, jobs):
 def enumerate_labeled(n: int, jobs: int = 1):
     """Yield every rack on [n], each once, ordered by the concatenated maps."""
     perms = _tables(n)[0]
-    for ranks in _labeled_ranks(n, jobs):
+    for ranks in _branches(n, range(len(perms)), jobs):
         yield Rack(tuple(perms[r] for r in ranks))
 
 
-def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
-    """Labeled stream deduplicated by whole orbits, one canonical form per class.
+def _key_ranks(n):
+    """The least rank of each key (cycle type, length of 0's cycle), ascending.
 
-    The first labeled rack of each class is built with the checked Rack
-    constructor, and all n! relabelings of it are marked seen: relabeling by
-    phi sends r_y to out[phi[y]] = conj[r_y][rank of phi].  So every counted
-    rack is either checked itself or a relabeling of a checked rack.
+    Two maps share a key iff they are conjugate by a permutation fixing 0,
+    and those permutations have the first (n-1)! ranks.
+    """
+    return sorted(set(_tables(n)[1][:, :math.factorial(n - 1)].min(axis=1).tolist()))
+
+
+def _lexmin_rows(a):
+    """Mask over a's second-to-last axis of the rows equal to the least row.
+
+    Rows compare lexicographically along the last axis; leading axes are
+    independent batches.  Entries must be below the dtype's maximum.
+    """
+    keep = np.ones(a.shape[:-1], dtype=bool)
+    top = np.iinfo(a.dtype).max
+    for col in np.moveaxis(a, -1, 0):
+        col = np.where(keep, col, top)
+        keep &= col == col.min(axis=-1, keepdims=True)
+    return keep
+
+
+@functools.lru_cache(maxsize=None)
+def _relabel_cells(n):
+    """cells[k, x] = N phi_k^-1[x] + k over the N permutations phi_k of [n].
+
+    Read in the n rows of conj that a rank tuple selects, laid end to end,
+    cell [k, x] is position x of the tuple relabeled by phi_k.
+    """
+    perms = np.array(_tables(n)[0], dtype=np.intp)
+    return len(perms) * np.argsort(perms, axis=1) + np.arange(len(perms))[:, None]
+
+
+def _orbits(n, batch):
+    """(keys, auts): the orbit key and |Aut| of each rank tuple in batch.
+
+    Relabeling by the k-th permutation phi moves rank r_y to conj[r_y, k]
+    at position phi[y], so position x of the k-th relabeled tuple reads
+    conj[r_{phi^-1[x]}, k]: one gather of the tuple's n rows of conj, then
+    one take through _relabel_cells.  The key is the least relabeled tuple,
+    and the relabelings that reach it form a coset of Aut.
+    """
+    rows = _tables(n)[1][np.asarray(batch, dtype=np.intp)].reshape(len(batch), -1)
+    relabeled = np.take(rows, _relabel_cells(n), axis=1)
+    least = _lexmin_rows(relabeled)
+    return relabeled[np.arange(len(batch)), least.argmax(axis=1)], least.sum(axis=1)
+
+
+def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
+    """One witness per isomorphism class, from the key-rank branches only.
+
+    The search outputs are deduplicated by orbit key in batches.  The first
+    output of each class is built with the checked Rack constructor, its one
+    axiom check, and gives the witness canonical_form(rack).  The labeled
+    count is the sum of n!/|Aut| over the classes.
     """
     start = time.perf_counter()
-    perms, conj = _tables(n)
+    perms = _tables(n)[0]
+    found = {}  # orbit key -> (first rank tuple, |Aut|)
+    outputs = _branches(n, _key_ranks(n), jobs)
+    while batch := list(itertools.islice(outputs, ORBIT_BATCH)):
+        for ranks, key, aut in zip(batch, *_orbits(n, batch)):
+            found.setdefault(key.tobytes(), (ranks, int(aut)))
     canon = {}
-    seen = set()
     labeled = 0
-    for ranks in _labeled_ranks(n, jobs):
-        labeled += 1
-        if ranks in seen:
-            continue
+    for ranks, aut in found.values():
         rack = Rack(tuple(perms[r] for r in ranks))
         canon[canonical_form(rack)] = rack.is_quandle
-        rows = [conj[r] for r in ranks]
-        out = [0] * n
-        for k, phi in enumerate(perms):
-            for y, row in enumerate(rows):
-                out[phi[y]] = row[k]
-            seen.add(tuple(out))
+        labeled += math.factorial(n) // aut
     return EnumReport(
         n=n, labeled_count=labeled, class_count=len(canon),
         quandle_class_count=sum(1 for q in canon.values() if q),

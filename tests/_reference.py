@@ -1,9 +1,11 @@
 """Independent references that the tests check the library against.
 
 Each is a plain, slow implementation of something the library computes in
-a faster or more specialised way: isomorphism search for canonical_form,
-the self-distributive identity for the orbit-closure axiom check,
-union-find components and the merge calculus on raw edge multisets for
+a faster or more specialised way: isomorphism search and the pruned n!
+scan for canonical_form, the triple loop for the group check's numpy
+associativity blocks, the self-distributive identity for the
+orbit-closure axiom check, union-find components and the merge calculus
+on raw edge multisets for
 the numpy labelling behind components, build_info and the audit, exact
 rational zeta for the zeta sweep's block scorer, per-root FIFO BFS trees
 and tuple conjugation for the BFS forest, the decoder and find_W that
@@ -14,6 +16,7 @@ lazy greedy with a heap for the block-scored greedy ordering.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 import struct
@@ -23,9 +26,10 @@ from fractions import Fraction
 from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
-from racklab.core import AxiomReport, Rack, Violation, rack_from_table, table_order, trivial_rack
+from racklab.core import (AxiomReport, NotAGroupError, Rack, Violation, rack_from_table,
+                          table_order, trivial_rack)
 from racklab.graph import ColoredDigraph, ComponentStructure, out_degrees, rack_graph
-from racklab.perms import conjugate, is_permutation, lehmer_unrank
+from racklab.perms import conjugate, inverse, is_permutation, lehmer_unrank
 
 
 class UnionFind:
@@ -132,6 +136,58 @@ def find_isomorphism(r1: Rack, r2: Rack):
     if extend(phi, set()):
         return tuple(phi)
     return None
+
+
+def canonical_form(rack: Rack):
+    """Lexicographically minimal operation table: full n! scan, row pruning."""
+    n = rack.n
+    table = rack.table
+    best = None
+    for psi in itertools.permutations(range(n)):
+        phi = inverse(psi)
+        rows = []
+        better = False
+        worse = False
+        for x in range(n):
+            row = tuple(phi[table[psi[x]][psi[y]]] for y in range(n))
+            if best is not None and not better:
+                if row > best[x]:
+                    worse = True
+                    break
+                if row < best[x]:
+                    better = True
+            rows.append(row)
+        if worse:
+            continue
+        if best is None or better:
+            best = tuple(rows)
+    return best
+
+
+def group_check(table):
+    """(identity, inverses) of a group table by plain loops; raise NotAGroupError."""
+    n = table_order(table)
+    e = None
+    for c in range(n):
+        if all(table[c][b] == b for b in range(n)) and all(table[a][c] == a for a in range(n)):
+            e = c
+            break
+    if e is None:
+        raise NotAGroupError("NoIdentity", ())
+    inv = [None] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == e and table[b][a] == e:
+                inv[a] = b
+                break
+        if inv[a] is None:
+            raise NotAGroupError("NoInverse", (a,))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise NotAGroupError("NotAssociative", (a, b, c))
+    return e, inv
 
 
 def component_structure(n: int, pairs) -> ComponentStructure:

@@ -10,15 +10,16 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      NotAGroupError, NotARackError, NotAutomorphismError, Rack,
                      RackParseError, Violation, alexander_quandle, axiom_report,
                      canonical_form, conjugation_quandle, cyclic_group_table, decode,
-                     dihedral_quandle, encode, format_rack, parse_rack_table,
-                     permutation_rack, rack_from_table, symmetric_group_table,
-                     trivial_rack)
-from racklab import core
+                     dihedral_group_table, dihedral_quandle, encode, format_rack,
+                     parse_rack_table, permutation_rack, rack_from_table,
+                     symmetric_group_table, trivial_rack)
+from racklab import core, enumerate_classes
 from racklab.core import table_order
 from racklab.perms import compose, inverse, is_permutation
 
 from _corpus import family_racks, pair_swap_rack, random_relabeling, random_table
-from _reference import find_isomorphism, satisfies_rack_axioms
+from _reference import canonical_form as reference_canonical_form
+from _reference import find_isomorphism, group_check, satisfies_rack_axioms
 
 
 def test_trivial_rack():
@@ -218,6 +219,37 @@ def test_not_a_group():
         conjugation_quandle(no_id)
 
 
+def _group_outcome(check, table):
+    try:
+        e, inv = check(table)
+    except NotAGroupError as exc:
+        return exc.kind, exc.witness
+    return e, [int(v) for v in inv]
+
+
+def test_group_check_matches_the_triple_loop():
+    rng = random.Random(19)
+    groups = ([symmetric_group_table(k) for k in range(1, 5)]
+              + [dihedral_group_table(m) for m in range(1, 7)])
+    kinds = set()
+    for group in groups:
+        n = len(group)
+        tables = [group]
+        for _ in range(40):
+            # two entries swapped: most swaps break the identity, an inverse
+            # or associativity, and some leave a group
+            rows = [list(row) for row in group]
+            a, b, c, d = (rng.randrange(n) for _ in range(4))
+            rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
+            tables.append(rows)
+        for table in tables:
+            got = _group_outcome(core._group_check, table)
+            assert got == _group_outcome(group_check, table)
+            assert all(type(v) is int for v in got[1])
+            kinds.add(got[0])
+    assert {"NoIdentity", "NoInverse", "NotAssociative"} <= kinds
+
+
 def test_alexander_quandles():
     z3 = cyclic_group_table(3)
     assert alexander_quandle(z3, (0, 2, 1)) == dihedral_quandle(3)
@@ -265,6 +297,16 @@ def test_canonical_form_invariance():
         assert canonical_form(Rack.from_table(canon)) == canon  # idempotent
         for _ in range(3):
             assert canonical_form(random_relabeling(rng, rack)) == canon
+
+
+def test_canonical_form_matches_the_full_scan_on_every_class():
+    rng = random.Random(29)
+    for n in range(1, 6):
+        for table in enumerate_classes(n).witnesses:
+            rack = Rack.from_table(table)
+            for _ in range(2):
+                relabeled = random_relabeling(rng, rack)
+                assert canonical_form(relabeled) == reference_canonical_form(relabeled) == table
 
 
 def test_canonical_form_separates():

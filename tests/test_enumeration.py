@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 from concurrent.futures import Future
@@ -6,11 +7,12 @@ from concurrent.futures import Future
 import pytest
 
 from racklab import enumeration
-from racklab import (canonical_form, component_out_degree_constant, decode,
+from racklab import (Rack, canonical_form, component_out_degree_constant, decode,
                      encode, enumerate_classes, enumerate_labeled,
                      oracle_enumerate)
 from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, OrderOutOfRange,
-                                 OrderTooLarge, REFERENCE_RACK_CLASSES, _tables)
+                                 OrderTooLarge, REFERENCE_RACK_CLASSES, _key_ranks,
+                                 _orbits, _tables)
 from racklab.perms import all_permutations, conjugate
 
 from _corpus import random_relabeling
@@ -106,7 +108,8 @@ def test_reference_values_are_informational():
 
 # sha256 of repr([rack.maps for rack in enumerate_labeled(n)]) and of
 # repr(enumerate_classes(n).witnesses), computed before enumeration moved to
-# permutation ranks; the stream order and the classes must not change
+# permutation ranks (n = 6: before classes were searched from key ranks only);
+# the stream order and the classes must not change
 STREAM_SHA256 = {
     4: "c90e03616bc8b04ddbdd3d5dd25452564e3bcff757b51bccfe5649158bd00d87",
     5: "9e8aa589336b71adce378cdf5e18cd6f29608932f0dff3ac11ec54584348afd4",
@@ -114,6 +117,7 @@ STREAM_SHA256 = {
 WITNESS_SHA256 = {
     4: "5fa2fcf0e1600762fd5fb6d5031cb9445f026fa8fe9e58a60fe118ac7c42d602",
     5: "5079829637025310fe531e447acb132cfc3c50f82969ac7f0f75f821a370ebc0",
+    6: "6c0b2def17033828946165a06ed074d8a7fa3e488c8c7b450eca50fe5391ca26",
 }
 
 
@@ -128,6 +132,48 @@ def test_stream_and_witnesses_are_pinned(n):
     rep = enumerate_classes(n)
     assert rep.labeled_count == len(stream)
     assert _sha256(rep.witnesses) == WITNESS_SHA256[n]
+
+
+def test_classes_are_pinned_at_order_6():
+    rep = enumerate_classes(6)
+    assert (rep.labeled_count, rep.class_count, rep.quandle_class_count) == (36538, 353, 73)
+    assert _sha256(rep.witnesses) == WITNESS_SHA256[6]
+
+
+def _cycle_key(p):
+    """(sorted cycle lengths of p, length of 0's cycle)."""
+    lengths = []
+    seen = set()
+    for start in range(len(p)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = p[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths)), lengths[0]
+
+
+def test_key_ranks_are_the_least_rank_of_each_key():
+    assert [len(_key_ranks(n)) for n in (5, 6, 7)] == [12, 19, 30]
+    for n in range(1, 8):
+        first = {}
+        for rank, p in enumerate(all_permutations(n)):
+            first.setdefault(_cycle_key(p), rank)
+        assert _key_ranks(n) == sorted(first.values())
+
+
+def test_orbit_key_and_automorphism_count_match_brute_force():
+    for n in range(1, 5):
+        perms = _tables(n)[0]
+        rank = {p: r for r, p in enumerate(perms)}
+        for table in enumerate_classes(n).witnesses:
+            rack = Rack.from_table(table)
+            relabeled = [rack.relabel(phi) for phi in itertools.permutations(range(n))]
+            keys, auts = _orbits(n, [tuple(rank[f] for f in rack.maps)])
+            assert auts.tolist() == [sum(r == rack for r in relabeled)]
+            assert keys[0].tolist() == list(min(
+                tuple(rank[f] for f in r.maps) for r in relabeled))
 
 
 def test_conjugation_table_matches_conjugate():
