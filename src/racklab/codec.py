@@ -24,7 +24,8 @@ stream order.  It allocates the n x n int32 maps after field 4, unranks
 fields 2 and 5 into them in one call, rebuilds the representative maps
 down the forest, conjugates the rest into place one depth at a time, and
 hands the array to rack_from_table.  The encoder reads maps and
-restrictions as rows and columns of Rack.array.
+restrictions as rows and columns of Rack.array.  Ranks, degrees and drops
+are computed once per distinct map, on its least colour (distinct_rows).
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -46,7 +47,7 @@ from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
 from .graph import (Forest, bfs_forest, conjugate_along_forest, distinct_heads,
                     greedy_merge_order, part_merges)
-from .perms import lehmer_ranks, lehmer_unranks
+from .perms import distinct_rows, lehmer_ranks, lehmer_unranks
 
 MAGIC = b"RKE1"
 
@@ -104,7 +105,7 @@ class CodecParams:
 
 def degree_split(rack: Rack, delta: int):
     """(low, high): elements with out-degree <= delta in the full rack graph, rest."""
-    low = distinct_heads(rack.array)[1].sum(axis=0) <= delta
+    low = distinct_heads(rack.array[distinct_rows(rack.array)[0]])[1].sum(axis=0) <= delta
     return tuple(np.flatnonzero(low).tolist()), tuple(np.flatnonzero(~low).tolist())
 
 

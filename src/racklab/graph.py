@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import is_permutation
+from .perms import distinct_rows, is_permutation
 
 
 class ColoredDigraph:
@@ -263,19 +263,20 @@ def part_merges(forest: Forest, rows: np.ndarray):
     whose edges join the parts of forest: the drop in part count, and a
     (k, parts) mask of the parts merged with at least one other part.
 
-    Rows are scored _BLOCK_ROWS at a time by _merges, with every vertex
-    labelled by its part's minimum.
+    Each distinct row is scored once, _BLOCK_ROWS at a time, by _merges,
+    with every vertex labelled by its part's minimum.
     """
     mins = forest.members[forest.starts]
     comp = mins[forest.part_index].astype(np.int32)
-    drops = np.empty(len(rows), dtype=np.int64)
-    touched = np.empty((len(rows), len(mins)), dtype=bool)
-    for start in range(0, len(rows), _BLOCK_ROWS):
+    first, inverse = distinct_rows(rows)
+    drops = np.empty(len(first), dtype=np.int64)
+    touched = np.empty((len(first), len(mins)), dtype=bool)
+    for start in range(0, len(first), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        drops[block], label = _merges(comp, rows[block])
+        drops[block], label = _merges(comp, rows[first[block]])
         group = label[:, mins]     # each part's merged group, named by its least node
         touched[block] = np.bincount(group.ravel(), minlength=label.size)[group] > 1
-    return drops, touched
+    return drops[inverse], touched[inverse]
 
 
 def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
@@ -294,26 +295,29 @@ def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
     one min-label pass over the nodes (row, part), so the working memory
     stays O(_BLOCK_ROWS n) beside one int32 copy of the candidate maps.
     Once cp is 1 or the best drop is 0, the rest follow in label order.
+    Only the least colour of each distinct map is scored: a repeat ties its
+    drop but loses on label, and its drop is 0 once that colour is picked.
     """
     colours = sorted(candidates)
     rows = _candidate_rows(n, maps_by_color, colours)
     k = len(colours)
+    first = distinct_rows(rows)[0]      # the positions of the least colours
     # (bound, -label) packed as bound * k - position: larger is picked first;
     # a picked colour's key is done, below every live key
-    key = n * k - np.arange(k)
+    key = n * k - first
     done = -k
     comp = np.arange(n, dtype=np.int32)
     cp = n
     order = []
     cps = []
-    while cp > 1 and len(order) < k:
-        queue = np.argsort(-key)[:k - len(order)]
+    while cp > 1 and len(order) < len(first):
+        queue = np.argsort(-key)[:len(first) - len(order)]
         best_key = done
         start, size = 0, 1
         while start < queue.size:
             block = queue[start:start + size]
-            drops, labels = _merges(comp, rows[block])
-            fresh = drops * k - block
+            drops, labels = _merges(comp, rows[first[block]])
+            fresh = drops * k - first[block]
             key[block] = fresh
             i = fresh.argmax()
             if fresh[i] > best_key:
@@ -328,9 +332,10 @@ def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
         key[best] = done
         comp = merged[comp]
         cp -= best_drop
-        order.append(colours[best])
+        order.append(colours[first[best]])
         cps.append(cp)
-    rest = [colours[i] for i in np.flatnonzero(key > done).tolist()]
+    picked = set(order)
+    rest = [c for c in colours if c not in picked]
     return tuple(order + rest), tuple(cps + [cp] * len(rest))
 
 

@@ -7,7 +7,8 @@ convention a conjugate g^-1 f g sends x to (((x)g^-1)f)g.
 Lexicographic Lehmer ranks: the digits of 64 maps at a time are bitset popcounts
 in O(n/64) words per map, then about log2(n!)/62 big-int steps make a rank.
 Unranking splits all the ranks at once down a balanced tree of run products,
-one vectorised divmod per level.
+one vectorised divmod per level.  Both rank and unrank each distinct map once
+(distinct_rows, or equal ranks) and copy the result to its repeats.
 """
 
 from __future__ import annotations
@@ -132,26 +133,44 @@ def _lehmer_digits(perms: np.ndarray) -> np.ndarray:
     return digits
 
 
+def distinct_rows(rows: np.ndarray):
+    """(first, inverse) for a (k, n) array: first holds, ascending, the index
+    of each distinct row's first occurrence, and inverse maps every row to
+    its place in first, so rows == rows[first][inverse]."""
+    k, n = rows.shape
+    if not k * n:       # no rows, or k equal empty rows
+        return np.arange(min(k, 1)), np.zeros(k, dtype=np.intp)
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(index)       # np.unique sorts by key; renumber by first row
+    return index[order], np.argsort(order)[inverse]
+
+
 def lehmer_ranks(perms) -> list:
     """Lexicographic ranks of the rows of a (k, n) int array or sequence, as
-    Python ints: each run of Lehmer digits is one int64, the runs one int."""
+    Python ints: each run of Lehmer digits is one int64, the runs one int.
+    Each distinct row is ranked once."""
+    if not len(perms):
+        return []
+    perms = np.asarray(perms, dtype=np.int64)
+    first, inverse = distinct_rows(perms)
     ranks = []
-    for lo in range(0, len(perms), _MAPS):
-        block = np.asarray(perms[lo:lo + _MAPS], dtype=np.int64)
+    for lo in range(0, len(first), _MAPS):
+        block = perms[first[lo:lo + _MAPS]]
         starts, products, weights, _, _ = _runs(block.shape[1])
         for row in np.add.reduceat(_lehmer_digits(block) * weights, starts, axis=1).tolist():
             rank = 0
             for prod, v in zip(products, row):
                 rank = rank * prod + v
             ranks.append(rank)
-    return ranks
+    return list(map(ranks.__getitem__, inverse.tolist()))
 
 
 def lehmer_unranks(ranks, n: int) -> np.ndarray:
     """Inverse of lehmer_ranks: a (len(ranks), n) int32 array; every rank must
     lie in [0, n!), and the first that does not raises ValueError.
 
-    The ranks of 64 maps at a time are split into their run values down
+    The distinct ranks, 64 at a time, are split into their run values down
     _run_tree(n), one vectorised divmod per level."""
     nfact, pad, levels = _run_tree(n)
     _, _, weights, run_of, radix = _runs(n)
@@ -159,15 +178,18 @@ def lehmer_unranks(ranks, n: int) -> np.ndarray:
     bad = np.flatnonzero((values < 0) | (values >= nfact))
     if bad.size:
         raise ValueError(f"rank {values[bad[0]]} out of range for n={n}")
-    perms = np.empty((len(values), n), dtype=np.int32)
-    for lo in range(0, len(values), _MAPS):
-        block = values[lo:lo + _MAPS, None]
+    index = {}      # distinct rank -> its row of perms
+    inverse = [index.setdefault(v, len(index)) for v in values.tolist()]
+    distinct = np.array(list(index), dtype=object)
+    perms = np.empty((len(distinct), n), dtype=np.int32)
+    for lo in range(0, len(distinct), _MAPS):
+        block = distinct[lo:lo + _MAPS, None]
         for divisors in levels:
             high, low = _divmod(block, divisors)
             block = np.stack([high, low], axis=2).reshape(len(block), 2 * len(divisors))
         digits = (block[:, pad:].astype(np.int64)[:, run_of] // weights % radix).tolist()
         perms[lo:lo + len(digits)] = [list(map(list(range(n)).pop, row)) for row in digits]
-    return perms
+    return perms[inverse]
 
 
 def lehmer_rank(p) -> int:

@@ -16,7 +16,7 @@ from racklab import (CodecParams, CorruptStream, EncodeConsistencyError,
                      encode, encode_with_stats, encoding_stats, enumerate_labeled,
                      extract_residual, merge_bound_audit, permutation_rack,
                      rack_graph, symmetric_group_table, trivial_rack)
-from racklab import codec, core
+from racklab import codec, core, perms
 from racklab.bits import BitWriter
 from racklab.codec import MAGIC, CodecError, CodecParamsError
 from racklab.core import dihedral_group_table
@@ -659,6 +659,31 @@ def test_encode_order_over_header_limit_is_typed():
     stub = broadcast_trivial_rack(65536)
     with pytest.raises(OrderTooLargeForHeader, match="u16 header limit 65535"):
         encode(stub)
+
+
+def test_each_distinct_map_is_ranked_and_unranked_once(monkeypatch):
+    # a permutation rack has one map: field 5 holds it for every colour of
+    # T+, and the stream keeps one rank per colour
+    rack = permutation_rack(from_cycles(64, [tuple(range(0, 64, 2)), (1, 3, 5)]))
+    info = build_info(rack)
+    assert len(info.t_plus) > 1 and not info.s_high
+    rows, split = [], []
+
+    def digits(block):
+        rows.append(len(block))
+        return lehmer_digits(block)
+
+    def divmod_(block, divisors):
+        split.append(len(block))
+        return run_divmod(block, divisors)
+
+    lehmer_digits, run_divmod = perms._lehmer_digits, perms._divmod
+    monkeypatch.setattr(perms, "_lehmer_digits", digits)
+    monkeypatch.setattr(perms, "_divmod", divmod_)
+    data = encode(rack)
+    assert rows == [1]
+    assert decode(data) == rack
+    assert split and set(split) == {1}     # one rank down every level of the run tree
 
 
 def test_one_greedy_pass_per_encode(monkeypatch):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      degree_split, dihedral_quandle, enumerate_labeled,
-                     merge_bound_audit, out_degrees, rack_graph, to_dot, trivial_rack)
+                     merge_bound_audit, out_degrees, permutation_rack, rack_graph, to_dot,
+                     trivial_rack)
 from racklab.graph import (bfs_forest, conjugate_along_forest, cycle_types, distinct_heads,
-                           greedy_merge_order)
+                           greedy_merge_order, part_merges)
 from racklab.perms import identity
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
-                     param_grid)
+                     pair_swap_rack, param_grid, random_relabeling)
 from _reference import (UnionFind, bfs_tree, component_structure, conjugates_along_tree,
                         count_components_with, graph_components, lazy_greedy_merge_order,
                         multigraph_component_count, multigraph_merged_parts, successors,
@@ -463,3 +464,57 @@ def test_to_dot():
     dot = to_dot(g)
     assert "0 -> 1" in dot and '[label="1"]' in dot
     assert dot == to_dot(g)
+
+
+def repeated_map_racks():
+    """Relabeled racks whose colours share maps, as pytest params.  Pair-swap
+    racks have n/2 maps, permutation racks one, and a dihedral quandle of
+    order 2m has f_y = f_{y+m}."""
+    rng = random.Random(20)
+    racks = [("pair_swap_64", pair_swap_rack(64, 1)), ("pair_swap_256", pair_swap_rack(256, 2)),
+             ("commuting_48", commuting_rack(48, 3)),
+             ("permutation_64", permutation_rack(from_cycles(64, [tuple(range(0, 64, 2)),
+                                                                 (1, 3, 5)]))),
+             ("trivial_16", permutation_rack(identity(16))),
+             ("dihedral_12", dihedral_quandle(12)), ("dihedral_128", dihedral_quandle(128))]
+    return [pytest.param(random_relabeling(rng, rack), id=name) for name, rack in racks]
+
+
+@pytest.mark.parametrize("rack", repeated_map_racks())
+def test_greedy_and_split_on_repeated_maps_match_full_scans(rack):
+    n = rack.n
+    assert len(np.unique(rack.array, axis=0)) < n
+    # out-degree counted over every colour's map, repeats included
+    degrees = distinct_heads(rack.array)[1].sum(axis=0)
+    for delta in sorted({0, 1, 2, int(degrees.max()), n}):
+        low, high = degree_split(rack, delta)
+        assert low == tuple(np.flatnonzero(degrees <= delta).tolist())
+        assert high == tuple(np.flatnonzero(degrees > delta).tolist())
+    maps = dict(enumerate(rack.maps))
+    candidates = [c for c in range(n) if c % 3]
+    for chosen in (range(n), candidates):
+        assert greedy_merge_order(n, maps, chosen) == lazy_greedy_merge_order(n, maps, chosen)
+
+
+@pytest.mark.parametrize("rack", repeated_map_racks()[:3])
+def test_part_merges_of_repeated_rows_match_row_by_row(rack):
+    forest = bfs_forest(rack.array[:3])
+    drops, touched = part_merges(forest, rack.array)
+    for j, row in enumerate(rack.array):
+        drop, mask = part_merges(forest, row[None])
+        assert drops[j] == drop[0] and (touched[j] == mask[0]).all()
+
+
+def test_greedy_names_a_repeated_bad_row_by_its_first_colour():
+    n = 6
+    good = tuple(range(1, n)) + (0,)
+    for bad in ((0,) * n, tuple(range(n - 1)), tuple(range(n)) + (0,)):
+        # the same bad row at colours 3, 7 and 75 (in a later block); the
+        # valid rows repeat too
+        maps = {c: good for c in range(80)}
+        for c in (75, 7, 3):
+            maps[c] = bad
+        with pytest.raises(ValueError, match=rf"^colour 3: not a permutation of \[{n}\]$"):
+            greedy_merge_order(n, maps, sorted(maps, reverse=True))
+        with pytest.raises(ValueError, match=r"^colour 3: "):
+            lazy_greedy_merge_order(n, maps, maps)

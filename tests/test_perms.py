@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racklab import perms
-from racklab.perms import (all_permutations, compose, conjugate, identity, inverse,
-                           is_permutation, lehmer_rank, lehmer_ranks, lehmer_unrank,
+from racklab.perms import (all_permutations, compose, conjugate, distinct_rows, identity,
+                           inverse, is_permutation, lehmer_rank, lehmer_ranks, lehmer_unrank,
                            lehmer_unranks)
 
 from _corpus import from_cycles
@@ -172,6 +172,67 @@ def test_lehmer_unranks_takes_numpy_int_ranks():
     maps = lehmer_unranks(np.array(ranks, dtype=np.int64), 30)
     assert maps.tolist() == lehmer_unranks(ranks, 30).tolist()
     assert lehmer_unrank(np.int64(5), 30) == tuple(maps[1].tolist())
+
+
+@st.composite
+def repeated_rows(draw, max_n=40):
+    """(n, rows): k <= 70 rows of [n], each a copy of one of a few distinct
+    permutations, so most rows repeat an earlier one."""
+    n = draw(st.integers(0, max_n))
+    bases = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), max_size=70))
+    return n, [list(bases[i]) for i in picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows())
+def test_distinct_rows_names_each_distinct_row_by_its_first_occurrence(family):
+    n, rows = family
+    table = np.array(rows, dtype=np.int32).reshape(len(rows), n)
+    first, inverse = distinct_rows(table)
+    expected = [i for i, row in enumerate(rows) if row not in rows[:i]]
+    assert first.tolist() == expected
+    assert inverse.tolist() == [expected.index(rows.index(row)) for row in rows]
+    assert np.array_equal(table[first][inverse], table)
+
+
+@pytest.mark.parametrize("k, n, first", [(0, 0, []), (0, 5, []), (3, 0, [0]), (1, 4, [0])])
+def test_distinct_rows_of_empty_shapes(k, n, first):
+    got, inverse = distinct_rows(np.zeros((k, n), dtype=np.int64))
+    assert got.tolist() == first and inverse.tolist() == [0] * k
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_rows(max_n=70))
+@example((0, [[]] * 3))
+@example((1, [[0]] * 2))
+@example((5, []))
+def test_lehmer_ranks_of_repeated_rows_match_the_reference(family):
+    n, rows = family
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    ranks = lehmer_ranks(table)
+    assert ranks == [reference_lehmer_rank(row) for row in rows]
+    assert lehmer_ranks([tuple(row) for row in rows]) == ranks
+    maps = lehmer_unranks(ranks, n)
+    assert maps.dtype == np.int32 and maps.shape == (len(rows), n)
+    assert maps.tolist() == rows
+    if n <= 20:     # 20! < 2**63: the ranks fit numpy int64s
+        assert lehmer_unranks(np.array(ranks, dtype=np.int64), n).tolist() == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.lists(st.integers(-3, 3), min_size=1, max_size=80))
+def test_repeated_bad_ranks_name_the_first_in_input_order(n, offsets):
+    # an offset o < 0 is the rank o, o = 0 the rank 0, and o > 0 the rank
+    # n! - 2 + o: the last rank at o = 1, out of range at o = 2 or 3
+    nfact = math.factorial(n)
+    ranks = [o if o < 0 else nfact - 2 + o if o > 0 else 0 for o in offsets]
+    bad = [r for r in ranks if not 0 <= r < nfact]
+    if not bad:
+        assert lehmer_unranks(ranks, n).tolist() == [list(lehmer_unrank(r, n)) for r in ranks]
+        return
+    with pytest.raises(ValueError, match=f"^rank {bad[0]} out of range for n={n}$"):
+        lehmer_unranks(ranks, n)
 
 
 def test_lehmer_rank_memory_is_linear_in_n():
