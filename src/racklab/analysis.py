@@ -1,17 +1,17 @@
 """Numerical and probabilistic verification of the codec's supporting bounds.
 
-Every check returns a JSON-ready dict {check, params, seed, statistic,
-bound, pass, ...}.  Randomness comes from numpy's default PCG64 generator
-(or the stdlib Mersenne Twister where noted), seeded explicitly; Monte
-Carlo trials are drawn in fixed-size chunks with per-chunk derived seeds
-(seed, chunk index), so results do not depend on how work is scheduled.
-Tail estimates are accepted up to bound + 3 standard errors: the bounds
-are one-sided guarantees and sampling noise must not flake the checks.
+Every check returns a JSON-ready dict {check, params, seed, statistic, bound,
+pass, ...}.  Randomness comes from numpy's default PCG64 generator (or the
+stdlib Mersenne Twister where noted), seeded explicitly; Monte Carlo trials
+are drawn in fixed-size chunks with per-chunk derived seeds (seed, chunk
+index), so results do not depend on how work is scheduled.  The Chernoff
+check draws a chunk's tail counts, not its trials, from their multinomial law.
+Tail estimates are accepted up to bound + 3 standard errors: the bounds are
+one-sided guarantees and sampling noise must not flake the checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -43,12 +43,19 @@ def claim_calc_gap(x: float, y: float) -> float:
 ZETA_BLOCK_ENTRIES = 1 << 15  # rows x n entries scored at once by the zeta sweep
 
 
-def _row_blocks(rows, width: int, size: int):
-    """int64 arrays of at most size rows each, from an iterator of width-long rows."""
-    while chunk := list(itertools.islice(rows, size)):
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int64,
-                           count=len(chunk) * width)
-        yield flat.reshape(len(chunk), width)
+def _compositions(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the weak compositions of n into n parts in lexicographic order.
+    A row is n - 1 bars among 2n - 1 slots; reflected, the bar sets run in reverse colex
+    order, so each bar is a binomial search on the colex rank (unranked blocks stay small)."""
+    rank = math.comb(2 * n - 1, n - 1) - np.arange(stop, start, -1)    # ascending
+    rows, prev = np.empty((stop - start, n), dtype=np.int64)[::-1], -1
+    for j in range(n - 1, 0, -1):
+        table = np.array([math.comb(c, j) for c in range(2 * n - 1)])
+        c = np.searchsorted(table, rank, side="right") - 1
+        rank -= table[c]
+        rows[:, n - 1 - j], prev = 2 * n - 3 - c - prev, 2 * n - 2 - c
+    rows[:, n - 1] = 2 * n - 2 - prev
+    return rows[::-1]
 
 
 def _score_block(eta: np.ndarray):
@@ -102,11 +109,8 @@ def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
         raise CheckParameterError("n >= 1 required")
     size = max(1, ZETA_BLOCK_ENTRIES // n)
     if n <= 10:
-        # stars and bars: the (n-1)-subsets of 2n - 1 slots in lexicographic
-        # order give the compositions in lexicographic order
-        bars = _row_blocks(itertools.combinations(range(2 * n - 1), n - 1), n - 1, size)
-        blocks = (np.diff(np.pad(b, ((0, 0), (1, 1)), constant_values=(-1, 2 * n - 1))) - 1
-                  for b in bars)
+        total = math.comb(2 * n - 1, n - 1)
+        blocks = (_compositions(n, i, min(i + size, total)) for i in range(0, total, size))
         mode = "exhaustive"
     else:
         if trials < 1:
@@ -166,26 +170,41 @@ def _run_chunks(worker, trials: int, chunk: int, threads: int):
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
+def _tail_cells(n: int, p: float, eps: float, block: int = 1 << 16) -> np.ndarray:
+    """Masses of Binomial(n, p) in both tails, the lower only, the upper only and neither:
+    X >= (1+eps)np and X <= (1-eps)np in floats.  The pmf is summed over np +- (10 sd + 30),
+    which misses under 1e-17 of the mass, block terms at a time, in log space from
+    log pmf(first) and log pmf(k+1) - log pmf(k) = log(n-k) - log(k+1) + log(p/(1-p))."""
+    mean, half = n * p, 10 * math.sqrt(n * p * (1 - p)) + 30
+    first, last = max(0, math.floor(mean - half)), min(n, math.ceil(mean + half))
+    at = (math.lgamma(n + 1) - math.lgamma(first + 1) - math.lgamma(n - first + 1)
+          + first * math.log(p) + (n - first) * math.log1p(-p))
+    cells = np.zeros(4)
+    for start in range(first, last + 1, block):
+        ks = np.arange(start, min(last, start + block) + 1)     # and the next block's first k
+        steps = np.log(n - ks[:-1]) - np.log1p(ks[:-1]) + (math.log(p) - math.log1p(-p))
+        logs = at + np.concatenate(([0.0], np.cumsum(steps)))
+        at, ks, logs = logs[-1], ks[:block], logs[:block]
+        cell = 3 - (ks >= (1 + eps) * mean) - 2 * (ks <= (1 - eps) * mean)
+        cells += np.bincount(cell, weights=np.exp(logs), minlength=4)
+    return cells / cells.sum()
+
+
 def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
                    chunk: int = 10_000, threads: int = 1) -> dict:
-    """Binomial tail estimates against exp(-eps^2 np/3) and exp(-eps^2 np/2)."""
+    """Binomial tail estimates against exp(-eps^2 np/3) and exp(-eps^2 np/2), from
+    counts drawn per chunk of b trials as Multinomial(b, _tail_cells(n, p, eps))."""
     if not (0 < p < 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1) and eps in (0,1] required")
     if n < 0 or trials < 1:
         raise CheckParameterError("n >= 0 and trials >= 1 required")
-    mean = n * p
-
-    def worker(idx, b):
-        rng = np.random.default_rng((seed, idx))
-        x = rng.binomial(n, p, size=b)
-        return int((x >= (1 + eps) * mean).sum()), int((x <= (1 - eps) * mean).sum())
-
-    counts = _run_chunks(worker, trials, chunk, threads)
-    hi = sum(c[0] for c in counts)
-    lo = sum(c[1] for c in counts)
-    est_hi, est_lo = hi / trials, lo / trials
-    bound_hi = math.exp(-eps * eps * mean / 3)
-    bound_lo = math.exp(-eps * eps * mean / 2)
+    cells = _tail_cells(n, p, eps)
+    draws = _run_chunks(lambda idx, b: np.random.default_rng((seed, idx)).multinomial(b, cells),
+                        trials, chunk, threads)
+    both, lower, upper, _ = sum(draws).tolist()
+    est_hi, est_lo = (both + upper) / trials, (both + lower) / trials
+    bound_hi = math.exp(-eps * eps * (n * p) / 3)
+    bound_lo = math.exp(-eps * eps * (n * p) / 2)
     ok_hi = est_hi <= bound_hi + 3 * _tail_se(est_hi, trials)
     ok_lo = est_lo <= bound_lo + 3 * _tail_se(est_lo, trials)
     return {
@@ -219,7 +238,6 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     jm[np.nonzero(first)[1], order[first]] = 1.0
     del order, first    # not kept through the trials
     d = jm.sum(axis=1, dtype=np.float64)
-    active = d > 0
     delta = d * p
     thresh = (1 - eps) * delta
     direct = n <= 63
@@ -246,17 +264,13 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
         return size, j_part, d_part
 
     parts = _run_chunks(worker, trials, chunk, threads)
-    size_hits = sum(part[0] for part in parts)
-    j_hits = sum(part[1] for part in parts)
-    d_hits = sum(part[2] for part in parts)
+    size_hits, j_hits, d_hits = (sum(column) for column in zip(*parts))
 
     size_est = size_hits / trials
     size_bound = math.exp(-eps * eps * n * p / 3)
     ok = size_est <= size_bound + 3 * _tail_se(size_est, trials)
     worst = {"vertex": None, "estimate": 0.0, "bound": 1.0, "margin": -1.0}
-    for v in range(n):
-        if not active[v]:
-            continue
+    for v in np.flatnonzero(d > 0).tolist():
         bound_v = math.exp(-eps * eps * delta[v] / 2)
         for hits in (j_hits, d_hits) if direct else (j_hits,):
             est = hits[v] / trials

@@ -123,7 +123,7 @@ def _conjugation_violations(cols, n) -> list:
     map.  Every other z is checked, so the violations are exactly those of
     a check of every column: n^2 work per orbit, n^3 in the worst case.
     The components are joined over a passing colour's edges only when a
-    later z finds no mark under the labels it has.
+    later z whose map has not passed finds no mark under the labels it has.
     """
     label = np.arange(n)                # vertex -> least vertex of its component
     known = np.zeros(n, dtype=bool)     # labels of the components holding a known member of A
@@ -133,7 +133,7 @@ def _conjugation_violations(cols, n) -> list:
     for z in range(n):
         p = cols[z]
         key = p.tobytes()
-        if pending and not known[label[z]]:
+        if pending and key not in passed and not known[label[z]]:
             # label is finer than the components, so a hit needs no relabel;
             # on a miss, join the pending edges, and a label that stops
             # being one keeps its mark, which no vertex can then read

@@ -7,7 +7,10 @@ associativity blocks, the self-distributive identity for the
 orbit-closure axiom check, union-find components and the merge calculus
 on raw edge multisets for
 the numpy labelling behind components, build_info and the audit, exact
-rational zeta for the zeta sweep's block scorer, per-root FIFO BFS trees
+rational zeta for the zeta sweep's block scorer, stars and bars and a
+row-by-row sweep for the exhaustive sweep's numpy compositions, binomial
+tails in exact integers and one Binomial draw per trial for the Chernoff
+check's tail counts, per-root FIFO BFS trees
 and tuple conjugation for the BFS forest, the decoder and find_W that
 walked them one part at a time for their array forms, and the union-find
 lazy greedy with a heap for the block-scored greedy ordering.
@@ -23,9 +26,11 @@ import struct
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
-from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
+from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, _zeta, degree_split
 from racklab.core import (AxiomReport, NotAGroupError, Rack, Violation, rack_from_table,
                           table_order, trivial_rack)
 from racklab.graph import ColoredDigraph, ComponentStructure, out_degrees, rack_graph
@@ -277,6 +282,70 @@ def zeta_of_exact(eta):
         inv += Fraction(e, q)
         logs += Fraction(e * k, q)
     return inv * logs
+
+
+def weak_compositions(n: int):
+    """The weak compositions of n into n parts in lexicographic order: stars
+    and bars, the (n-1)-subsets of 2n - 1 slots in lexicographic order."""
+    for bars in itertools.combinations(range(2 * n - 1), n - 1):
+        edges = (-1,) + bars + (2 * n - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def zeta_sweep(n: int) -> dict:
+    """zeta_bound_sweep(n)'s exhaustive report, one composition at a time:
+    codec._zeta's float, or the exact Fraction where every size is a power of two."""
+    bound = Fraction(n * n, 4)
+    count = violations = 0
+    max_zeta, argmax, equality = -1.0, None, []
+    for eta in weak_compositions(n):
+        count += 1
+        exact = zeta_of_exact(eta)
+        zeta = _zeta(eta) if exact is None else float(exact)
+        if exact is None:
+            violations += zeta > n * n / 4 + 1e-9
+        else:
+            violations += exact > bound
+            if exact == bound:
+                equality.append(list(eta))
+        if zeta > max_zeta:
+            max_zeta, argmax = zeta, list(eta)
+    two_only = [0 if q != 2 else n for q in range(1, n + 1)]
+    ok = violations == 0 and equality == ([two_only] if n >= 2 else [])
+    if n >= 2:
+        ok = ok and abs(max_zeta - n * n / 4) <= 1e-9
+    return {
+        "check": "zeta-sweep",
+        "params": {"n": n, "mode": "exhaustive", "count": count, "trials": 0},
+        "seed": 0,
+        "statistic": {"max_zeta": max_zeta, "argmax": argmax, "equality_cases": equality},
+        "bound": n * n / 4,
+        "pass": ok,
+    }
+
+
+def binomial_tail(n: int, p: float, accept) -> float:
+    """P(accept(X)) for X ~ Binomial(n, p), exactly for p = a/d, its binary value:
+    the sum of math.comb(n, k) a^k (d-a)^(n-k) over accepted k, divided by d^n."""
+    a, d = p.as_integer_ratio()
+    total, power = 0, 1     # by Horner in d - a; power = a^k
+    for k in range(n + 1):
+        total = total * (d - a) + (math.comb(n, k) * power if accept(k) else 0)
+        power *= a
+    return float(Fraction(total, d ** n))
+
+
+def chernoff_trial_tails(n: int, p: float, eps: float, trials: int, seed: int = 0,
+                         chunk: int = 10_000) -> tuple:
+    """(upper, lower) tail estimates of chernoff_check from one Binomial(n, p)
+    draw per trial, in its chunks with its per-chunk seeds."""
+    mean = n * p
+    hi = lo = 0
+    for idx, done in enumerate(range(0, trials, chunk)):
+        x = np.random.default_rng((seed, idx)).binomial(n, p, size=min(chunk, trials - done))
+        hi += int((x >= (1 + eps) * mean).sum())
+        lo += int((x <= (1 - eps) * mean).sum())
+    return hi / trials, lo / trials
 
 
 def lazy_greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,16 +117,6 @@ def test_zeta_sweep_reports_are_pinned():
         _assert_native(report)
 
 
-def _weak_compositions(total, parts):
-    # reference order: the first part varies slowest
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _assert_scored_like_reference(rows):
     n = len(rows[0])
     zeta, exact, equal, over = analysis._score_block(np.array(rows, dtype=np.int64))
@@ -144,7 +136,7 @@ def _assert_scored_like_reference(rows):
 
 def test_score_block_matches_the_reference_on_every_composition():
     for n in range(1, 9):
-        _assert_scored_like_reference(list(_weak_compositions(n, n)))
+        _assert_scored_like_reference(list(_reference.weak_compositions(n)))
 
 
 def test_zeta_sweep_does_not_depend_on_the_block_size(monkeypatch):
@@ -182,6 +174,78 @@ def test_score_block_decides_equality_past_int64():
     zeta, exact, equal, over = analysis._score_block(row)
     assert exact[0] and equal[0] and not over[0]
     assert zeta[0] == n * n / 4
+
+
+def test_compositions_match_stars_and_bars():
+    for n in range(1, 11):
+        rows = [list(eta) for eta in _reference.weak_compositions(n)]
+        assert analysis._compositions(n, 0, len(rows)).tolist() == rows
+        third = len(rows) // 3
+        for start, stop in ((0, 1), (third, 2 * third + 1), (len(rows) - 1, len(rows))):
+            assert analysis._compositions(n, start, stop).tolist() == rows[start:stop]
+
+
+def test_zeta_sweep_matches_the_row_by_row_reference():
+    for n in range(1, 11):
+        assert zeta_bound_sweep(n) == _reference.zeta_sweep(n), n
+
+
+def _exact_tails(n, p, eps):
+    mean = n * p
+    return (_reference.binomial_tail(n, p, lambda k: k >= (1 + eps) * mean),
+            _reference.binomial_tail(n, p, lambda k: k <= (1 - eps) * mean))
+
+
+# (n, p, eps): n = 0 and 1; thresholds on an integer ((1+eps)np, (1-eps)np =
+# 3 and 1, 4 and 0, 6 and 4, 4 and 2); p next to 0 and 1; n = 2,000
+TAIL_GRID = [(0, 0.5, 0.5), (1, 0.5, 0.5), (1, 0.3, 1.0), (4, 0.5, 0.5), (8, 0.25, 1.0),
+             (10, 0.5, 0.2), (12, 0.25, 1 / 3), (37, 0.7, 0.3), (100, 1e-9, 1.0),
+             (100, 0.999, 0.001), (2000, 1e-9, 0.5), (2000, 1 - 1e-9, 0.5), (2000, 0.3, 0.1)]
+
+
+@pytest.mark.parametrize("n,p,eps", TAIL_GRID)
+def test_tail_cells_match_exact_binomial_tails(n, p, eps):
+    upper, lower = _exact_tails(n, p, eps)
+    for block in (1 << 16, 7):    # one block, and many with the log carried across
+        both, lower_only, upper_only, neither = analysis._tail_cells(n, p, eps, block).tolist()
+        assert abs(both + upper_only - upper) <= 1e-12
+        assert abs(both + lower_only - lower) <= 1e-12
+        assert abs(both + lower_only + upper_only + neither - 1) <= 1e-12
+        assert both == (1.0 if n == 0 else 0.0)
+
+
+def test_chernoff_check_at_n_zero_counts_every_trial_in_both_tails():
+    stat = chernoff_check(0, 0.5, 0.5, trials=1_000, seed=2)["statistic"]
+    assert stat == {"upper_tail": 1.0, "lower_tail": 1.0}
+
+
+def test_chernoff_check_at_large_n_is_fast_and_small():
+    # the pmf window has about 20 sd = 290,000 terms here, summed in blocks
+    start = time.perf_counter()
+    report = chernoff_check(10**9, 0.3, 0.001, trials=20_000)
+    assert time.perf_counter() - start < 1.0
+    assert report["statistic"] == {"upper_tail": 0.0, "lower_tail": 0.0}
+    tracemalloc.start()
+    try:
+        chernoff_check(10**9, 0.3, 0.001, trials=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n,p,eps", [(1000, 0.1, 0.5), (400, 0.2, 0.2), (50, 0.1, 1.0)])
+def test_chernoff_tail_counts_follow_the_per_trial_law(n, p, eps):
+    # drawn counts and one Binomial draw per trial both land within 4 SE of
+    # the exact tails
+    trials = 20_000
+    exact = _exact_tails(n, p, eps)
+    stat = chernoff_check(n, p, eps, trials=trials, seed=7)["statistic"]
+    drawn = (stat["upper_tail"], stat["lower_tail"])
+    per_trial = _reference.chernoff_trial_tails(n, p, eps, trials, seed=7)
+    for estimates in (drawn, per_trial):
+        for est, tail in zip(estimates, exact):
+            assert abs(est - tail) <= 4 * math.sqrt(tail * (1 - tail) / trials) + 1e-12
 
 
 def test_chernoff_check():

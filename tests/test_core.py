@@ -509,8 +509,8 @@ def test_not_a_rack_error_from_constructor():
 
 
 def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
-    # every passing column check relabels the components once; a column in
-    # the component of a passing one, or with its map, is not checked
+    # a column with the map of a passing one, or in the component of one, is
+    # not checked, and only a column with a new map looks up a stale label
     relabels = []
     original = core._min_labels
 
@@ -520,11 +520,16 @@ def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
 
     monkeypatch.setattr(core, "_min_labels", counting)
     cycle = tuple(range(1, 7)) + (0,)
-    for rack, checks in ((trivial_rack(6), 1), (permutation_rack(cycle), 1),
+    for rack, checks in ((trivial_rack(6), 0), (permutation_rack(cycle), 0),
                          (dihedral_quandle(8), 2), (dihedral_quandle(9), 2)):
         relabels.clear()
         assert axiom_report(rack.table).is_rack
         assert relabels == [rack.n] * checks
+    # the axiom checks of the 19 + 74 class representatives at n = 4 and 5
+    relabels.clear()
+    for n in (4, 5):
+        enumerate_classes(n)
+    assert len(relabels) == 105
 
 
 def test_axiom_check_relabels_only_on_a_stale_miss(monkeypatch):
