@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from racklab import CodecParams, dihedral_quandle, encode, format_rack, trivial_rack
+from racklab import (CodecParams, dihedral_quandle, encode, format_rack, rack_graph, to_dot,
+                     trivial_rack)
 from racklab import analysis, cli, codec, enumeration
 from racklab.cli import main
 
@@ -366,6 +367,30 @@ def test_audit_and_stats_json_are_pinned(capsys, tmp_path, name, command, params
     code, out, _ = run(capsys, command, str(path), *params, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 over family_racks(8), rack after rack, of to_dot(rack_graph(rack)),
+# and of the exit code and output of `stats --dot` and of `audit`, as JSON
+FAMILY_GRAPH_PINS = {
+    "dot": "9bc27c6f4f44116bffe51bc3f7e17e5110c22aa043d87e9f19d732907378760e",
+    "stats": "fcfbb305fcedb52d2061ce2d3dd479d7e3f504911a9058ecebad5f8b04336568",
+    "audit": "128df5ae7349733be50ae583cfeb941a8e6dde8b98e2134a9d0bec74b33ff29b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_GRAPH_PINS))
+def test_family_graph_outputs_are_pinned(capsys, tmp_path, kind):
+    digest = hashlib.sha256()
+    for name, rack in family_racks(8):
+        if kind == "dot":
+            digest.update(to_dot(rack_graph(rack)).encode())
+            continue
+        path = tmp_path / f"{name}.rack"
+        path.write_text(format_rack(rack))
+        argv = ("stats", "--dot") if kind == "stats" else ("audit",)
+        code, out, _ = run(capsys, *argv, str(path), "--format", "json")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == FAMILY_GRAPH_PINS[kind]
 
 
 def test_analyze_find_w_reports_without_failing(capsys):
