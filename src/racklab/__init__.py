@@ -18,7 +18,7 @@ from .core import (AxiomReport, MalformedTableError, NotAbelianError,
 from .enumeration import (EnumReport, OrderOutOfRange, OrderTooLarge,
                           enumerate_classes, enumerate_labeled, oracle_enumerate,
                           oracle_labeled_tables, write_witnesses)
-from .graph import (ColoredDigraph, ComponentStructure, component_out_degree_constant,
-                    components, greedy_merge_order, out_degrees, rack_graph, to_dot)
+from .graph import (ColoredDigraph, component_out_degree_constant, components,
+                    greedy_merge_order, out_degrees, rack_graph, to_dot)
 
 __version__ = "0.1.0"

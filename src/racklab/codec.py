@@ -45,9 +45,9 @@ import numpy as np
 
 from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
-from .graph import (Forest, bfs_forest, conjugate_along_forest, distinct_heads,
-                    greedy_merge_order, part_merges)
-from .perms import distinct_rows, lehmer_ranks, lehmer_unranks
+from .graph import (Forest, bfs_forest, components, conjugate_along_forest,
+                    greedy_merge_order, out_degrees, part_merges, rack_graph)
+from .perms import lehmer_ranks, lehmer_unranks
 
 MAGIC = b"RKE1"
 
@@ -105,14 +105,14 @@ class CodecParams:
 
 def degree_split(rack: Rack, delta: int):
     """(low, high): elements with out-degree <= delta in the full rack graph, rest."""
-    low = distinct_heads(rack.array[distinct_rows(rack.array)[0]])[1].sum(axis=0) <= delta
+    low = out_degrees(rack_graph(rack)) <= delta
     return tuple(np.flatnonzero(low).tolist()), tuple(np.flatnonzero(~low).tolist())
 
 
 def _greedy_pass(rack: Rack, delta: int):
     """(s_low, s_high, order, cps): the degree split and the greedy ordering of s_low."""
     s_low, s_high = degree_split(rack, delta)
-    order, cps = greedy_merge_order(rack.n, {j: rack.array[j] for j in s_low}, s_low)
+    order, cps = greedy_merge_order(rack_graph(rack, s_low))
     return s_low, s_high, order, cps
 
 
@@ -132,11 +132,6 @@ class InfoTuple:
     merged_images: np.ndarray   # int32: the images of each colour's block Y_j, ascending, in turn
     # the T-graph's forest; it follows from the maps of T, which t_plus_maps holds
     forest: Forest = field(repr=False)
-
-    @property
-    def gt_components(self) -> tuple:
-        """Sorted vertex tuples of the T-graph, ordered by minimum."""
-        return self.forest.parts
 
     @property
     def t_sorted(self) -> tuple:
@@ -235,7 +230,7 @@ def _info_from_pass(rack: Rack, params: CodecParams, greedy):
     t_order = order[:min(params.cap_l, len(order))]
     t_set = set(t_order)
     t_cols = np.array(sorted(t_set), dtype=np.intp)
-    forest = bfs_forest(rack.array[t_cols])
+    forest = components(rack_graph(rack, t_cols))
     restrictions = rack.array[:, t_cols]    # [j][k] = (t_cols[k])f_j
     low = np.zeros(n, dtype=bool)
     low[list(s_low)] = True
@@ -342,7 +337,7 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
         w.write(rank, w_perm)
     # fields 6 and 7 in one block each: the merge bitmaps, then per colour
     # the domain bitmap of its block and the block's images
-    cp = len(info.gt_components)
+    cp = len(info.forest.parts)
     w.write_varblock(_bitmap_fields(info.merged).ravel(),
                      np.tile(_bitmap_widths(cp), len(info.merged)))
     _, domains, widths, is_domain, _ = _merged_layout(info.forest, info.merged)
@@ -383,7 +378,7 @@ def _encode_with_info(rack: Rack, params: CodecParams | None):
     eta = info.forest.eta
     stats = CodecStats(
         n=n, delta=params.delta, cap_l=params.cap_l, eta=eta,
-        cp=len(info.gt_components), zeta=_zeta(eta),
+        cp=len(info.forest.parts), zeta=_zeta(eta),
         residual_bits=residual_bits, header_bits=header_bits,
         bound=n * n / 4, total_bytes=len(data),
     )
@@ -650,11 +645,7 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     info, drops = _info_from_pass(rack, params, greedy)
     n = rack.n
     s_low, _, order, cps = greedy
-    x_seq = []
-    prev = n
-    for cp in cps:
-        x_seq.append(prev - cp)
-        prev = cp
+    x_seq = [prev - cp for prev, cp in zip((n,) + cps, cps)]
     for i in range(1, len(x_seq)):
         if x_seq[i] > x_seq[i - 1]:
             raise AuditFail("drop sequence increased", i)
@@ -662,20 +653,16 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
         raise AuditFail("total drop exceeds the order", len(x_seq))
 
     t_count = min(params.cap_l, len(order))
-    t = order[:t_count]
-    cp_t = len(info.gt_components)
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
-    post = []
-    for j, drop, merged in zip(info.s_low_minus_t, drops.tolist(),
-                               info.merged.sum(axis=1).tolist()):
-        post.append((j, drop, merged))
+    post = tuple(zip(info.s_low_minus_t, drops.tolist(), info.merged.sum(axis=1).tolist()))
+    for j, drop, merged in post:
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)
         if merged > 2 * drop:
             raise AuditFail(f"colour {j} merged-set exceeds twice its drop", j)
     return MergeAuditReport(
         n=n, delta=params.delta, cap_l=params.cap_l, s_low=s_low,
-        order=order, cp_seq=cps, x_seq=tuple(x_seq), t=t, cp_t=cp_t,
-        sum_x=sum(x_seq), x_after_t=x_after_t, post_t_drops=tuple(post),
+        order=order, cp_seq=cps, x_seq=tuple(x_seq), t=info.t_order, cp_t=len(info.forest.parts),
+        sum_x=sum(x_seq), x_after_t=x_after_t, post_t_drops=post,
     )

@@ -3,74 +3,78 @@
 A family sigma_c of permutations of [n] defines a loopless directed
 multigraph with an edge u -> v of colour c whenever u != v and
 (u)sigma_c = v.  Components always mean components of the underlying
-undirected multigraph.  Besides components and out-degrees, the module
-has the directed BFS forest the decoder walks (as numpy arrays, with the
-conjugation along it), the greedy ordering of colours, the drop in
-component count and the merged parts when one more colour joins a
-forest's parts, and the cycle types of permutations.  All of them, and
-the axiom check's orbit closure, label components by one numpy min-label
-connectivity pass, `_min_labels`.
+undirected multigraph.  A ColoredDigraph is a colour set and the array of
+its maps, and rack_graph gives a rack's colour subset as one; components
+(its directed BFS forest), out_degrees, greedy_merge_order and to_dot read
+that array.  The module also has the decoder's conjugation along a forest,
+the drop in component count and the merged parts when one more colour
+joins a forest's parts, and cycle types.  All of them, and the axiom
+check's orbit closure, label components by one numpy pass, `_min_labels`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import distinct_rows, is_permutation
+from .perms import distinct_rows
 
 
 class ColoredDigraph:
-    """Loopless coloured digraph of a permutation family; treat as immutable."""
+    """Loopless coloured digraph of a permutation family; immutable.
 
-    __slots__ = ("n", "_sigma")
+    Row i of maps, a read-only (k, n) int32 array, is the map of colors[i],
+    colours ascending.  The maps may be any integer arrays or sequences;
+    raises ValueError for the least colour whose map is not a permutation.
+    """
+
+    __slots__ = ("n", "colors", "maps")
 
     def __init__(self, n: int, sigma: dict):
-        for c, p in sigma.items():
-            if not is_permutation(p, n):
+        colors = tuple(sorted(sigma))
+        maps = np.empty((len(colors), n), dtype=np.int32)
+        for i, c in enumerate(colors):
+            row = np.asarray(sigma[c])
+            # sorted in its own dtype: int32 could wrap a large entry onto a vertex
+            if (row.dtype.kind not in "iu" or row.shape != (n,)
+                    or (np.sort(row) != np.arange(n)).any()):
                 raise ValueError(f"colour {c}: not a permutation of [{n}]")
-        self.n = n
-        self._sigma = {c: tuple(sigma[c]) for c in sorted(sigma)}
+            maps[i] = row
+        maps.flags.writeable = False
+        self.n, self.colors, self.maps = n, colors, maps
 
-    def edges(self) -> list:
-        """All (u, v, colour) triples, ordered by colour then tail."""
-        out = []
-        for c, p in self._sigma.items():
-            out.extend((u, p[u], c) for u in range(self.n) if p[u] != u)
-        return out
-
-    def out_neighbors(self, v: int) -> set:
-        return {p[v] for p in self._sigma.values() if p[v] != v}
+    @classmethod
+    def _unchecked(cls, n: int, colors: tuple, maps: np.ndarray) -> ColoredDigraph:
+        """The graph of maps, permutations of [n] that are not checked."""
+        graph = cls.__new__(cls)
+        maps.flags.writeable = False
+        graph.n, graph.colors, graph.maps = n, colors, maps
+        return graph
 
     def __repr__(self):
-        return f"ColoredDigraph(n={self.n}, colors={tuple(self._sigma)})"
+        return f"ColoredDigraph(n={self.n}, colors={self.colors})"
 
 
 def rack_graph(rack, colors=None) -> ColoredDigraph:
-    """The graph of a rack restricted to a colour subset (all colours if None)."""
-    colors = list(range(rack.n) if colors is None else colors)
-    return ColoredDigraph(rack.n, dict(zip(colors, rack.array[colors].tolist())))
+    """The graph of a rack's colour subset (all colours if None); only the
+    labels are checked, as a rack's maps are permutations."""
+    colors = sorted({operator.index(c) for c in (range(rack.n) if colors is None else colors)})
+    bad = [c for c in colors if not 0 <= c < rack.n]
+    if bad:
+        raise ValueError(f"colour {bad[0]}: not an element of [{rack.n}]")
+    return ColoredDigraph._unchecked(rack.n, tuple(colors), rack.array[colors])
 
 
-@dataclass(frozen=True)
-class ComponentStructure:
-    parts: tuple        # disjoint sorted vertex tuples, ordered by minimum
-    eta: tuple          # eta[q-1] = number of vertices in parts of size q
-    cp: int             # number of parts
-    part_index: tuple   # vertex -> index into parts
+def components(graph: ColoredDigraph) -> Forest:
+    """The components of graph and a BFS tree of each: bfs_forest of its maps."""
+    return bfs_forest(graph.maps)
 
 
-def components(graph: ColoredDigraph) -> ComponentStructure:
-    maps = np.array(list(graph._sigma.values()), dtype=np.int32)
-    forest = bfs_forest(maps.reshape(len(graph._sigma), graph.n))
-    return ComponentStructure(parts=forest.parts, eta=forest.eta, cp=len(forest.parts),
-                              part_index=tuple(forest.part_index.tolist()))
-
-
-def out_degrees(graph: ColoredDigraph) -> tuple:
-    """Per vertex, the number of distinct heads over all colours."""
-    return tuple(len(graph.out_neighbors(v)) for v in range(graph.n))
+def out_degrees(graph: ColoredDigraph) -> np.ndarray:
+    """Per vertex, the number of distinct heads over the distinct maps."""
+    return distinct_heads(graph.maps[distinct_rows(graph.maps)[0]])[1].sum(axis=0)
 
 
 def distinct_heads(maps: np.ndarray):
@@ -147,15 +151,16 @@ def bfs_forest(maps: np.ndarray) -> Forest:
     first-out queue from the part's minimum gives when every vertex scans
     its out-edges with colours ascending: all parts advance one depth at a
     time, and a new vertex takes the first edge reaching it in the order
-    (frontier position, colour).  The rows must be permutations; they are
-    not checked.
+    (frontier position, colour).  A repeated row's edges come after the same
+    edges of its first copy, so only the distinct rows are walked.  The rows
+    must be permutations; they are not checked.
     """
+    colours = distinct_rows(maps)[0]
+    maps = maps[colours]
     k, n = maps.shape
-    vertices = np.arange(n)
+    vertices = np.arange(n, dtype=maps.dtype)
     moved = maps != vertices
-    tails = np.nonzero(moved)[1]
-    heads = maps[moved]
-    label = _min_labels(n, tails, heads)
+    label = _min_labels(n, np.broadcast_to(vertices, maps.shape)[moved], maps[moved])
     # vertices fixed by every map keep their own label: singletons, in the same sort
     members = np.argsort(label, kind="stable")
     first = np.diff(label[members], prepend=-1) != 0
@@ -178,7 +183,7 @@ def bfs_forest(maps: np.ndarray) -> Forest:
         edge = edge[np.sort(first)]
         tail, head = frontier[edge // k], reach[edge]
         seen[head] = True
-        levels.append((tail, head, edge % k))
+        levels.append((tail, head, colours[edge % k]))
         frontier = head
     return Forest(parts=parts, part_index=part_index, members=members, starts=starts,
                   levels=tuple(levels))
@@ -210,36 +215,8 @@ def conjugate_along_forest(maps: np.ndarray, colour_maps: np.ndarray, levels,
 # greedy merge ordering: repeatedly pick the colour whose edges join up the
 # most components of the graph of the colours chosen so far
 
-# rows per block of the greedy's permutation check and re-scoring: memory O(64 n)
+# rows per block of the greedy's re-scoring: memory O(64 n)
 _BLOCK_ROWS = 64
-
-
-def _candidate_rows(n: int, maps_by_color: dict, colours: list) -> np.ndarray:
-    """The maps of colours as a (len(colours), n) int array, checked a block at a time.
-
-    Raises ValueError for the first colour, in the given order, whose map is
-    not a permutation of [n].
-    """
-    rows = np.empty((len(colours), n), dtype=np.int32)
-    vertices = np.arange(n)
-    for start in range(0, len(colours), _BLOCK_ROWS):
-        chunk = colours[start:start + _BLOCK_ROWS]
-        maps = [maps_by_color[c] for c in chunk]
-        try:
-            block = np.array(maps)
-            integral = block.dtype.kind in "iu" and block.shape == (len(chunk), n)
-        except ValueError:  # ragged rows
-            integral = False
-        if integral:
-            bad = [chunk[i] for i in
-                   np.flatnonzero((np.sort(block, axis=1) != vertices).any(axis=1))]
-        else:
-            # wrong lengths, non-integer entries or an empty order: check row by row
-            bad = [c for c, p in zip(chunk, maps) if not is_permutation(p, n)]
-        if bad:
-            raise ValueError(f"colour {bad[0]}: not a permutation of [{n}]")
-        rows[start:start + len(chunk)] = block if integral else maps
-    return rows
 
 
 def _merges(comp: np.ndarray, rows: np.ndarray):
@@ -279,8 +256,8 @@ def part_merges(forest: Forest, rows: np.ndarray):
     return drops[inverse], touched[inverse]
 
 
-def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
-    """Order all candidate colours greedily; returns (order, cp_sequence).
+def greedy_merge_order(graph: ColoredDigraph) -> tuple:
+    """Order all colours of graph greedily; returns (order, cp_sequence).
 
     cp_sequence[i] is the component count after the first i+1 picks; ties are
     broken by the smallest colour label, so the result is deterministic.
@@ -293,13 +270,12 @@ def greedy_merge_order(n: int, maps_by_color: dict, candidates) -> tuple:
     ... rows, at most _BLOCK_ROWS, until the best fresh (drop, label) beats
     the next stale bound; it is then the eager pick.  A block is scored by
     one min-label pass over the nodes (row, part), so the working memory
-    stays O(_BLOCK_ROWS n) beside one int32 copy of the candidate maps.
+    stays O(_BLOCK_ROWS n) beside the graph's maps.
     Once cp is 1 or the best drop is 0, the rest follow in label order.
     Only the least colour of each distinct map is scored: a repeat ties its
     drop but loses on label, and its drop is 0 once that colour is picked.
     """
-    colours = sorted(candidates)
-    rows = _candidate_rows(n, maps_by_color, colours)
+    n, colours, rows = graph.n, graph.colors, graph.maps
     k = len(colours)
     first = distinct_rows(rows)[0]      # the positions of the least colours
     # (bound, -label) packed as bound * k - position: larger is picked first;
@@ -344,18 +320,17 @@ def component_out_degree_constant(rack, subset) -> bool:
 
     Out-degree is taken with respect to the same colour subset.
     """
-    g = rack_graph(rack, subset)
-    structure = components(g)
-    degs = out_degrees(g)
-    return all(len({degs[v] for v in part}) == 1 for part in structure.parts)
+    graph = rack_graph(rack, subset)
+    forest = components(graph)
+    degrees = out_degrees(graph)[forest.members]
+    return bool((np.minimum.reduceat(degrees, forest.starts)
+                 == np.maximum.reduceat(degrees, forest.starts)).all())
 
 
 def to_dot(graph: ColoredDigraph) -> str:
-    """DOT text of the coloured digraph, deterministic ordering."""
-    lines = [f"digraph g{graph.n} {{"]
-    for v in range(graph.n):
-        lines.append(f"  {v};")
-    for u, v, c in graph.edges():
-        lines.append(f'  {u} -> {v} [label="{c}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT text of the graph: its vertices, then its edges by colour and tail."""
+    colour, tail = np.nonzero(graph.maps != np.arange(graph.n))
+    edges = zip(tail.tolist(), graph.maps[colour, tail].tolist(), colour.tolist())
+    return "".join([f"digraph g{graph.n} {{\n", *(f"  {v};\n" for v in range(graph.n)),
+                    *(f'  {u} -> {v} [label="{graph.colors[c]}"];\n' for u, v, c in edges),
+                    "}\n"])

@@ -24,6 +24,7 @@ import math
 import random
 import struct
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, _zeta, degree_split
 from racklab.core import (AxiomReport, NotAGroupError, Rack, Violation, rack_from_table,
                           table_order, trivial_rack)
-from racklab.graph import ColoredDigraph, ComponentStructure, out_degrees, rack_graph
+from racklab.graph import ColoredDigraph, rack_graph
 from racklab.perms import conjugate, inverse, is_permutation, lehmer_unrank
 
 
@@ -195,6 +196,33 @@ def group_check(table):
     return e, inv
 
 
+@dataclass(frozen=True)
+class ComponentStructure:
+    parts: tuple        # disjoint sorted vertex tuples, ordered by minimum
+    eta: tuple          # eta[q-1] = number of vertices in parts of size q
+    cp: int             # number of parts
+    part_index: tuple   # vertex -> index into parts
+
+
+def edges(graph: ColoredDigraph) -> list:
+    """All (u, v, colour) triples of the graph, ordered by colour then tail."""
+    return [(u, v, c) for c, p in zip(graph.colors, graph.maps.tolist())
+            for u, v in enumerate(p) if u != v]
+
+
+def out_degrees(graph: ColoredDigraph) -> tuple:
+    """Per vertex, the number of distinct heads over all colours, from sets."""
+    rows = graph.maps.tolist()
+    return tuple(len({p[v] for p in rows} - {v}) for v in range(graph.n))
+
+
+def component_out_degree_constant(rack, subset) -> bool:
+    """graph.component_out_degree_constant from union-find parts and sets."""
+    graph = rack_graph(rack, subset)
+    degs = out_degrees(graph)
+    return all(len({degs[v] for v in part}) == 1 for part in graph_components(graph).parts)
+
+
 def component_structure(n: int, pairs) -> ComponentStructure:
     """Components of the undirected multigraph on [n] with the given pairs."""
     uf = UnionFind(n)
@@ -217,7 +245,7 @@ def component_structure(n: int, pairs) -> ComponentStructure:
 
 def graph_components(graph: ColoredDigraph) -> ComponentStructure:
     """component_structure of a coloured digraph's edges, directions dropped."""
-    return component_structure(graph.n, [(u, v) for u, v, _ in graph.edges()])
+    return component_structure(graph.n, [(u, v) for u, v, _ in edges(graph)])
 
 
 def validate_edges(n: int, edges) -> list:
@@ -262,7 +290,7 @@ def multigraph_merged_parts(n: int, base_edges, extra_edges) -> tuple:
 
 def count_components_with(graph: ColoredDigraph, extra_edges) -> int:
     """cp of the graph after adjoining extra_edges as uncoloured edges."""
-    return multigraph_component_count(graph.n, [(u, v) for u, v, _ in graph.edges()], extra_edges)
+    return multigraph_component_count(graph.n, [(u, v) for u, v, _ in edges(graph)], extra_edges)
 
 
 def zeta_of_exact(eta):
@@ -416,7 +444,7 @@ def witness_colours(n: int, maps) -> list:
 def successors(graph: ColoredDigraph) -> list:
     """succ[u]: the (head, colour) pairs of the edges leaving u, colours ascending."""
     succ = [[] for _ in range(graph.n)]
-    for u, v, c in graph.edges():
+    for u, v, c in edges(graph):
         succ[u].append((v, c))
     return succ
 

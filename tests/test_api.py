@@ -9,7 +9,7 @@ import racklab
 # added here is public API that users may come to depend on
 PUBLIC_NAMES = {
     "AuditFail", "AxiomReport", "CheckParameterError", "CodecParams", "CodecStats",
-    "ColoredDigraph", "ComponentStructure", "CorruptStream", "DegreeSplitError",
+    "ColoredDigraph", "CorruptStream", "DegreeSplitError",
     "EncodeConsistencyError", "EnumReport", "InconsistentDecode", "InfoTuple",
     "MalformedTableError", "MergeAuditReport", "NotAGroupError", "NotARackError",
     "NotAbelianError", "NotAutomorphismError", "OrderOutOfRange", "OrderTooLarge",

@@ -299,7 +299,7 @@ def test_one_greedy_pass_per_command(capsys, monkeypatch, tmp_path, command):
     original = codec.greedy_merge_order
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0].n)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(codec, "greedy_merge_order", counting)

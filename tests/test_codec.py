@@ -20,13 +20,13 @@ from racklab import codec, core, perms
 from racklab.bits import BitWriter
 from racklab.codec import MAGIC, CodecError, CodecParamsError
 from racklab.core import dihedral_group_table
-from racklab.graph import ColoredDigraph, bfs_forest, out_degrees, part_merges
+from racklab.graph import ColoredDigraph, bfs_forest, part_merges
 from racklab.perms import compose, identity, inverse
 
 from _corpus import (broadcast_trivial_rack, commuting_rack, family_racks, from_cycles,
                      is_subrack, pair_swap_rack, param_grid, random_relabeling,
                      unchecked_non_rack)
-from _reference import count_components_with, graph_components, merged_part_indices
+from _reference import count_components_with, graph_components, merged_part_indices, out_degrees
 from _reference import decode as reference_decode
 
 # encode(trivial_rack(3)) with default parameters (delta=4, cap_l=2), frozen
@@ -85,7 +85,7 @@ def test_build_info_dihedral3():
     info = build_info(dihedral_quandle(3), CodecParams(2, 1))
     assert info.s_low == (0, 1, 2) and info.s_high == ()
     assert info.t_order == (0,)
-    assert info.gt_components == ((0,), (1, 2))
+    assert info.forest.parts == ((0,), (1, 2))
     assert info.t_plus == (0, 1, 2)
     assert info.t_restrictions.tolist() == [[0], [2], [1]]
     assert info.s_low_minus_t == (1, 2)
@@ -100,7 +100,7 @@ def test_build_info_trivial():
     assert info.t_order == (0, 1)
     assert all(ms == () for ms in info.merge_lists)
     assert info.merged_images.size == 0
-    assert info.gt_components == ((0,), (1,), (2,), (3,))
+    assert info.forest.parts == ((0,), (1,), (2,), (3,))
 
 
 def test_extract_residual_trivial():
@@ -112,7 +112,7 @@ def test_extract_residual_trivial():
     # entry is stored
     assert res.entries == ()
     assert sum(width for _, _, width, _ in res.entries) == 0
-    cp = len(info.gt_components)
+    cp = len(info.forest.parts)
     assert len(res.entries) <= cp * cp
 
 
@@ -125,7 +125,7 @@ def test_residual_nontrivial():
     info = build_info(rack, params)
     assert info.t_order == (0,)
     assert info.t_plus == (0, 1)
-    assert info.gt_components == ((0, 1, 2), (3, 4, 5))
+    assert info.forest.parts == ((0, 1, 2), (3, 4, 5))
     res = extract_residual(rack, info)
     assert res.entries == ((3, 0, 2, 1), (3, 1, 2, 1))
     assert sum(width for _, _, width, _ in res.entries) == 4
@@ -348,7 +348,7 @@ def _merged_fields(rack, params):
     as bit positions in the stream, 10-byte header included."""
     data, stats, info = codec._encode_with_info(rack, params)
     lists = len(info.s_low_minus_t)
-    field6 = lists * len(info.gt_components)
+    field6 = lists * len(info.forest.parts)
     field7 = lists * rack.n + len(info.merged_images) * (rack.n - 1).bit_length()
     end = 80 + stats.header_bits
     return data, end - field7 - field6, end - field7, end, int(info.merged.any(axis=1).sum())
@@ -478,7 +478,7 @@ def test_info_counts_bounded_by_cp_squared():
         for params in param_grid(rack.n):
             info = build_info(rack, params)
             res = extract_residual(rack, info)
-            cp = len(info.gt_components)
+            cp = len(info.forest.parts)
             assert len(res.entries) <= cp * cp
             for _, _, width, idx in res.entries:
                 assert width >= 1 and idx < (1 << width)
@@ -498,7 +498,7 @@ def test_reconstructed_maps_conjugate_within_components():
             for u in range(n):
                 if p[u] != u:
                     succ[u].append((p[u], c))
-        for part in info.gt_components:
+        for part in info.forest.parts:
             v = part[0]
             word = {v: identity(n)}
             frontier = [v]

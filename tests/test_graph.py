@@ -16,29 +16,56 @@ from racklab.perms import identity
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
                      pair_swap_rack, param_grid, random_relabeling)
+import _reference
 from _reference import (UnionFind, bfs_tree, component_structure, conjugates_along_tree,
-                        count_components_with, graph_components, lazy_greedy_merge_order,
-                        multigraph_component_count, multigraph_merged_parts, successors,
-                        witness_colours)
+                        count_components_with, edges, graph_components,
+                        lazy_greedy_merge_order, multigraph_component_count,
+                        multigraph_merged_parts, successors, witness_colours)
 
 
 def test_build_graph_edges():
-    g = ColoredDigraph(3, {0: identity(3), 1: identity(3)})
-    assert g.edges() == []
+    g = ColoredDigraph(3, {1: identity(3), 0: identity(3)})
+    assert g.colors == (0, 1) and g.maps.tolist() == [[0, 1, 2]] * 2
+    assert g.maps.dtype == np.int32 and not g.maps.flags.writeable
+    assert edges(g) == []
     cyc = from_cycles(3, [(0, 1, 2)])
-    assert ColoredDigraph(3, {0: cyc}).edges() == [(0, 1, 0), (1, 2, 0), (2, 0, 0)]
+    assert edges(ColoredDigraph(3, {0: cyc})) == [(0, 1, 0), (1, 2, 0), (2, 0, 0)]
     # two colours carrying the same edges keep both copies
-    assert len(ColoredDigraph(3, {0: cyc, 1: cyc}).edges()) == 6
+    assert len(edges(ColoredDigraph(3, {0: cyc, 1: cyc}))) == 6
     sw = ColoredDigraph(2, {0: (1, 0)})
-    assert sorted(sw.edges()) == [(0, 1, 0), (1, 0, 0)]
+    assert sorted(edges(sw)) == [(0, 1, 0), (1, 0, 0)]
+    assert ColoredDigraph(4, {}).maps.shape == (0, 4)
     with pytest.raises(ValueError):
         ColoredDigraph(3, {0: (0, 0, 1)})
+
+
+def test_graph_takes_integer_arrays_as_maps():
+    rows = {0: np.array([1, 2, 0]), 1: np.array([0, 2, 1], dtype=np.uint8),
+            2: np.array([2, 1, 0], dtype=np.int32), 3: [1, 0, 2]}
+    g = ColoredDigraph(3, rows)
+    assert g.maps.tolist() == [[1, 2, 0], [0, 2, 1], [2, 1, 0], [1, 0, 2]]
+    d3 = dihedral_quandle(3)
+    assert ColoredDigraph(3, dict(enumerate(d3.array))).maps.tolist() == d3.array.tolist()
+    # an entry that int32 would wrap onto a vertex is still rejected
+    with pytest.raises(ValueError, match=r"^colour 0: not a permutation of \[3\]$"):
+        ColoredDigraph(3, {0: np.array([0, 1, 2 ** 32 + 2])})
+
+
+@pytest.mark.parametrize("label", [-1, 3, 70])
+def test_rack_graph_rejects_colours_outside_the_rack(label):
+    d3 = dihedral_quandle(3)
+    message = rf"^colour {label}: not an element of \[3\]$"
+    with pytest.raises(ValueError, match=message):
+        rack_graph(d3, [0, label])
+    with pytest.raises(ValueError, match=message):
+        component_out_degree_constant(d3, [label])
+    assert rack_graph(d3, [2, 0, 2]).colors == (0, 2)
 
 
 def test_components():
     empty = ColoredDigraph(4, {})
     s = components(empty)
-    assert s.cp == 4 and s.parts == ((0,), (1,), (2,), (3,))
+    assert s.parts == ((0,), (1,), (2,), (3,))
     assert s.eta == (4, 0, 0, 0)
     tri = ColoredDigraph(3, {0: from_cycles(3, [(0, 1, 2)])})
     s = components(tri)
@@ -47,14 +74,15 @@ def test_components():
     # transpositions, so the full graph is connected
     d3 = dihedral_quandle(3)
     assert d3.maps == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
-    assert components(rack_graph(d3)).cp == 1
+    assert len(components(rack_graph(d3)).parts) == 1
 
 
 def test_out_degrees():
-    assert out_degrees(rack_graph(trivial_rack(4))) == (0, 0, 0, 0)
-    assert out_degrees(rack_graph(dihedral_quandle(3))) == (2, 2, 2)
+    assert out_degrees(rack_graph(trivial_rack(4))).tolist() == [0, 0, 0, 0]
+    assert out_degrees(rack_graph(dihedral_quandle(3))).tolist() == [2, 2, 2]
     tri = ColoredDigraph(3, {0: from_cycles(3, [(0, 1, 2)])})
-    assert out_degrees(tri) == (1, 1, 1)
+    assert out_degrees(tri).tolist() == [1, 1, 1]
+    assert out_degrees(ColoredDigraph(3, {})).tolist() == [0, 0, 0]
 
 
 def test_distinct_heads_match_the_witness_loop():
@@ -67,8 +95,10 @@ def test_distinct_heads_match_the_witness_loop():
         order, first = distinct_heads(np.array(maps, dtype=np.int32).reshape(len(maps), n))
         assert [sorted(order[first[:, v], v].tolist()) for v in range(n)] == \
             witness_colours(n, maps)
-        degrees = out_degrees(ColoredDigraph(n, dict(enumerate(maps))))
+        graph = ColoredDigraph(n, dict(enumerate(maps)))
+        degrees = _reference.out_degrees(graph)
         assert tuple(first.sum(axis=0).tolist()) == degrees
+        assert tuple(out_degrees(graph).tolist()) == degrees
 
 
 def test_directed_reachability_equals_undirected():
@@ -116,7 +146,8 @@ def test_bfs_forest_matches_fifo_bfs_from_each_minimum(family):
     forest = bfs_forest(np.array(maps, dtype=np.int32).reshape(len(maps), n))
     g = ColoredDigraph(n, dict(enumerate(maps)))
     structure = graph_components(g)
-    assert components(g) == structure
+    found = components(g)
+    assert (found.parts, found.eta) == (structure.parts, structure.eta)
     assert forest.parts == structure.parts
     assert tuple(forest.part_index.tolist()) == structure.part_index
     sizes = [len(part) for part in structure.parts]
@@ -160,7 +191,7 @@ def test_count_components_with():
     assert count_components_with(empty, [(0, 1), (2, 3)]) == 2
     d3 = dihedral_quandle(3)
     g = rack_graph(d3, [0])
-    assert count_components_with(g, []) == components(g).cp
+    assert count_components_with(g, []) == len(components(g).parts)
     with pytest.raises(ValueError):
         count_components_with(empty, [(0, 0)])
 
@@ -243,13 +274,30 @@ def test_out_regularity_on_enumerated_and_subracks():
         assert component_out_degree_constant(rack, range(rack.n))
 
 
+def test_out_regularity_matches_the_reference():
+    rng = random.Random(23)
+    racks = [rack for _, rack in family_racks(8)]
+    racks += [pair_swap_rack(32, 1), pair_swap_rack(64, 2), commuting_rack(30, 4),
+              commuting_rack(48, 3), random_relabeling(rng, dihedral_quandle(12))]
+    outcomes = set()
+    for rack in racks:
+        n = rack.n
+        subsets = [(), range(n)] + [rng.sample(range(n), rng.randrange(1, n + 1))
+                                    for _ in range(6)]
+        for subset in subsets:
+            regular = component_out_degree_constant(rack, subset)
+            assert regular == _reference.component_out_degree_constant(rack, subset)
+            outcomes.add(regular)
+    assert outcomes == {True, False}
+
+
 def test_greedy_merge_order_strict_minimum():
     # one colour is a full cycle (component count 1), the others do nothing:
     # the cycle colour must be picked first regardless of its label
     n = 5
     maps = {c: identity(n) for c in range(n)}
     maps[3] = from_cycles(n, [tuple(range(n))])
-    order, cps = greedy_merge_order(n, maps, range(n))
+    order, cps = greedy_merge_order(ColoredDigraph(n, maps))
     assert order[0] == 3
     assert cps[0] == 1
     assert cps == (1, 1, 1, 1, 1)
@@ -258,7 +306,7 @@ def test_greedy_merge_order_strict_minimum():
 def test_greedy_merge_order_ties_by_label():
     n = 5
     maps = {c: identity(n) for c in range(n)}
-    order, cps = greedy_merge_order(n, maps, range(n))
+    order, cps = greedy_merge_order(ColoredDigraph(n, maps))
     assert order == (0, 1, 2, 3, 4)
     assert cps == (5, 5, 5, 5, 5)
 
@@ -322,7 +370,7 @@ def permutation_families(draw):
 
 
 def assert_matches_references(n, maps, candidates):
-    result = greedy_merge_order(n, maps, candidates)
+    result = greedy_merge_order(ColoredDigraph(n, {c: maps[c] for c in candidates}))
     assert result == lazy_greedy_merge_order(n, maps, candidates)
     assert result == eager_greedy_merge_order(n, maps, candidates)
 
@@ -372,7 +420,7 @@ def test_lazy_greedy_matches_eager_on_corpus():
         for params in param_grid(rack.n):
             low, _ = degree_split(rack, params.delta)
             expected = eager_greedy_merge_order(rack.n, maps, low)
-            assert greedy_merge_order(rack.n, maps, low) == expected
+            assert greedy_merge_order(rack_graph(rack, low)) == expected
             assert lazy_greedy_merge_order(rack.n, maps, low) == expected
             report = merge_bound_audit(rack, params)
             assert (report.order, report.cp_seq) == expected
@@ -418,7 +466,7 @@ def test_greedy_matches_lazy_reference_at_n_256():
                 images[phi[x]] = phi[p[x]]
             relabeled[phi[y]] = tuple(images)
         by_colour = dict(enumerate(relabeled))
-        result = greedy_merge_order(n, by_colour, range(n))
+        result = greedy_merge_order(ColoredDigraph(n, by_colour))
         assert result == lazy_greedy_merge_order(n, by_colour, range(n))
 
 
@@ -444,8 +492,8 @@ def bad_rows(n):
 @pytest.mark.parametrize("n", [2, 3, 10])
 @pytest.mark.parametrize("position", [0, 5, 70])
 def test_greedy_rejects_non_permutations_like_the_reference(n, position):
-    # 80 candidates, so a bad row may sit in the first block or a later one;
-    # a second bad row further on must not be the one reported
+    # the greedy's graph is built from 80 candidates and names the least bad
+    # colour: a second bad row further on must not be the one reported
     for name, row in bad_rows(n):
         maps = {c: tuple(np.random.default_rng(c).permutation(n).tolist()) for c in range(80)}
         maps[position] = row
@@ -454,7 +502,7 @@ def test_greedy_rejects_non_permutations_like_the_reference(n, position):
         with pytest.raises(ValueError) as expected:
             lazy_greedy_merge_order(n, maps, candidates)
         with pytest.raises(ValueError) as raised:
-            greedy_merge_order(n, maps, candidates)
+            ColoredDigraph(n, {c: maps[c] for c in candidates})
         assert str(raised.value) == str(expected.value), name
         assert str(raised.value) == f"colour {position}: not a permutation of [{n}]", name
 
@@ -493,7 +541,8 @@ def test_greedy_and_split_on_repeated_maps_match_full_scans(rack):
     maps = dict(enumerate(rack.maps))
     candidates = [c for c in range(n) if c % 3]
     for chosen in (range(n), candidates):
-        assert greedy_merge_order(n, maps, chosen) == lazy_greedy_merge_order(n, maps, chosen)
+        assert greedy_merge_order(rack_graph(rack, chosen)) == \
+            lazy_greedy_merge_order(n, maps, chosen)
 
 
 @pytest.mark.parametrize("rack", repeated_map_racks()[:3])
@@ -509,12 +558,11 @@ def test_greedy_names_a_repeated_bad_row_by_its_first_colour():
     n = 6
     good = tuple(range(1, n)) + (0,)
     for bad in ((0,) * n, tuple(range(n - 1)), tuple(range(n)) + (0,)):
-        # the same bad row at colours 3, 7 and 75 (in a later block); the
-        # valid rows repeat too
+        # the same bad row at colours 3, 7 and 75; the valid rows repeat too
         maps = {c: good for c in range(80)}
         for c in (75, 7, 3):
             maps[c] = bad
         with pytest.raises(ValueError, match=rf"^colour 3: not a permutation of \[{n}\]$"):
-            greedy_merge_order(n, maps, sorted(maps, reverse=True))
+            ColoredDigraph(n, {c: maps[c] for c in sorted(maps, reverse=True)})
         with pytest.raises(ValueError, match=r"^colour 3: "):
             lazy_greedy_merge_order(n, maps, maps)
