@@ -6,7 +6,9 @@ scan for canonical_form, the triple loop for the group check's numpy
 associativity blocks, the self-distributive identity for the
 orbit-closure axiom check, union-find components and the merge calculus
 on raw edge multisets for
-the numpy labelling behind components, build_info and the audit, exact
+the numpy labelling behind components, build_info and the audit, edge
+lists and per-vertex head sets for to_dot, out_degrees and the audit's
+out-regularity check, exact
 rational zeta for the zeta sweep's block scorer, stars and bars and a
 row-by-row sweep for the exhaustive sweep's numpy compositions, binomial
 tails in exact integers and one Binomial draw per trial for the Chernoff

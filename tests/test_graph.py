@@ -512,6 +512,16 @@ def test_to_dot():
     dot = to_dot(g)
     assert "0 -> 1" in dot and '[label="1"]' in dot
     assert dot == to_dot(g)
+    # the vertices, then the reference's edges in its order (colour, then tail)
+    rng = random.Random(4)
+    graphs = [rack_graph(rack) for _, rack in family_racks(6)]
+    graphs += [rack_graph(rack, rng.sample(range(rack.n), rack.n // 2))
+               for rack in (commuting_rack(20, 1), dihedral_quandle(9))]
+    graphs.append(ColoredDigraph(5, {7: from_cycles(5, [(0, 3)]), -2: identity(5)}))
+    for graph in graphs:
+        lines = [f"digraph g{graph.n} {{"] + [f"  {v};" for v in range(graph.n)]
+        lines += [f'  {u} -> {v} [label="{c}"];' for u, v, c in edges(graph)]
+        assert to_dot(graph) == "\n".join(lines + ["}"]) + "\n"
 
 
 def repeated_map_racks():
