@@ -12,7 +12,6 @@ one-sided guarantees and sampling noise must not flake the checks.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import random
@@ -332,12 +331,12 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
     if bad_threshold is None:
         bad_threshold = (math.log2(n) ** 1.5) / 2 if n >= 2 else 0.0
     size_cap = 1.5 * n * p
-    result = functools.partial(WSearchResult, p=p, n=n, delta=delta,
-                               bad_threshold=bad_threshold, size_cap=size_cap)
     _, s_high = degree_split(rack, delta)
     high = set(s_high)
     if not high:
-        return result(w=(), attempts=0, certified=True, component_count=0, maps_match=True)
+        return WSearchResult(w=(), p=p, attempts=0, certified=True, n=n, delta=delta,
+                             bad_threshold=bad_threshold, size_cap=size_cap,
+                             component_count=0, maps_match=True)
     high_vertices = np.array(s_high)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
@@ -349,15 +348,20 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
             continue
         forest = components(x_graph)
         inside = [part for part in forest.parts if part[0] in high]
-        if not all(high.issuperset(part) for part in inside):
-            raise DegreeSplitError("degree split is not separated in the sampled graph")
-        w = tuple(sorted(set(x).union(part[0] for part in inside)))
+        for part in inside:
+            if not high.issuperset(part):
+                raise DegreeSplitError("degree split is not separated in the sampled graph")
+        reps = tuple(part[0] for part in inside)
+        w = tuple(sorted(set(x) | set(reps)))
 
         # conjugate every map from its part's minimum; compare the parts inside the high set
         differ = conjugate_along_forest(rack.array.copy(), x_graph.maps, forest.levels,
                                         np.ones(n, dtype=bool))
         match = not any(forest.parts[i][0] in high for i in forest.part_index[differ].tolist())
-        return result(w=w, attempts=attempt, certified=match, component_count=len(inside),
-                      maps_match=match)
-    return result(w=(), attempts=max_attempts, certified=False, component_count=0,
-                  maps_match=False)
+        return WSearchResult(w=w, p=p, attempts=attempt, certified=match, n=n,
+                             delta=delta, bad_threshold=bad_threshold,
+                             size_cap=size_cap, component_count=len(inside),
+                             maps_match=match)
+    return WSearchResult(w=(), p=p, attempts=max_attempts, certified=False, n=n,
+                         delta=delta, bad_threshold=bad_threshold, size_cap=size_cap,
+                         component_count=0, maps_match=False)

@@ -645,7 +645,11 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
     info, drops = _info_from_pass(rack, params, greedy)
     n = rack.n
     s_low, _, order, cps = greedy
-    x_seq = [prev - cp for prev, cp in zip((n,) + cps, cps)]
+    x_seq = []
+    prev = n
+    for cp in cps:
+        x_seq.append(prev - cp)
+        prev = cp
     for i in range(1, len(x_seq)):
         if x_seq[i] > x_seq[i - 1]:
             raise AuditFail("drop sequence increased", i)
@@ -653,16 +657,20 @@ def merge_bound_audit(rack: Rack, params: CodecParams | None = None) -> MergeAud
         raise AuditFail("total drop exceeds the order", len(x_seq))
 
     t_count = min(params.cap_l, len(order))
+    t = order[:t_count]
+    cp_t = len(info.forest.parts)
     capped = len(s_low) > t_count
     x_after_t = x_seq[t_count] if capped and t_count < len(x_seq) else None
-    post = tuple(zip(info.s_low_minus_t, drops.tolist(), info.merged.sum(axis=1).tolist()))
-    for j, drop, merged in post:
+    post = []
+    for j, drop, merged in zip(info.s_low_minus_t, drops.tolist(),
+                               info.merged.sum(axis=1).tolist()):
+        post.append((j, drop, merged))
         if x_after_t is not None and drop > x_after_t:
             raise AuditFail(f"colour {j} merges more than the next greedy pick", j)
         if merged > 2 * drop:
             raise AuditFail(f"colour {j} merged-set exceeds twice its drop", j)
     return MergeAuditReport(
         n=n, delta=params.delta, cap_l=params.cap_l, s_low=s_low,
-        order=order, cp_seq=cps, x_seq=tuple(x_seq), t=info.t_order, cp_t=len(info.forest.parts),
-        sum_x=sum(x_seq), x_after_t=x_after_t, post_t_drops=post,
+        order=order, cp_seq=cps, x_seq=tuple(x_seq), t=t, cp_t=cp_t,
+        sum_x=sum(x_seq), x_after_t=x_after_t, post_t_drops=tuple(post),
     )

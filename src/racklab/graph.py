@@ -36,10 +36,16 @@ class ColoredDigraph:
         colors = tuple(sorted(sigma))
         maps = np.empty((len(colors), n), dtype=np.int32)
         for i, c in enumerate(colors):
-            row = np.asarray(sigma[c])
-            # sorted in its own dtype: int32 could wrap a large entry onto a vertex
-            if (row.dtype.kind not in "iu" or row.shape != (n,)
-                    or (np.sort(row) != np.arange(n)).any()):
+            try:
+                row = np.asarray(sigma[c])
+                if row.shape == (0,):   # an empty sequence reads as float64
+                    row = row.astype(np.int32)
+                # sorted in its own dtype: int32 could wrap a large entry onto a vertex
+                ok = (row.dtype.kind in "iu" and row.shape == (n,)
+                      and (np.sort(row) == np.arange(n)).all())
+            except ValueError:  # ragged: scalars mixed with sequences
+                ok = False
+            if not ok:
                 raise ValueError(f"colour {c}: not a permutation of [{n}]")
             maps[i] = row
         maps.flags.writeable = False
@@ -151,12 +157,9 @@ def bfs_forest(maps: np.ndarray) -> Forest:
     first-out queue from the part's minimum gives when every vertex scans
     its out-edges with colours ascending: all parts advance one depth at a
     time, and a new vertex takes the first edge reaching it in the order
-    (frontier position, colour).  A repeated row's edges come after the same
-    edges of its first copy, so only the distinct rows are walked.  The rows
-    must be permutations; they are not checked.
+    (frontier position, colour).  The rows must be permutations; they are
+    not checked.
     """
-    colours = distinct_rows(maps)[0]
-    maps = maps[colours]
     k, n = maps.shape
     vertices = np.arange(n, dtype=maps.dtype)
     moved = maps != vertices
@@ -183,7 +186,7 @@ def bfs_forest(maps: np.ndarray) -> Forest:
         edge = edge[np.sort(first)]
         tail, head = frontier[edge // k], reach[edge]
         seen[head] = True
-        levels.append((tail, head, colours[edge % k]))
+        levels.append((tail, head, edge % k))
         frontier = head
     return Forest(parts=parts, part_index=part_index, members=members, starts=starts,
                   levels=tuple(levels))
@@ -329,8 +332,11 @@ def component_out_degree_constant(rack, subset) -> bool:
 
 def to_dot(graph: ColoredDigraph) -> str:
     """DOT text of the graph: its vertices, then its edges by colour and tail."""
+    lines = [f"digraph g{graph.n} {{"]
+    for v in range(graph.n):
+        lines.append(f"  {v};")
     colour, tail = np.nonzero(graph.maps != np.arange(graph.n))
-    edges = zip(tail.tolist(), graph.maps[colour, tail].tolist(), colour.tolist())
-    return "".join([f"digraph g{graph.n} {{\n", *(f"  {v};\n" for v in range(graph.n)),
-                    *(f'  {u} -> {v} [label="{graph.colors[c]}"];\n' for u, v, c in edges),
-                    "}\n"])
+    for u, v, c in zip(tail.tolist(), graph.maps[colour, tail].tolist(), colour.tolist()):
+        lines.append(f'  {u} -> {v} [label="{graph.colors[c]}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -49,6 +49,9 @@ def test_graph_takes_integer_arrays_as_maps():
     # an entry that int32 would wrap onto a vertex is still rejected
     with pytest.raises(ValueError, match=r"^colour 0: not a permutation of \[3\]$"):
         ColoredDigraph(3, {0: np.array([0, 1, 2 ** 32 + 2])})
+    # an empty row is the permutation of [0], whatever its type
+    for row in ((), [], np.array([])):
+        assert ColoredDigraph(0, {0: row, 1: row}).maps.shape == (2, 0)
 
 
 @pytest.mark.parametrize("label", [-1, 3, 70])
@@ -485,6 +488,7 @@ def bad_rows(n):
         ("string", tuple(ident[:-1] + [str(n - 1)])),
         ("none", tuple(ident[:-1] + [None])),
         ("nested", tuple((v,) for v in ident)),
+        ("mixed", tuple([ident[0], [ident[1]]] + ident[2:])),
         ("text", "".join(map(str, ident))),
     ]
 
