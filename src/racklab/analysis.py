@@ -13,6 +13,7 @@ one-sided guarantees and sampling noise must not flake the checks.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -22,8 +23,9 @@ import numpy as np
 
 from .codec import degree_split
 from .core import Rack
-from .graph import (components, conjugate_along_forest, cycle_types, distinct_heads,
+from .graph import (components, conjugate_along_forest, cycle_types, least_colours,
                     out_degrees, rack_graph)
+from .perms import distinct_rows
 
 
 class CheckParameterError(ValueError):
@@ -163,6 +165,8 @@ def _run_chunks(worker, trials: int, chunk: int, threads: int):
     The chunk layout and per-chunk seeds depend only on trials and chunk, so
     the aggregate is identical for any thread count.
     """
+    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
+        raise CheckParameterError("chunk: an integer >= 1 required")
     sizes = [min(chunk, trials - done) for done in range(0, trials, chunk)]
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
@@ -226,21 +230,26 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     v with positive out-degree the lower tail of |J_v & X| (one witness colour
     per out-neighbour, a Binomial(d_v, p) count that never exceeds the
     out-degree of v towards X) against exp(-eps^2 d_v p/2).  For n <= 63 the
-    out-degree towards X is also tallied directly.
+    out-degree towards X is also tallied directly.  Each chunk counts |J_v & X|
+    per distinct J_v over the colours some J_v holds, by one float32 product
+    (exact), against the integer cap floor((1 - eps) d_v p + 1e-12).
     """
     if not (0 < p <= 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1] and eps in (0,1] required")
     if trials < 1:
         raise CheckParameterError("trials >= 1 required")
     n = rack.n
-    # row v of jm marks J_v, the least colour per out-neighbour of v
-    order, first = distinct_heads(rack.array)
-    jm = np.zeros((n, n), dtype=np.float32)
-    jm[np.nonzero(first)[1], order[first]] = 1.0
-    del order, first    # not kept through the trials
-    d = jm.sum(axis=1, dtype=np.float64)
+    # row v of jm marks J_v, the least colour per out-neighbour of v (column n: none)
+    jm = np.zeros((n, n + 1), dtype=bool)
+    jm[np.arange(n)[:, None], least_colours(rack.array)] = True
+    jm = jm[:, :n]
+    d = jm.sum(axis=1)
     delta = d * p
-    thresh = (1 - eps) * delta
+    # an integer count is <= (1 - eps) delta + 1e-12 iff it is <= this floor
+    cap = np.floor((1 - eps) * delta + 1e-12).astype(np.float32)
+    first, inverse = distinct_rows(jm)
+    used = np.flatnonzero(jm.any(axis=0))
+    jd = jm[np.ix_(first, used)].astype(np.float32)
     direct = n <= 63
     if direct:
         images = rack.array.astype(np.int64)  # images[j][v] = (v)f_j
@@ -250,8 +259,8 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
         rng = np.random.default_rng((seed, idx))
         keep = rng.random((n, b)) < p
         size = int((keep.sum(axis=0) >= (1 + eps) * n * p).sum())
-        counts = jm @ keep.astype(np.float32)
-        j_part = (counts <= thresh[:, None] + 1e-12).sum(axis=1).astype(np.int64)
+        counts = jd @ keep[used].astype(np.float32)     # exact: sums of 0/1
+        j_part = (counts <= cap[first, None]).sum(axis=1)[inverse]
         d_part = np.zeros(n, dtype=np.int64)
         if direct:
             masks = np.zeros((b, n), dtype=np.int64)
@@ -261,7 +270,7 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
                     masks[rows] |= np.int64(1) << images[j]
             masks &= ~self_bits
             dcounts = np.bitwise_count(masks)    # n <= 63: no sign bit
-            d_part = (dcounts <= thresh[None, :] + 1e-12).sum(axis=0).astype(np.int64)
+            d_part = (dcounts <= cap[None, :]).sum(axis=0).astype(np.int64)
         return size, j_part, d_part
 
     parts = _run_chunks(worker, trials, chunk, threads)

@@ -5,10 +5,11 @@ multigraph with an edge u -> v of colour c whenever u != v and
 (u)sigma_c = v.  Components always mean components of the underlying
 undirected multigraph.  A ColoredDigraph is a colour set and the array of
 its maps, and rack_graph gives a rack's colour subset as one; components
-(its directed BFS forest), out_degrees, greedy_merge_order and to_dot read
-that array.  The module also has the decoder's conjugation along a forest,
-the drop in component count and the merged parts when one more colour
-joins a forest's parts, and cycle types.  All of them, and the axiom
+(its directed BFS forest), out_degrees (by least_colours, the least colour
+per out-neighbour), greedy_merge_order and to_dot read that array.  The
+module also has the decoder's conjugation along a forest, the drop in
+component count and the merged parts when one more colour joins a
+forest's parts, and cycle types.  All of them, and the axiom
 check's orbit closure, label components by one numpy pass, `_min_labels`.
 """
 
@@ -79,22 +80,22 @@ def components(graph: ColoredDigraph) -> Forest:
 
 
 def out_degrees(graph: ColoredDigraph) -> np.ndarray:
-    """Per vertex, the number of distinct heads over the distinct maps."""
-    return distinct_heads(graph.maps[distinct_rows(graph.maps)[0]])[1].sum(axis=0)
+    """Per vertex, the number of distinct heads over the maps."""
+    return (least_colours(graph.maps) < len(graph.colors)).sum(axis=1)
 
 
-def distinct_heads(maps: np.ndarray):
-    """(order, first) for maps, a (k, n) array whose rows are maps of [n].
+def least_colours(maps: np.ndarray) -> np.ndarray:
+    """least[v, u] for maps, a (k, n) array whose rows are maps of [n]: the
+    least row y with (v)f_y = u != v, or k if there is none.
 
-    order sorts each column v stably by its heads (v)f, and first marks, in
-    that order, the first row of each distinct head other than v: the least
-    colour per out-neighbour.  Column v of first sums to v's out-degree in
-    the graph of the rows.
-    """
-    order = np.argsort(maps, axis=0, kind="stable")
-    heads = np.take_along_axis(maps, order, axis=0)
-    first = (np.diff(heads, axis=0, prepend=-1) != 0) & (heads != np.arange(maps.shape[1]))
-    return order, first
+    Row v holds J_v, the least colour per out-neighbour of v; its entries
+    below k count v's out-degree in the graph of the rows.  A minimum
+    scatter, not a sort."""
+    k, n = maps.shape
+    least = np.full(n * n, k, dtype=np.int32)
+    np.minimum.at(least, (np.arange(n) * n + maps).ravel(), np.arange(k, dtype=np.int32).repeat(n))
+    least[::n + 1] = k     # no loops
+    return least.reshape(n, n)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ out-regularity check, exact
 rational zeta for the zeta sweep's block scorer, stars and bars and a
 row-by-row sweep for the exhaustive sweep's numpy compositions, binomial
 tails in exact integers and one Binomial draw per trial for the Chernoff
-check's tail counts, per-root FIFO BFS trees
+check's tail counts, a per-vertex tally of every trial for the random-subset
+check's product over distinct J_v rows, per-root FIFO BFS trees
 and tuple conjugation for the BFS forest, the decoder and find_W that
 walked them one part at a time for their array forms, and the union-find
 lazy greedy with a heap for the block-scored greedy ordering.
@@ -441,6 +442,53 @@ def witness_colours(n: int, maps) -> list:
                 chosen.append(j)
         out.append(chosen)
     return out
+
+
+def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int = 0,
+                        chunk: int = 2_000) -> dict:
+    """analysis.random_subset_check tallied row by row: J_v from
+    witness_colours, every vertex counted on every trial against
+    (1 - eps) d_v p + 1e-12, in its chunks with its per-chunk seeds; for
+    n <= 63 also v's out-degree towards X, from its heads one at a time."""
+    n = rack.n
+    witnesses = witness_colours(n, rack.maps)
+    delta = [len(j) * p for j in witnesses]
+    direct = n <= 63
+    size_hits, j_hits, d_hits = 0, [0] * n, [0] * n
+    for idx, done in enumerate(range(0, trials, chunk)):
+        keep = np.random.default_rng((seed, idx)).random((n, min(chunk, trials - done))) < p
+        size_hits += int((keep.sum(axis=0) >= (1 + eps) * n * p).sum())
+        for v in range(n):
+            cap = (1 - eps) * delta[v] + 1e-12
+            j_hits[v] += int((keep[witnesses[v]].sum(axis=0) <= cap).sum())
+            if direct:
+                heads = rack.array[:, v]
+                reached = np.zeros(keep.shape[1], dtype=int)
+                for u in set(heads.tolist()) - {v}:
+                    reached += keep[heads == u].any(axis=0)
+                d_hits[v] += int((reached <= cap).sum())
+    size_est = size_hits / trials
+    size_bound = math.exp(-eps * eps * n * p / 3)
+    ok = size_est <= size_bound + 3 * math.sqrt(max(size_est * (1 - size_est), 0.0) / trials)
+    worst = {"vertex": None, "estimate": 0.0, "bound": 1.0, "margin": -1.0}
+    for v in range(n):
+        if not witnesses[v]:
+            continue
+        bound_v = math.exp(-eps * eps * delta[v] / 2)
+        for hits in (j_hits, d_hits) if direct else (j_hits,):
+            est = hits[v] / trials
+            margin = est - (bound_v + 3 * math.sqrt(max(est * (1 - est), 0.0) / trials))
+            if margin > worst["margin"]:
+                worst = {"vertex": v, "estimate": est, "bound": bound_v, "margin": margin}
+            ok = ok and margin <= 0
+    return {
+        "check": "random-subset",
+        "params": {"n": n, "p": p, "eps": eps, "trials": trials, "direct": direct},
+        "seed": seed,
+        "statistic": {"size_tail": size_est, "worst_vertex": worst},
+        "bound": {"size": size_bound},
+        "pass": ok,
+    }
 
 
 def successors(graph: ColoredDigraph) -> list:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,7 +20,7 @@ from racklab import (CheckParameterError, DegreeSplitError, Rack, chernoff_check
 from racklab.codec import _zeta
 
 import _reference
-from _corpus import family_racks
+from _corpus import commuting_rack, family_racks, pair_swap_rack, random_relabeling
 from _reference import zeta_of_exact
 
 
@@ -327,6 +328,52 @@ def test_random_subset_s3():
 def test_random_subset_medium_dihedral():
     report = random_subset_check(dihedral_quandle(30), 0.3, 0.5, trials=3_000, seed=5)
     assert report["pass"], report
+
+
+def _subset_racks():
+    rng = random.Random(17)
+    racks = [("dihedral_51", dihedral_quandle(51)), ("dihedral_64", dihedral_quandle(64)),
+             ("dihedral_101", dihedral_quandle(101)), ("dihedral_256", dihedral_quandle(256))]
+    racks = [(name, random_relabeling(rng, rack)) for name, rack in racks]
+    racks += [("commuting_48", commuting_rack(48, 3)), ("commuting_96", commuting_rack(96, 5)),
+              ("pair_swap_64", pair_swap_rack(64, 1)),
+              ("conj_s5", conjugation_quandle(symmetric_group_table(5)))]
+    return [pytest.param(rack, id=name) for name, rack in racks]
+
+
+# (p, eps, trials, chunk, threads): several chunks, one chunk, one trial per chunk;
+# at p = 0.1, eps = 0.8 the cap (1 - eps) d p of d = 50 and 100 lies just below an
+# integer, within the 1e-12 slack, and counts meet it on a few trials in a hundred
+SUBSET_RUNS = [(0.3, 0.5, 1_400, 700, 1), (0.5, 0.2, 2_000, 2_000, 3), (0.1, 1.0, 5, 1, 1),
+               (0.1, 0.8, 2_000, 700, 3)]
+
+
+@pytest.mark.parametrize("rack", _subset_racks())
+def test_random_subset_check_matches_the_row_by_row_tally(rack):
+    for p, eps, trials, chunk, threads in SUBSET_RUNS:
+        report = random_subset_check(rack, p, eps, trials, seed=9, chunk=chunk, threads=threads)
+        assert report == _reference.random_subset_check(rack, p, eps, trials, seed=9,
+                                                         chunk=chunk)
+
+
+def test_random_subset_check_on_family_racks_matches_the_row_by_row_tally():
+    cases = [(rack, *run) for _, rack in family_racks(8) for run in SUBSET_RUNS]
+    cases += [(trivial_rack(1), 0.5, 0.5, 300, 700, 1),
+              (conjugation_quandle(symmetric_group_table(3)), 1.0, 0.5, 300, 2_000, 3),
+              (dihedral_quandle(65), 1.0, 0.5, 300, 700, 3)]
+    for rack, p, eps, trials, chunk, threads in cases:
+        report = random_subset_check(rack, p, eps, trials, seed=4, chunk=chunk, threads=threads)
+        assert report == _reference.random_subset_check(rack, p, eps, trials, seed=4,
+                                                         chunk=chunk), (rack.n, p, chunk)
+
+
+@pytest.mark.parametrize("chunk", [0, -5, 2.5])
+def test_chunk_below_one_or_fractional_is_typed(chunk):
+    s3 = conjugation_quandle(symmetric_group_table(3))
+    with pytest.raises(CheckParameterError, match="chunk"):
+        chernoff_check(100, 0.3, 0.5, trials=100, chunk=chunk)
+    with pytest.raises(CheckParameterError, match="chunk"):
+        random_subset_check(s3, 0.5, 0.5, trials=100, chunk=chunk)
 
 
 def test_find_w_no_high_vertices():

@@ -10,8 +10,8 @@ from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      degree_split, dihedral_quandle, enumerate_labeled,
                      merge_bound_audit, out_degrees, permutation_rack, rack_graph, to_dot,
                      trivial_rack)
-from racklab.graph import (bfs_forest, conjugate_along_forest, cycle_types, distinct_heads,
-                           greedy_merge_order, part_merges)
+from racklab.graph import (bfs_forest, conjugate_along_forest, cycle_types, greedy_merge_order,
+                           least_colours, part_merges)
 from racklab.perms import identity
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
@@ -88,19 +88,20 @@ def test_out_degrees():
     assert out_degrees(ColoredDigraph(3, {})).tolist() == [0, 0, 0]
 
 
-def test_distinct_heads_match_the_witness_loop():
+def test_least_colours_match_the_witness_loop():
     # racks, and random permutation families with k = 0..n rows
     rng = np.random.default_rng(11)
     families = [(rack.n, rack.maps) for _, rack in family_racks(8)]
     families += [(n, [tuple(rng.permutation(n).tolist()) for _ in range(k)])
                  for n in (1, 5, 9) for k in (0, 1, n // 2, n)]
     for n, maps in families:
-        order, first = distinct_heads(np.array(maps, dtype=np.int32).reshape(len(maps), n))
-        assert [sorted(order[first[:, v], v].tolist()) for v in range(n)] == \
+        least = least_colours(np.array(maps, dtype=np.int32).reshape(len(maps), n))
+        assert least.shape == (n, n)
+        assert [sorted(row[row < len(maps)].tolist()) for row in least] == \
             witness_colours(n, maps)
         graph = ColoredDigraph(n, dict(enumerate(maps)))
         degrees = _reference.out_degrees(graph)
-        assert tuple(first.sum(axis=0).tolist()) == degrees
+        assert tuple((least < len(maps)).sum(axis=1).tolist()) == degrees
         assert tuple(out_degrees(graph).tolist()) == degrees
 
 
@@ -547,7 +548,8 @@ def test_greedy_and_split_on_repeated_maps_match_full_scans(rack):
     n = rack.n
     assert len(np.unique(rack.array, axis=0)) < n
     # out-degree counted over every colour's map, repeats included
-    degrees = distinct_heads(rack.array)[1].sum(axis=0)
+    degrees = (least_colours(rack.array) < n).sum(axis=1)
+    assert tuple(degrees.tolist()) == _reference.out_degrees(rack_graph(rack))
     for delta in sorted({0, 1, 2, int(degrees.max()), n}):
         low, high = degree_split(rack, delta)
         assert low == tuple(np.flatnonzero(degrees <= delta).tolist())
