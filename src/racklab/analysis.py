@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import degree_split
+from .codec import _zeta_rows, degree_split
 from .core import Rack
 from .graph import (components, conjugate_along_forest, cycle_types, least_colours,
                     out_degrees, rack_graph)
@@ -64,7 +64,7 @@ def _compositions(n: int, start: int, stop: int) -> np.ndarray:
 def _score_block(eta: np.ndarray):
     """(zeta, exact, equal, over) for each row of an int array of eta sequences.
 
-    zeta is codec._zeta's float, summed column by column in its order.  A row
+    zeta is the float of codec._zeta_rows, as codec._zeta gives it.  A row
     is exact when every active q is a power of two: with L the largest power
     of two <= n, A = sum eta_q L/q and B = sum eta_q log2(q) L/q are integers,
     zeta = AB/L^2 (correctly rounded), and equal and over compare 4AB with
@@ -72,14 +72,7 @@ def _score_block(eta: np.ndarray):
     beyond 1e-9.
     """
     rows, n = eta.shape
-    inv = np.zeros(rows)
-    logs = np.zeros(rows)
-    # every term is >= 0, so skipping all-zero columns leaves the sums bit-equal
-    for q in (np.flatnonzero(eta.any(axis=0)) + 1).tolist():
-        col = eta[:, q - 1]
-        inv += col / q
-        logs += col * math.log2(q) / q
-    zeta = inv * logs
+    zeta = _zeta_rows(eta)
     over = zeta > n * n / 4 + 1e-9
     equal = np.zeros(rows, dtype=bool)
     pow2 = np.array([q & (q - 1) == 0 for q in range(1, n + 1)])
@@ -116,7 +109,7 @@ def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
         blocks = (_compositions(n, i, min(i + size, total)) for i in range(0, total, size))
         mode = "exhaustive"
     else:
-        if trials < 1:
+        if not _is_count(trials):
             raise CheckParameterError("trials >= 1 required when n > 10")
         rng = np.random.default_rng(seed)
         counts = (min(size, trials - start) for start in range(0, trials, size))
@@ -159,13 +152,18 @@ def _tail_se(est: float, trials: int) -> float:
     return math.sqrt(max(est * (1 - est), 0.0) / trials)
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer >= 1, as trials and chunk must be."""
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
 def _run_chunks(worker, trials: int, chunk: int, threads: int):
     """Run worker(index, size) over fixed chunks on at most one thread per CPU.
 
     The chunk layout and per-chunk seeds depend only on trials and chunk, so
     the aggregate is identical for any thread count.
     """
-    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
+    if not _is_count(chunk):
         raise CheckParameterError("chunk: an integer >= 1 required")
     sizes = [min(chunk, trials - done) for done in range(0, trials, chunk)]
     threads = min(threads, os.cpu_count() or 1)
@@ -201,7 +199,7 @@ def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
     counts drawn per chunk of b trials as Multinomial(b, _tail_cells(n, p, eps))."""
     if not (0 < p < 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1) and eps in (0,1] required")
-    if n < 0 or trials < 1:
+    if n < 0 or not _is_count(trials):
         raise CheckParameterError("n >= 0 and trials >= 1 required")
     cells = _tail_cells(n, p, eps)
     draws = _run_chunks(lambda idx, b: np.random.default_rng((seed, idx)).multinomial(b, cells),
@@ -236,7 +234,7 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     """
     if not (0 < p <= 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1] and eps in (0,1] required")
-    if trials < 1:
+    if not _is_count(trials):
         raise CheckParameterError("trials >= 1 required")
     n = rack.n
     # row v of jm marks J_v, the least colour per out-neighbour of v (column n: none)

@@ -16,16 +16,18 @@ The T-graph's components and their directed BFS forest are built once
 per stream, as numpy arrays (graph.Forest); the info tuple keeps them,
 and the audit runs on them.  One scoring of the remaining low colours
 against the forest (graph.part_merges) gives both field 6's merge lists
-and the audit's drops after T.  Writer and reader lay out fields 6 and 7
-(_merged_layout) and 8 (_residual_layout) with the same code.  Fields 4,
-6, 7 and 8 move as blocks; the decoder checks a block's colours at once
-and re-reads only a colour that over-runs the stream, so errors keep
-stream order.  It allocates the n x n int32 maps after field 4, unranks
-fields 2 and 5 into them in one call, rebuilds the representative maps
-down the forest, conjugates the rest into place one depth at a time, and
-hands the array to rack_from_table.  The encoder reads maps and
-restrictions as rows and columns of Rack.array.  Ranks, degrees and drops
-are computed once per distinct map, on its least colour (distinct_rows).
+and the audit's drops after T.  Fields 4 and 7 are partial maps, each
+colour on T and each remaining low colour on its merged block, with one
+layout (_partial_maps), writer and reader; field 8's layout
+(_residual_layout) is shared too.  Fields 4, 6, 7 and 8 move as blocks;
+the decoder checks a block's colours at once and re-reads only a colour
+that over-runs the stream, so errors keep stream order.  It allocates
+the n x n int32 maps after field 4, unranks fields 2 and 5 into them in
+one call, rebuilds the representative maps down the forest, conjugates
+the rest into place one depth at a time, and hands the array to
+rack_from_table.  The encoder reads maps and restrictions as rows and
+columns of Rack.array.  Ranks, degrees and drops are computed once per
+distinct map, on its least colour (distinct_rows).
 
 Binary format ".rke": magic "RKE1", big-endian u16 n, u16 delta,
 u16 cap_l, then an MSB-first bit stream (info tuple, then residual),
@@ -47,7 +49,7 @@ from .bits import BitReader, BitUnderflow, BitWriter, perm_width, uint_width
 from .core import AxiomReport, Rack, rack_from_table, trivial_rack
 from .graph import (Forest, bfs_forest, components, conjugate_along_forest,
                     greedy_merge_order, out_degrees, part_merges, rack_graph)
-from .perms import lehmer_ranks, lehmer_unranks
+from .perms import lehmer_ranks, lehmer_unranks, permutation_rows
 
 MAGIC = b"RKE1"
 
@@ -179,27 +181,67 @@ def _bitmap_members(values: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(values, axis=1, count=m).view(bool)
 
 
-def _merged_layout(forest: Forest, merged: np.ndarray):
-    """Fields 6 and 7 of the remaining low colours, whose (colours, parts)
-    mask of merged parts is merged.
-
-    Field 6 is each row of merged as a bitmap, in fields of
-    _bitmap_widths(parts).  Field 7 is, colour by colour, the n-bit domain
-    bitmap of the block Y_j and the image of each vertex of Y_j, ascending.
-    Returns (blocks, domains, widths, is_domain, starts) for field 7: the
-    (colours, n) mask of the blocks, their bitmap fields, the width of
-    every field, which fields are bitmap fields, and where each colour's
-    fields start, with the total last.
-    """
-    n = len(forest.part_index)
-    blocks = merged[:, forest.part_index]
+def _partial_maps(masks: np.ndarray):
+    """Fields 4 and 7: per row of the (k, n) bool mask masks, a partial map of
+    [n] as its n-bit domain bitmap, then the images of its domain, ascending.
+    Returns (domains, widths, is_domain, starts): the bitmaps' fields, every
+    field's width, which fields are bitmap fields, and where each map's
+    fields start, with the total last."""
+    n = masks.shape[1]
     head = _bitmap_widths(n)
-    starts = np.concatenate([[0], np.cumsum(len(head) + blocks.sum(axis=1))])
-    is_domain = np.zeros(starts[-1], dtype=bool)
-    is_domain[(starts[:-1, None] + np.arange(len(head))).ravel()] = True
-    widths = np.full(starts[-1], uint_width(n), dtype=np.int64)
-    widths[is_domain] = np.tile(head, len(blocks))
-    return blocks, _bitmap_fields(blocks), widths, is_domain, starts
+    counts = len(head) + masks.sum(axis=1)      # fields per map
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    place = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)     # in its map
+    widths = np.append(head, uint_width(n))[np.minimum(place, len(head))]
+    return _bitmap_fields(masks), widths, place < len(head), starts
+
+
+def _write_partial_maps(w: BitWriter, masks: np.ndarray, images) -> None:
+    """The partial maps of masks' rows; images lists them row by row."""
+    domains, widths, is_domain, _ = _partial_maps(masks)
+    values = np.empty(len(widths), dtype=np.int64)
+    values[is_domain] = domains.ravel()
+    values[~is_domain] = images
+    w.write_varblock(values, widths)
+
+
+def _out_of_range(vertex) -> str:
+    return f"vertex {vertex} out of range"
+
+
+def _read_partial_maps(r: BitReader, masks: np.ndarray, mismatch):
+    """(images, error): the images of the partial maps of masks' rows before
+    the first that fails, row by row, and that failure or None.  A map fails
+    with CorruptStream(mismatch(row)) on a domain bitmap other than its row,
+    CorruptStream on an image out of range, or the BitUnderflow of a field
+    past the stream's end.  The whole maps that fit are read in one block,
+    and only the map that over-runs field by field, so errors keep stream order.
+    """
+    n = masks.shape[1]
+    domains, widths, is_domain, starts = _partial_maps(masks)
+    whole = int(np.searchsorted(np.cumsum(widths)[starts[1:] - 1], r.bits_remaining(),
+                                side="right"))
+    fields = r.read_varblock(widths[:starts[whole]])
+    in_domain = is_domain[:len(fields)]
+    images = fields[~in_domain]
+    row = np.repeat(np.arange(whole), np.diff(starts[:whole + 1]) - domains.shape[1])
+    wrong_domain = (fields[in_domain].reshape(domains[:whole].shape) != domains[:whole]).any(axis=1)
+    out_of_range = images >= n
+    bad = np.flatnonzero(wrong_domain | (np.bincount(row[out_of_range], minlength=whole) > 0))
+    if bad.size:
+        j = int(bad[0])
+        message = mismatch(j) if wrong_domain[j] else \
+            _out_of_range(images[out_of_range & (row == j)][0])
+        return images[row < j], CorruptStream(message)
+    if whole == len(masks):
+        return images, None
+    try:
+        if r.read_bitmap(n) != tuple(np.flatnonzero(masks[whole]).tolist()):
+            return images, CorruptStream(mismatch(whole))
+    except BitUnderflow as exc:
+        return images, exc
+    return images, _read_until_bad(r, widths[starts[whole] + domains.shape[1]:starts[whole + 1]],
+                                   n, _out_of_range)[1]
 
 
 def _residual_layout(forest: Forest, unmerged: np.ndarray):
@@ -304,20 +346,21 @@ class CodecStats:
     total_bytes: int
 
 
-def _zeta(eta) -> float:
-    inv = sum(count / q for q, count in enumerate(eta, start=1))
-    logs = sum(count * math.log2(q) / q for q, count in enumerate(eta, start=1))
+def _zeta_rows(eta: np.ndarray) -> np.ndarray:
+    """zeta of each row of a 2-D int array of eta sequences, as floats summed
+    q by q; every term is >= 0, so skipping all-zero columns leaves the sums
+    bit-equal to a sum over every q."""
+    inv = np.zeros(len(eta))
+    logs = np.zeros(len(eta))
+    for q in (np.flatnonzero(eta.any(axis=0)) + 1).tolist():
+        col = eta[:, q - 1]
+        inv += col / q
+        logs += col * math.log2(q) / q
     return inv * logs
 
 
-def _restriction_layout(n: int, t_sorted) -> tuple:
-    """(domain, widths) of one colour's entry in field 4 when it moves as a
-    block: the n-bit domain bitmap of T, whose fields are domain, then the
-    images of T; widths lists the field widths of the whole entry."""
-    mask = np.zeros((1, n), dtype=bool)
-    mask[0, list(t_sorted)] = True
-    return _bitmap_fields(mask)[0], np.concatenate([_bitmap_widths(n),
-                                                    np.full(len(t_sorted), uint_width(n))])
+def _zeta(eta) -> float:
+    return float(_zeta_rows(np.array([eta], dtype=np.int64))[0])
 
 
 def _write_info(w: BitWriter, info: InfoTuple) -> None:
@@ -329,22 +372,17 @@ def _write_info(w: BitWriter, info: InfoTuple) -> None:
         w.write(rank, w_perm)
     w.write(len(info.t_order), uint_width(n + 1))
     w.write_block(info.t_order, w_vertex)
-    # field 4 in one block: per colour, the domain bitmap of T and the images of T
-    domain, widths = _restriction_layout(n, info.t_sorted)
-    w.write_varblock(np.hstack([np.tile(domain, (n, 1)), info.t_restrictions]).ravel(),
-                     np.tile(widths, n))
+    # field 4: per colour, its map on T
+    t_mask = np.zeros(n, dtype=bool)
+    t_mask[list(info.t_order)] = True
+    _write_partial_maps(w, np.broadcast_to(t_mask, (n, n)), info.t_restrictions.ravel())
     for rank in lehmer_ranks(info.t_plus_maps):
         w.write(rank, w_perm)
-    # fields 6 and 7 in one block each: the merge bitmaps, then per colour
-    # the domain bitmap of its block and the block's images
+    # field 6 in one block: the merge bitmaps; field 7: per colour, its map on its block
     cp = len(info.forest.parts)
     w.write_varblock(_bitmap_fields(info.merged).ravel(),
                      np.tile(_bitmap_widths(cp), len(info.merged)))
-    _, domains, widths, is_domain, _ = _merged_layout(info.forest, info.merged)
-    values = np.empty(len(widths), dtype=np.int64)
-    values[is_domain] = domains.ravel()
-    values[~is_domain] = info.merged_images
-    w.write_varblock(values, widths)
+    _write_partial_maps(w, info.merged[:, info.forest.part_index], info.merged_images)
 
 
 def encode_with_stats(rack: Rack, params: CodecParams | None = None):
@@ -441,15 +479,6 @@ def _read_until_bad(r: BitReader, widths: np.ndarray, limits, message):
 
 
 def _decode_body(n: int, r: BitReader) -> Rack:
-    w_vertex = uint_width(n)
-
-    def read_vertices(count):
-        values, error = _read_until_bad(r, np.full(count, w_vertex, dtype=np.int64), n,
-                                        lambda v: f"vertex {v} out of range")
-        if error:
-            raise error
-        return values
-
     s_low = r.read_bitmap(n)
     # n! only after the first field has been read, so a stream too short
     # for its header's n fails without computing it
@@ -468,29 +497,24 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     t_len = r.read(uint_width(n + 1))
     if t_len > n:
         raise CorruptStream("t length out of range")
-    t_order = tuple(read_vertices(t_len).tolist())
-    if len(set(t_order)) != t_len or not set(t_order) <= low_set:
+    t_order, error = _read_until_bad(r, np.full(t_len, uint_width(n)), n, _out_of_range)
+    if error:
+        raise error
+    t_set = set(t_order.tolist())
+    if len(t_set) != t_len or not t_set <= low_set:
         raise CorruptStream("invalid t set")
-    t_cols = np.array(sorted(t_order), dtype=np.intp)
+    t_cols = np.sort(t_order)
 
-    # field 4 in one block of whole colours; a colour that over-runs is read
-    # field by field, so its errors come in stream order
-    domain, widths = _restriction_layout(n, t_cols)
-    whole = min(n, r.bits_remaining() // int(widths.sum()))
-    block = r.read_varblock(np.tile(widths, whole)).reshape(whole, len(widths))
-    wrong_domain = (block[:, :len(domain)] != domain).any(axis=1)
-    restrictions = block[:, len(domain):]       # [j][k] = (t_sorted[k])f_j
-    out_of_range = restrictions >= n
-    bad = np.flatnonzero(wrong_domain | out_of_range.any(axis=1))
-    if bad.size:
-        j = int(bad[0])
-        if wrong_domain[j]:
-            raise CorruptStream(f"restriction domain mismatch for colour {j}")
-        raise CorruptStream(f"vertex {restrictions[j, out_of_range[j].argmax()]} out of range")
-    if whole < n:
-        if r.read_bitmap(n) != tuple(t_cols.tolist()):
-            raise CorruptStream(f"restriction domain mismatch for colour {whole}")
-        read_vertices(t_len)
+    # field 4: each colour's map on T.  Every map takes n bits or more, so
+    # only the rows the stream can hold are laid out
+    t_mask = np.zeros(n, dtype=bool)
+    t_mask[t_cols] = True
+    restrictions, error = _read_partial_maps(
+        r, np.broadcast_to(t_mask, (min(n, r.bits_remaining() // n + 1), n)),
+        lambda j: f"restriction domain mismatch for colour {j}")
+    if error:
+        raise error
+    restrictions = restrictions.reshape(n, t_len)      # [j][k] = (t_sorted[k])f_j
 
     # the n x n maps only now: field 4 held n domain bitmaps of n bits each
     maps = np.zeros((n, n), dtype=np.int32)     # row j is f_j once known[j]
@@ -522,35 +546,20 @@ def _decode_body(n: int, r: BitReader) -> Rack:
     if whole < len(rest):
         r.read_bitmap(cp)
 
-    # field 7 in one block of whole colours, checked together; the colour
-    # that over-runs is read field by field, so its errors come in stream order
-    blocks, domains, widths, is_domain, starts = _merged_layout(forest, merged)
-    bit_ends = np.cumsum(widths)[starts[1:] - 1]
-    whole = int(np.searchsorted(bit_ends, r.bits_remaining(), side="right"))
-    fields = r.read_varblock(widths[:starts[whole]])
-    in_domain = is_domain[:len(fields)]
-    block_row, block_vertex = np.nonzero(blocks[:whole])    # stream order
-    block_images = fields[~in_domain]
-    domains = domains[:whole]
-    wrong_domain = (fields[in_domain].reshape(domains.shape) != domains).any(axis=1)
-    out_of_range = block_images >= n
+    # field 7: each remaining low colour's map on its block, which it must
+    # permute; a colour read before a failure is checked first
+    blocks = merged[:, forest.part_index]
+    block_images, error = _read_partial_maps(
+        r, blocks, lambda j: f"merged domain mismatch for colour {rest[j]}")
+    block_row, block_vertex = (a[:len(block_images)] for a in np.nonzero(blocks))  # stream order
     # sorted by (colour, image), which leaves each colour's entries in their
     # places, a kept block's images are its vertices
-    order = np.lexsort((block_images, block_row))
-    moved = out_of_range | (block_images[order] != block_vertex)
-    bad = np.flatnonzero(wrong_domain | (np.bincount(block_row[moved], minlength=whole) > 0))
-    if bad.size:
-        j = int(bad[0])
-        if wrong_domain[j]:
-            raise CorruptStream(f"merged domain mismatch for colour {rest[j]}")
-        over = np.flatnonzero(out_of_range & (block_row == j))
-        if over.size:
-            raise CorruptStream(f"vertex {block_images[over[0]]} out of range")
-        raise InconsistentDecode(f"merged block of colour {rest[j]} is not preserved")
-    if whole < len(rest):
-        if r.read_bitmap(n) != tuple(np.flatnonzero(blocks[whole]).tolist()):
-            raise CorruptStream(f"merged domain mismatch for colour {rest[whole]}")
-        read_vertices(int(blocks[whole].sum()))
+    moved = block_images[np.lexsort((block_images, block_row))] != block_vertex
+    if moved.any():
+        raise InconsistentDecode(f"merged block of colour {rest[block_row[moved][0]]} "
+                                 "is not preserved")
+    if error:
+        raise error
 
     # one residual index per (representative, unmerged part), all in one block:
     # the image of the part's minimum, as a place in the part.  A representative
@@ -580,9 +589,7 @@ def _decode_body(n: int, r: BitReader) -> Rack:
         row_of[rep_rows[:done]] = np.arange(done)
         mine = row_of[block_row] >= 0
         images[row_of[block_row[mine]], block_vertex[mine]] = block_images[mine]
-        hit = np.zeros((done, n), dtype=bool)
-        hit[np.arange(done)[:, None], images] = True
-        bad = np.flatnonzero(~hit.all(axis=1))
+        bad = np.flatnonzero(~permutation_rows(images))
         if bad.size:
             raise InconsistentDecode(f"reconstructed map {rows[bad[0]]} is not a permutation")
         maps[rows] = images

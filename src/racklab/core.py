@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import _min_labels
-from .perms import compose, is_permutation
+from .perms import is_permutation, permutation_rows
 
 
 class RackError(Exception):
@@ -171,8 +171,8 @@ def axiom_report(table) -> AxiomReport:
     n = table_order(table)
     cols = np.asarray(table, dtype=np.int32).T.copy()    # row y is the map f_y
     cols.flags.writeable = False
-    bad = (np.sort(cols, axis=1) != np.arange(n)).any(axis=1)
-    violations = [Violation("NotBijective", (int(y),)) for y in np.flatnonzero(bad)]
+    bad = np.flatnonzero(~permutation_rows(cols))
+    violations = [Violation("NotBijective", (int(y),)) for y in bad]
     if not violations:
         violations = _conjugation_violations(cols, n)
     is_rack = not violations
@@ -324,31 +324,31 @@ def _group_check(table):
 
 def conjugation_quandle(group_table) -> Rack:
     """x > y = y^-1 x y over a (checked) group multiplication table."""
-    n = table_order(group_table)
     _, inv = _group_check(group_table)
-    g, x = np.asarray(group_table), np.arange(n)
+    g, x = np.asarray(group_table), np.arange(len(inv))
     # x > y = g[g[inv[y]][x]][y], row x and column y
     return Rack.from_table(g[g[inv, x[:, None]], x])
 
 
 def alexander_quandle(add_table, tau) -> Rack:
-    """x > y = (x - y)tau + y over a (checked) abelian group and automorphism tau."""
-    n = table_order(add_table)
+    """x > y = (x - y)tau + y over a (checked) abelian group and automorphism tau;
+    a failed check names its first (a, b) in row-major order."""
     _, neg = _group_check(add_table)
-    for a in range(n):
-        for b in range(n):
-            if add_table[a][b] != add_table[b][a]:
-                raise NotAbelianError(f"{a}+{b} != {b}+{a}")
+    n, add = len(neg), np.asarray(add_table, dtype=np.intp)
+    bad = np.argwhere(add != add.T)
+    if len(bad):
+        a, b = bad[0]
+        raise NotAbelianError(f"{a}+{b} != {b}+{a}")
     tau = tuple(tau)
     if not is_permutation(tau, n):
         raise NotAutomorphismError("tau is not a permutation of the group")
-    for a in range(n):
-        for b in range(n):
-            if tau[add_table[a][b]] != add_table[tau[a]][tau[b]]:
-                raise NotAutomorphismError(f"tau({a}+{b}) != tau({a})+tau({b})")
-    add, x = np.asarray(add_table), np.arange(n)
+    tau, x = np.array(tau, dtype=np.intp), np.arange(n)
+    bad = np.argwhere(tau[add] != add[tau[:, None], tau])
+    if len(bad):
+        a, b = bad[0]
+        raise NotAutomorphismError(f"tau({a}+{b}) != tau({a})+tau({b})")
     # x > y = add[tau[add[x][neg[y]]]][y], row x and column y
-    return Rack.from_table(add[np.array(tau)[add[x[:, None], neg]], x])
+    return Rack.from_table(add[tau[add[x[:, None], neg]], x])
 
 
 def cyclic_group_table(n: int):
@@ -361,11 +361,12 @@ def cyclic_group_table(n: int):
 def symmetric_group_table(k: int):
     """Multiplication table of Sym(k) with elements in lexicographic order.
 
-    Product a*b composes left to right, matching the package convention.
+    Product a*b composes left to right, matching the package convention:
+    the image of x under a*b is b[a[x]].
     """
     elems = list(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(elems)}
-    return tuple(tuple(index[compose(a, b)] for b in elems) for a in elems)
+    return tuple(tuple(index[tuple(b[v] for v in a)] for b in elems) for a in elems)
 
 
 def dihedral_group_table(m: int):

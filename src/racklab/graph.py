@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import distinct_rows
+from .perms import distinct_rows, is_permutation
 
 
 class ColoredDigraph:
@@ -37,18 +37,9 @@ class ColoredDigraph:
         colors = tuple(sorted(sigma))
         maps = np.empty((len(colors), n), dtype=np.int32)
         for i, c in enumerate(colors):
-            try:
-                row = np.asarray(sigma[c])
-                if row.shape == (0,):   # an empty sequence reads as float64
-                    row = row.astype(np.int32)
-                # sorted in its own dtype: int32 could wrap a large entry onto a vertex
-                ok = (row.dtype.kind in "iu" and row.shape == (n,)
-                      and (np.sort(row) == np.arange(n)).all())
-            except ValueError:  # ragged: scalars mixed with sequences
-                ok = False
-            if not ok:
+            if not is_permutation(sigma[c], n):
                 raise ValueError(f"colour {c}: not a permutation of [{n}]")
-            maps[i] = row
+            maps[i] = sigma[c]
         maps.flags.writeable = False
         self.n, self.colors, self.maps = n, colors, maps
 

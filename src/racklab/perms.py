@@ -1,8 +1,10 @@
-"""Permutations of {0, ..., n-1} as tuples of images.
+"""Permutations of {0, ..., n-1} as sequences or arrays of images.
 
-Maps act on the right throughout the package: ``compose(f, g)`` is
-"apply f, then g", so writing a product fg means f first.  With this
-convention a conjugate g^-1 f g sends x to (((x)g^-1)f)g.
+Maps act on the right throughout the package: (x)f is the image of x
+under f, and a product fg means "apply f, then g", sending x to
+((x)f)g.  So a conjugate g^-1 f g sends x to (((x)g^-1)f)g.  One numpy
+check, permutation_rows, decides which rows of an array are permutations;
+every permutation test in the package goes through it.
 
 Lexicographic Lehmer ranks: the digits of 64 maps at a time are bitset popcounts
 in O(n/64) words per map, then about log2(n!)/62 big-int steps make a rank.
@@ -20,37 +22,31 @@ import operator
 import numpy as np
 
 
+def permutation_rows(rows) -> np.ndarray:
+    """Per row of a (k, n) integer array, whether it is a permutation of [n].
+
+    Each row is sorted in its own dtype, so no entry can wrap onto a vertex."""
+    rows = np.asarray(rows)
+    return (np.sort(rows, axis=1) == np.arange(rows.shape[1])).all(axis=1)
+
+
 def is_permutation(p, n=None) -> bool:
-    """True if p is a permutation of {0, ..., len(p)-1} (of length n if given)."""
-    if n is not None and len(p) != n:
+    """True if p, a sequence or 1-D array of integers (not bools), is a
+    permutation of {0, ..., len(p)-1}, of length n if given."""
+    try:
+        row = np.asarray(p)
+    except ValueError:      # ragged: scalars mixed with sequences
         return False
-    seen = [False] * len(p)
-    for v in p:
-        if not isinstance(v, int) or v < 0 or v >= len(seen) or seen[v]:
-            return False
-        seen[v] = True
-    return True
-
-
-def identity(n: int) -> tuple:
-    return tuple(range(n))
-
-
-def inverse(p) -> tuple:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def compose(f, g) -> tuple:
-    """f then g: the image of x is g[f[x]]."""
-    return tuple(g[v] for v in f)
+    if row.shape == (0,):   # an empty sequence reads as float64
+        row = row.astype(np.intp)
+    return (row.ndim == 1 and row.dtype.kind in "iu" and (n is None or len(row) == n)
+            and bool(permutation_rows(row[None])[0]))
 
 
 def conjugate(f, g) -> tuple:
     """g^-1 f g: apply g^-1, then f, then g."""
-    return compose(compose(inverse(g), f), g)
+    g_inverse = sorted(range(len(g)), key=g.__getitem__)
+    return tuple(g[f[x]] for x in g_inverse)
 
 
 # Lehmer digits are reduced in runs of consecutive positions whose radix

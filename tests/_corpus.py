@@ -11,7 +11,9 @@ from racklab import (CodecParams, Rack, alexander_quandle, conjugation_quandle,
                      cyclic_group_table, dihedral_group_table, dihedral_quandle,
                      permutation_rack, symmetric_group_table, trivial_rack)
 from racklab.core import table_order
-from racklab.perms import identity, is_permutation
+from racklab.perms import is_permutation
+
+from _reference import identity
 
 
 def from_cycles(n: int, cycles) -> tuple:

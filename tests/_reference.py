@@ -9,7 +9,10 @@ on raw edge multisets for
 the numpy labelling behind components, build_info and the audit, edge
 lists and per-vertex head sets for to_dot, out_degrees and the audit's
 out-regularity check, exact
-rational zeta for the zeta sweep's block scorer, stars and bars and a
+rational zeta and the Python float sum for the zeta sweep's block scorer
+and codec's column-wise zeta, the Python-loop permutation test for perms'
+numpy check (with the tuple identity, inverse and compose that the tests
+use), stars and bars and a
 row-by-row sweep for the exhaustive sweep's numpy compositions, binomial
 tails in exact integers and one Binomial draw per trial for the Chernoff
 check's tail counts, a per-vertex tally of every trial for the random-subset
@@ -34,11 +37,48 @@ import numpy as np
 
 from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
-from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, _zeta, degree_split
+from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
 from racklab.core import (AxiomReport, NotAGroupError, Rack, Violation, rack_from_table,
                           table_order, trivial_rack)
 from racklab.graph import ColoredDigraph, rack_graph
-from racklab.perms import conjugate, inverse, is_permutation, lehmer_unrank
+from racklab.perms import conjugate, lehmer_unrank
+
+
+def is_permutation(p, n=None) -> bool:
+    """True if p is a permutation of {0, ..., len(p)-1} (of length n if
+    given), by one pass over Python ints: perms.is_permutation's oracle."""
+    if n is not None and len(p) != n:
+        return False
+    seen = [False] * len(p)
+    for v in p:
+        if not isinstance(v, int) or v < 0 or v >= len(seen) or seen[v]:
+            return False
+        seen[v] = True
+    return True
+
+
+def identity(n: int) -> tuple:
+    return tuple(range(n))
+
+
+def inverse(p) -> tuple:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def compose(f, g) -> tuple:
+    """f then g: the image of x is g[f[x]]."""
+    return tuple(g[v] for v in f)
+
+
+def float_zeta(eta) -> float:
+    """zeta as one Python float sum per factor, q after q: the sum that
+    codec._zeta_rows computes column by column."""
+    inv = sum(count / q for q, count in enumerate(eta, start=1))
+    logs = sum(count * math.log2(q) / q for q, count in enumerate(eta, start=1))
+    return inv * logs
 
 
 class UnionFind:
@@ -325,14 +365,14 @@ def weak_compositions(n: int):
 
 def zeta_sweep(n: int) -> dict:
     """zeta_bound_sweep(n)'s exhaustive report, one composition at a time:
-    codec._zeta's float, or the exact Fraction where every size is a power of two."""
+    the float zeta, or the exact Fraction where every size is a power of two."""
     bound = Fraction(n * n, 4)
     count = violations = 0
     max_zeta, argmax, equality = -1.0, None, []
     for eta in weak_compositions(n):
         count += 1
         exact = zeta_of_exact(eta)
-        zeta = _zeta(eta) if exact is None else float(exact)
+        zeta = float_zeta(eta) if exact is None else float(exact)
         if exact is None:
             violations += zeta > n * n / 4 + 1e-9
         else:

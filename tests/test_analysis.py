@@ -126,7 +126,7 @@ def _assert_scored_like_reference(rows):
         ref = zeta_of_exact(row)
         assert is_exact == (ref is not None), row
         if ref is None:
-            ref_z = _zeta(row)
+            ref_z = _reference.float_zeta(row)
             assert not is_equal and is_over == (ref_z > n * n / 4 + 1e-9), row
         else:
             bound = Fraction(n * n, 4)
@@ -415,6 +415,17 @@ def test_find_w_unseparated_split_is_typed(monkeypatch):
 def test_zeta_sweep_parameters_out_of_range_are_typed(n, trials, message):
     with pytest.raises(CheckParameterError, match=message):
         zeta_bound_sweep(n, trials=trials)
+
+
+@pytest.mark.parametrize("check", [
+    lambda trials: chernoff_check(100, 0.3, 0.5, trials),
+    lambda trials: random_subset_check(trivial_rack(4), 0.5, 0.5, trials),
+    lambda trials: zeta_bound_sweep(12, trials=trials),
+])
+def test_fractional_trials_are_typed(check):
+    for trials in (2.5, 0.5):
+        with pytest.raises(CheckParameterError, match="trials >= 1 required"):
+            check(trials)
 
 
 def _outcome(find, *args):

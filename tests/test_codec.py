@@ -21,12 +21,12 @@ from racklab.bits import BitWriter
 from racklab.codec import MAGIC, CodecError, CodecParamsError
 from racklab.core import dihedral_group_table
 from racklab.graph import ColoredDigraph, bfs_forest, part_merges
-from racklab.perms import compose, identity, inverse
 
 from _corpus import (broadcast_trivial_rack, commuting_rack, family_racks, from_cycles,
                      is_subrack, pair_swap_rack, param_grid, random_relabeling,
                      unchecked_non_rack)
-from _reference import count_components_with, graph_components, merged_part_indices, out_degrees
+from _reference import (compose, count_components_with, graph_components, identity, inverse,
+                        merged_part_indices, out_degrees)
 from _reference import decode as reference_decode
 
 # encode(trivial_rack(3)) with default parameters (delta=4, cap_l=2), frozen

@@ -15,11 +15,11 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      symmetric_group_table, trivial_rack)
 from racklab import core, enumerate_classes
 from racklab.core import table_order
-from racklab.perms import compose, inverse, is_permutation
 
 from _corpus import family_racks, pair_swap_rack, random_relabeling, random_table
 from _reference import canonical_form as reference_canonical_form
-from _reference import find_isomorphism, group_check, satisfies_rack_axioms
+from _reference import (compose, find_isomorphism, group_check, inverse, is_permutation,
+                        satisfies_rack_axioms)
 
 
 def test_trivial_rack():
@@ -580,6 +580,57 @@ def test_families_build_the_racks_of_their_formulas():
         alexander_quandle(s3, tuple(range(6)))
     with pytest.raises(NotAutomorphismError):
         alexander_quandle(cyclic_group_table(3), (1, 2, 0))
+
+
+def test_families_and_relabel_take_numpy_permutations():
+    d3 = dihedral_quandle(3)
+    assert d3.relabel(np.array([1, 2, 0])) == d3.relabel((1, 2, 0))
+    assert permutation_rack(np.array([1, 2, 0])) == permutation_rack((1, 2, 0))
+    assert permutation_rack(np.arange(4, dtype=np.uint8)) == trivial_rack(4)
+    assert alexander_quandle(cyclic_group_table(3), np.array([0, 2, 1])) == d3
+    # a bool is not an element, though Python counts it as an int
+    with pytest.raises(ValueError, match="^not a permutation$"):
+        permutation_rack((True, False))
+    with pytest.raises(ValueError, match="must be a permutation"):
+        d3.relabel(np.array([True, False, True]))
+
+
+def _first_pair(n, fails):
+    return next((a, b) for a in range(n) for b in range(n) if fails(a, b))
+
+
+def test_alexander_quandle_names_the_first_failing_pair():
+    s3 = symmetric_group_table(3)
+    a, b = _first_pair(6, lambda a, b: s3[a][b] != s3[b][a])
+    with pytest.raises(NotAbelianError, match=rf"^{a}\+{b} != {b}\+{a}$"):
+        alexander_quandle(s3, tuple(range(6)))
+    rng = random.Random(3)
+    for n in (4, 6, 8):
+        z = cyclic_group_table(n)
+        for _ in range(5):
+            tau = tuple(rng.sample(range(n), n))
+            fails = lambda a, b: tau[z[a][b]] != z[tau[a]][tau[b]]   # noqa: E731
+            if not any(fails(a, b) for a in range(n) for b in range(n)):
+                continue
+            a, b = _first_pair(n, fails)
+            with pytest.raises(NotAutomorphismError,
+                               match=rf"^tau\({a}\+{b}\) != tau\({a}\)\+tau\({b}\)$"):
+                alexander_quandle(z, tau)
+
+
+def test_group_families_check_the_group_table_once(monkeypatch):
+    calls = []
+    original = core.table_order
+
+    def counting(table):
+        calls.append(len(table))
+        return original(table)
+
+    monkeypatch.setattr(core, "table_order", counting)
+    conjugation_quandle(symmetric_group_table(3))
+    alexander_quandle(cyclic_group_table(5), (0, 2, 4, 1, 3))
+    # the group table once, then the quandle's table once
+    assert calls == [6, 6, 5, 5]
 
 
 def test_from_table_checks_the_table_once(monkeypatch):

@@ -12,13 +12,12 @@ from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      trivial_rack)
 from racklab.graph import (bfs_forest, conjugate_along_forest, cycle_types, greedy_merge_order,
                            least_colours, part_merges)
-from racklab.perms import identity
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
                      pair_swap_rack, param_grid, random_relabeling)
 import _reference
 from _reference import (UnionFind, bfs_tree, component_structure, conjugates_along_tree,
-                        count_components_with, edges, graph_components,
+                        count_components_with, edges, graph_components, identity,
                         lazy_greedy_merge_order, multigraph_component_count,
                         multigraph_merged_parts, successors, witness_colours)
 

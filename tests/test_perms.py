@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racklab import perms
-from racklab.perms import (all_permutations, compose, conjugate, distinct_rows, identity,
-                           inverse, is_permutation, lehmer_rank, lehmer_ranks, lehmer_unrank,
-                           lehmer_unranks)
+from racklab.perms import (all_permutations, conjugate, distinct_rows, is_permutation,
+                           lehmer_rank, lehmer_ranks, lehmer_unrank, lehmer_unranks,
+                           permutation_rows)
 
+import _reference
 from _corpus import from_cycles
+from _reference import compose, identity, inverse
 
 
 def test_compose_is_left_to_right():
@@ -253,3 +255,29 @@ def test_is_permutation():
     assert is_permutation((2, 0, 1))
     assert not is_permutation((0, 0, 1))
     assert not is_permutation((0, 1), 3)
+
+
+@pytest.mark.parametrize("p, n", [
+    ((2, 0, 1), None), ((2, 0, 1), 3), ((2, 0, 1), 2), ((0, 0, 1), None), ([1, 0], 2),
+    ((), None), ((), 0), ((), 1), ([0, [1, 2]], None), ([[0, 1], [1, 0]], None),
+    ((0, 1, 2 ** 70), None), ((0, 2 ** 64 - 1), None), ((0, -1), None), ((1, -1), None),
+    ((0.0, 1.0), None), ((0, None), None), ("ab", None), ((0, 1), 3), ((0, 1), 1),
+])
+def test_is_permutation_agrees_with_the_loop(p, n):
+    assert is_permutation(p, n) == _reference.is_permutation(p, n)
+
+
+def test_is_permutation_differs_from_the_loop_only_on_bools_and_numpy_ints():
+    # a bool is an int to Python, so the loop took (True, False) for (1, 0)
+    assert _reference.is_permutation((True, False)) and not is_permutation((True, False))
+    assert not is_permutation(np.array([True, False]))
+    for p in (np.array([1, 2, 0]), np.array([1, 0], dtype=np.uint8), tuple(np.arange(3))):
+        assert is_permutation(p) and not _reference.is_permutation(p)
+    assert is_permutation(np.array([1, 2, 0]), 3) and not is_permutation(np.array([1, 2, 0]), 4)
+    assert not is_permutation(np.array([[0, 1], [1, 0]]))
+
+
+def test_permutation_rows_sorts_in_the_rows_own_dtype():
+    rows = np.array([[1, 0, 2], [2, 2, 0], [0, 1, 2 ** 32 + 2]], dtype=np.int64)
+    assert permutation_rows(rows).tolist() == [True, False, False]
+    assert permutation_rows(np.zeros((4, 0), dtype=np.int32)).tolist() == [True] * 4
