@@ -181,6 +181,22 @@ def axiom_report(table) -> AxiomReport:
                        violations=tuple(violations), array=cols)
 
 
+def _rack_rows(maps) -> np.ndarray:
+    """Whether each rack of a (k, n, n) stack of maps in 0..n-1 is a rack, without
+    witnesses: every row a permutation, and f_{(y)f_z} = f_z^-1 f_y f_z read as
+    (x)f_z f_{(y)f_z} = (x)f_y f_z over every (x, y, z) of a block of racks at once."""
+    k, n = maps.shape[:2]
+    ok = permutation_rows(maps.reshape(-1, n)).reshape(k, n).all(axis=1)
+    step, z = max(1, BLOCK_ENTRIES // n ** 3), np.arange(n)[:, None, None]
+    for b in range(0, k, step):
+        block = maps[b:b + step]
+        i = np.arange(len(block))[:, None, None, None]
+        # [i, z, y, x]: (x)f_z f_{(y)f_z} on the left, (x)f_y f_z on the right
+        same = block[i, block[:, :, :, None], block[:, :, None, :]] == block[i, z, block[:, None]]
+        ok[b:b + step] &= same.reshape(len(block), -1).all(axis=1)
+    return ok
+
+
 class Rack:
     """Immutable rack; construction checks the axioms in n^2 per orbit of the
     verified colours (n^3 in the worst case), with a full scan's witnesses.
@@ -189,14 +205,16 @@ class Rack:
     __slots__ = ("array",)
 
     def __init__(self, maps):
-        maps = tuple(tuple(m) for m in maps)
-        n = len(maps)
-        if n == 0:
-            raise MalformedTableError("empty map family")
-        for y, m in enumerate(maps):
-            if len(m) != n:
-                raise MalformedTableError(f"map {y} has length {len(m)}, expected {n}")
-        report = axiom_report(tuple(zip(*maps)))
+        if not isinstance(maps, np.ndarray):
+            maps = tuple(maps)
+            if not maps:
+                raise MalformedTableError("empty map family")
+            for y, m in enumerate(maps):
+                if len(m) != len(maps):
+                    raise MalformedTableError(f"map {y} has length {len(m)}, expected {len(maps)}")
+        # array rows are checked as one array, not as a table of numpy scalars
+        arrays = isinstance(maps, np.ndarray) or all(isinstance(m, np.ndarray) for m in maps)
+        report = axiom_report(np.asarray(maps).T if arrays else tuple(zip(*maps)))
         if not report.is_rack:
             raise NotARackError(report)
         self.array = report.array
@@ -294,6 +312,7 @@ def dihedral_quandle(n: int) -> Rack:
 
 
 GROUP_BLOCK_ENTRIES = 1 << 18  # (a, b, c) triples compared at once by _group_check
+BLOCK_ENTRIES = 1 << 14  # entries gathered at once by _rack_rows and _canonical_tables
 
 
 def _group_check(table):
@@ -402,19 +421,27 @@ def _relabelings(n):
     return cells, n * np.arange(len(psi))[:, None], np.argsort(psi, axis=1).ravel()
 
 
-def canonical_form(rack: Rack):
-    """Lexicographically minimal operation table over all relabelings.
-
-    Equal canonical tables characterise isomorphic racks.  One gather
-    builds all n! relabeled tables, so it is meant for n <= 8.
-    """
-    n = rack.n
+def _canonical_tables(arrays) -> np.ndarray:
+    """canonical_form of each rack of a (k, n, n) stack of maps: one gather per
+    block of racks builds their n! relabeled tables, one lexsort picks the least."""
+    k, n = arrays.shape[:2]
     cells, offsets, phi = _relabelings(n)
-    tables = phi[rack.array.ravel()[cells] + offsets]
     # a row read as one base-n numeral keeps the lexicographic row order
-    codes = tables.reshape(-1, n, n) @ n ** np.arange(n - 1, -1, -1)
-    best = tables[np.lexsort(codes.T[::-1])[0]].reshape(n, n)
-    return tuple(map(tuple, best.tolist()))
+    weights = n ** np.arange(n - 1, -1, -1)
+    out = np.empty((k, n, n), dtype=np.intp)
+    step = max(1, BLOCK_ENTRIES // cells.size)
+    for b in range(0, k, step):
+        tables = phi[arrays[b:b + step].reshape(-1, n * n)[:, cells] + offsets]
+        codes = tables.reshape(*tables.shape[:2], n, n) @ weights
+        least = np.lexsort(np.moveaxis(codes, -1, 0)[::-1], axis=-1)[:, 0]
+        out[b:b + step] = tables[np.arange(len(least)), least].reshape(-1, n, n)
+    return out
+
+
+def canonical_form(rack: Rack):
+    """Lexicographically minimal operation table over all relabelings, equal
+    exactly for isomorphic racks; it builds all n! tables, so n <= 8."""
+    return tuple(map(tuple, _canonical_tables(rack.array[None])[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ Classes are counted without the labeled stream.  A relabeling that fixes
 the first permutation of its key (cycle type, length of 0's cycle); the
 search runs from those first columns only.  Each output's orbit key is
 the least of its n! relabeled rank tuples, all read with one gather from
-the rank table, and the number of tuples equal to it is |Aut|.  A naive
-full-scan oracle with no shared search code is provided for
-cross-checking at tiny orders.
+the rank table, and the number of tuples equal to it is |Aut|.  Outputs
+are checked in stacks by core._rack_rows; only one that fails goes to the
+checked Rack constructor, for its NotARackError.  A naive full-scan
+oracle with no shared search code cross-checks tiny orders.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AxiomReport, Rack, canonical_form, format_rack, rack_from_table
+from .core import (AxiomReport, Rack, _canonical_tables, _rack_rows, format_rack,
+                   rack_from_table)
 from .perms import all_permutations
 
 MAX_ORDER = 7        # hard cap: the rank table is (n!)^2 entries, 50 MB at n = 7
 ORACLE_MAX_ORDER = 3
-ORBIT_BATCH = 64     # search outputs deduplicated per numpy batch
+ORBIT_BATCH = 64     # search outputs deduplicated, or checked, per numpy batch
 
 # External reference class counts, shown in reports as "reference (unverified)".
 # Never asserted by tests; the in-repo oracle is the only trusted source.
@@ -143,9 +145,15 @@ def _propagate(known, col, rank, perms, conj):
 
 
 @functools.lru_cache(maxsize=None)
+def _maps(n):
+    """maps[r] = the map of rank r, as one int32 (n!, n) array."""
+    return np.array(_tables(n)[0], dtype=np.int32)
+
+
+@functools.lru_cache(maxsize=None)
 def _images(n):
     """images[q, r] = (q)f_r, one contiguous row per point q."""
-    return np.array(_tables(n)[0], dtype=np.intp).T.copy()
+    return np.ascontiguousarray(_maps(n).T, dtype=np.intp)
 
 
 def _candidates(n, known):
@@ -204,10 +212,16 @@ def _branches(n, ranks, jobs):
 
 
 def enumerate_labeled(n: int, jobs: int = 1):
-    """Yield every rack on [n], each once, ordered by the concatenated maps."""
-    perms = _tables(n)[0]
-    for ranks in _branches(n, range(len(perms)), jobs):
-        yield Rack(tuple(perms[r] for r in ranks))
+    """Yield every rack on [n], each once, ordered by the concatenated maps.
+    Outputs are checked ORBIT_BATCH at a time; each rack keeps its rows of the
+    read-only block, and the first that fails raises from Rack(rows)."""
+    maps = _maps(n)
+    outputs = _branches(n, range(len(maps)), jobs)
+    while batch := list(itertools.islice(outputs, ORBIT_BATCH)):
+        block = maps[np.array(batch, dtype=np.intp)]
+        block.flags.writeable = False
+        for rows, ok in zip(block, _rack_rows(block).tolist()):
+            yield Rack._unchecked(rows) if ok else Rack(rows)
 
 
 def _key_ranks(n):
@@ -240,7 +254,7 @@ def _relabel_cells(n):
     Read in the n rows of conj that a rank tuple selects, laid end to end,
     cell [k, x] is position x of the tuple relabeled by phi_k.
     """
-    perms = np.array(_tables(n)[0], dtype=np.intp)
+    perms = _maps(n)
     return len(perms) * np.argsort(perms, axis=1) + np.arange(len(perms))[:, None]
 
 
@@ -263,26 +277,25 @@ def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
     """One witness per isomorphism class, from the key-rank branches only.
 
     The search outputs are deduplicated by orbit key in batches.  The first
-    output of each class is built with the checked Rack constructor, its one
-    axiom check, and gives the witness canonical_form(rack).  The labeled
-    count is the sum of n!/|Aut| over the classes.
+    output of each class is checked and canonicalised with the others in one
+    stack, which gives the witnesses.  The labeled count is the sum of
+    n!/|Aut| over the classes.
     """
     start = time.perf_counter()
-    perms = _tables(n)[0]
     found = {}  # orbit key -> (first rank tuple, |Aut|)
     outputs = _branches(n, _key_ranks(n), jobs)
     while batch := list(itertools.islice(outputs, ORBIT_BATCH)):
         for ranks, key, aut in zip(batch, *_orbits(n, batch)):
             found.setdefault(key.tobytes(), (ranks, int(aut)))
-    canon = {}
-    labeled = 0
-    for ranks, aut in found.values():
-        rack = Rack(tuple(perms[r] for r in ranks))
-        canon[canonical_form(rack)] = rack.is_quandle
-        labeled += math.factorial(n) // aut
+    maps = _maps(n)[np.array([ranks for ranks, _ in found.values()])]
+    for rows in maps[~_rack_rows(maps)]:
+        Rack(rows)    # raises the NotARackError of the first that fails
+    quandle = (np.diagonal(maps, axis1=1, axis2=2) == np.arange(n)).all(axis=1)
+    tables = [tuple(map(tuple, t)) for t in _canonical_tables(maps).tolist()]
+    canon = dict(zip(tables, quandle.tolist()))
     return EnumReport(
-        n=n, labeled_count=labeled, class_count=len(canon),
-        quandle_class_count=sum(1 for q in canon.values() if q),
+        n=n, labeled_count=sum(math.factorial(n) // aut for _, aut in found.values()),
+        class_count=len(canon), quandle_class_count=sum(canon.values()),
         elapsed=time.perf_counter() - start,
         witnesses=tuple(sorted(canon)),
     )

@@ -2,7 +2,8 @@
 
 Each is a plain, slow implementation of something the library computes in
 a faster or more specialised way: isomorphism search and the pruned n!
-scan for canonical_form, the triple loop for the group check's numpy
+scan for canonical_form, the one-rack-at-a-time numpy canonical form for
+the batched _canonical_tables, the triple loop for the group check's numpy
 associativity blocks, the self-distributive identity for the
 orbit-closure axiom check, union-find components and the merge calculus
 on raw edge multisets for
@@ -211,6 +212,20 @@ def canonical_form(rack: Rack):
         if best is None or better:
             best = tuple(rows)
     return best
+
+
+def numpy_canonical_form(rack: Rack):
+    """Lexicographically minimal operation table of one rack: its n!
+    relabeled tables from one gather, the least picked by one lexsort.
+    canonical_form computed this way before it batched racks."""
+    n = rack.n
+    psi = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    cells = (psi[:, None, :] * n + psi[:, :, None]).reshape(len(psi), n * n)
+    phi = np.argsort(psi, axis=1)
+    tables = np.take_along_axis(phi, rack.array.ravel()[cells], axis=1)
+    codes = tables.reshape(-1, n, n) @ n ** np.arange(n - 1, -1, -1)
+    best = tables[np.lexsort(codes.T[::-1])[0]].reshape(n, n)
+    return tuple(map(tuple, best.tolist()))
 
 
 def group_check(table):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -13,13 +14,13 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
                      dihedral_group_table, dihedral_quandle, encode, format_rack,
                      parse_rack_table, permutation_rack, rack_from_table,
                      symmetric_group_table, trivial_rack)
-from racklab import core, enumerate_classes
+from racklab import core, enumerate_classes, enumerate_labeled, enumeration
 from racklab.core import table_order
 
 from _corpus import family_racks, pair_swap_rack, random_relabeling, random_table
 from _reference import canonical_form as reference_canonical_form
 from _reference import (compose, find_isomorphism, group_check, inverse, is_permutation,
-                        satisfies_rack_axioms)
+                        numpy_canonical_form, satisfies_rack_axioms)
 
 
 def test_trivial_rack():
@@ -525,10 +526,20 @@ def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
         relabels.clear()
         assert axiom_report(rack.table).is_rack
         assert relabels == [rack.n] * checks
-    # the axiom checks of the 19 + 74 class representatives at n = 4 and 5
-    relabels.clear()
+    # the axiom checks of the 19 + 74 class representatives at n = 4 and 5,
+    # the first search output of each orbit, which enumerate_classes checked
+    # one at a time before it checked them in one batch
+    tables = []
     for n in (4, 5):
-        enumerate_classes(n)
+        outputs = list(enumeration._branches(n, enumeration._key_ranks(n), 1))
+        first = {}
+        for ranks, key in zip(outputs, enumeration._orbits(n, outputs)[0]):
+            first.setdefault(key.tobytes(), ranks)
+        perms = enumeration._tables(n)[0]
+        tables += [tuple(zip(*(perms[r] for r in ranks))) for ranks in first.values()]
+    assert len(tables) == 19 + 74
+    relabels.clear()
+    assert all(axiom_report(table).is_rack for table in tables)
     assert len(relabels) == 105
 
 
@@ -668,3 +679,92 @@ def test_load_rack(tmp_path):
     bad.write_bytes(b"2\n0 1\n1 \xff\n")
     with pytest.raises(RackParseError, match="^line 1, col 1: not UTF-8 text"):
         load_rack(bad)
+
+
+def test_rack_takes_integer_arrays_as_maps():
+    d5 = dihedral_quandle(5)
+    assert Rack(d5.array) == d5
+    assert Rack(d5.array.astype(np.uint8)) == d5
+    assert Rack(list(d5.array.astype(np.int64))) == d5     # 1-D array rows
+    for bad in (d5.array.astype(bool), d5.array.astype(float), d5.array[0],
+                np.zeros((0, 0), dtype=np.int32), list(d5.array.astype(float))):
+        with pytest.raises(MalformedTableError):
+            Rack(bad)
+    # a tuple table of numpy scalars is still rejected as the tuple scan rejects it
+    with pytest.raises(MalformedTableError, match="out of range"):
+        Rack(tuple(tuple(row) for row in d5.array))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-1, n), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_rack_of_an_array_is_rack_from_table_of_its_transpose(rows):
+    maps = np.array(rows)
+    expected = _outcome(rack_from_table, maps.T)
+    if isinstance(expected, AxiomReport):
+        with pytest.raises(NotARackError) as exc:
+            Rack(maps)
+        assert exc.value.report == expected
+    else:
+        assert _outcome(Rack, maps) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _class_witnesses(n):
+    return enumerate_classes(n).witnesses
+
+
+@st.composite
+def map_stacks(draw):
+    """(k, n, n) int32 stacks of relabeled class witnesses, witnesses with one
+    entry changed, families of permutations, and families of any maps."""
+    n = draw(st.integers(1, 6))
+    stack = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["rack", "damaged", "permutations", "any"]))
+        if kind in ("rack", "damaged"):
+            rack = Rack.from_table(draw(st.sampled_from(_class_witnesses(n))))
+            rows = rack.relabel(draw(st.permutations(range(n)))).array.copy()
+            if kind == "damaged":
+                rows[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+                    draw(st.integers(0, n - 1))
+        elif kind == "permutations":
+            rows = [draw(st.permutations(range(n))) for _ in range(n)]
+        else:
+            rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+        stack.append(rows)
+    return np.array(stack, dtype=np.int32).reshape(-1, n, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_stacks(), st.integers(1, 5))
+def test_rack_rows_agree_with_the_axiom_report(maps, racks_per_block):
+    n = maps.shape[1]
+    expected = [axiom_report(rows.T).is_rack for rows in maps]
+    assert core._rack_rows(maps).tolist() == expected
+    # blocks that leave a partial block at the end when k is not a multiple
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK_ENTRIES", racks_per_block * n ** 3)
+        assert core._rack_rows(maps).tolist() == expected
+
+
+def test_rack_rows_accept_exactly_the_enumerated_families_of_permutations():
+    # every family of permutations of order <= 4, against the search's racks;
+    # at n = 4 five of the 331,776 families fail only at y = 3
+    for n in range(1, 5):
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int32)
+        families = perms[np.array(list(itertools.product(range(len(perms)), repeat=n)))]
+        accepted = {rows.tobytes() for rows in families[core._rack_rows(families)]}
+        assert accepted == {rack.array.tobytes() for rack in enumerate_labeled(n)}
+
+
+def test_canonical_tables_match_the_per_rack_canonical_form():
+    rng = random.Random(11)
+    stacks = [[r for r in enumerate_labeled(n)] for n in range(1, 5)]
+    stacks += [[random_relabeling(rng, Rack.from_table(t)) for t in _class_witnesses(n)]
+               for n in (5, 6)]
+    for racks in stacks:
+        maps = np.stack([r.array for r in racks])
+        assert core._rack_rows(maps).all()
+        tables = [tuple(map(tuple, t)) for t in core._canonical_tables(maps).tolist()]
+        assert tables == [numpy_canonical_form(r) for r in racks]

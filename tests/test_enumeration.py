@@ -6,9 +6,9 @@ from concurrent.futures import Future
 
 import pytest
 
-from racklab import enumeration
-from racklab import (Rack, canonical_form, component_out_degree_constant, decode,
-                     encode, enumerate_classes, enumerate_labeled,
+from racklab import core, enumeration
+from racklab import (NotARackError, Rack, canonical_form, component_out_degree_constant,
+                     decode, encode, enumerate_classes, enumerate_labeled,
                      oracle_enumerate)
 from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, OrderOutOfRange,
                                  OrderTooLarge, REFERENCE_RACK_CLASSES, _key_ranks,
@@ -108,11 +108,13 @@ def test_reference_values_are_informational():
 
 # sha256 of repr([rack.maps for rack in enumerate_labeled(n)]) and of
 # repr(enumerate_classes(n).witnesses), computed before enumeration moved to
-# permutation ranks (n = 6: before classes were searched from key ranks only);
+# permutation ranks (n = 6 witnesses: before classes were searched from key
+# ranks only; n = 6 stream: before search outputs were checked in batches);
 # the stream order and the classes must not change
 STREAM_SHA256 = {
     4: "c90e03616bc8b04ddbdd3d5dd25452564e3bcff757b51bccfe5649158bd00d87",
     5: "9e8aa589336b71adce378cdf5e18cd6f29608932f0dff3ac11ec54584348afd4",
+    6: "977ea249c60ff92cf24e37d91173b1c9585640fa29a87e969e09d7659743b591",
 }
 WITNESS_SHA256 = {
     4: "5fa2fcf0e1600762fd5fb6d5031cb9445f026fa8fe9e58a60fe118ac7c42d602",
@@ -125,7 +127,7 @@ def _sha256(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_stream_and_witnesses_are_pinned(n):
     stream = [r.maps for r in enumerate_labeled(n)]
     assert _sha256(stream) == STREAM_SHA256[n]
@@ -221,3 +223,59 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert [r.maps for r in enumerate_labeled(3, jobs=100_000)] == serial
     assert sizes == [2, 2]
+
+
+def _count_checks(monkeypatch):
+    """Count the calls of core.axiom_report and of the checked Rack constructor."""
+    calls = {"axiom_report": 0, "Rack": 0}
+    report, init = core.axiom_report, Rack.__init__
+
+    def counting_report(table):
+        calls["axiom_report"] += 1
+        return report(table)
+
+    def counting_init(self, maps):
+        calls["Rack"] += 1
+        init(self, maps)
+
+    monkeypatch.setattr(core, "axiom_report", counting_report)
+    monkeypatch.setattr(Rack, "__init__", counting_init)
+    return calls
+
+
+def test_search_outputs_are_checked_without_a_rack_each(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    rep = enumerate_classes(5)
+    assert sum(1 for _ in enumerate_labeled(5)) == rep.labeled_count
+    assert calls == {"axiom_report": 0, "Rack": 0}
+
+
+def test_a_non_rack_from_the_search_raises_the_checked_constructors_error(monkeypatch):
+    n, at = 5, 100     # not a multiple of ORBIT_BATCH: the bad tuple is mid-batch
+    perms = _tables(n)[0]
+    # f_0 = (0 1) and the identity elsewhere: f_{(0)f_0} = f_1 is not f_0
+    bad = (perms.index((1, 0, 2, 3, 4)),) + (0,) * (n - 1)
+    with pytest.raises(NotARackError) as direct:
+        Rack(tuple(perms[r] for r in bad))
+    before = list(itertools.islice(enumerate_labeled(n), at))
+    branches = enumeration._branches
+
+    def injected(n, ranks, jobs):
+        outputs = branches(n, ranks, jobs)
+        yield from itertools.islice(outputs, at)
+        yield bad
+        yield from outputs
+
+    monkeypatch.setattr(enumeration, "_branches", injected)
+    calls = _count_checks(monkeypatch)
+    stream = enumerate_labeled(n)
+    assert list(itertools.islice(stream, at)) == before
+    with pytest.raises(NotARackError) as exc:
+        next(stream)
+    assert exc.value.report == direct.value.report
+    assert calls == {"axiom_report": 1, "Rack": 1}
+    calls.update(axiom_report=0, Rack=0)
+    with pytest.raises(NotARackError) as exc:
+        enumerate_classes(n)
+    assert exc.value.report == direct.value.report
+    assert calls == {"axiom_report": 1, "Rack": 1}
