@@ -11,21 +11,23 @@ conjugation rule
 which is equivalent to right self-distributivity
 (x > y) > z = (x > z) > (y > z).  axiom_report checks the conjugation
 rule; constructors validate eagerly so invalid racks are unrepresentable
-downstream.  The check costs n^2 per orbit of the verified colours (n^3
-in the worst case) and reports the same witnesses as a check of every
-column.
+downstream.  A table of exact Python ints is read in one C-level pass.
+The check costs two d x n gathers per orbit of the verified colours, for
+the d distinct maps, and n^2 only for a failing column; it reports the
+same witnesses as a check of every column.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import _min_labels
-from .perms import is_permutation, permutation_rows
+from .perms import distinct_rows, is_permutation, permutation_rows
 
 
 class RackError(Exception):
@@ -111,29 +113,64 @@ def table_order(table) -> int:
     return n
 
 
+def _int_rows(rows):
+    """rows as an (n, n) int32 array, read in one C-level pass, if it is a list
+    or tuple of n lists or tuples of n exact ints within int32; else rows."""
+    n = len(rows) if isinstance(rows, (list, tuple)) else 0
+    if n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows) \
+            and operator.countOf(map(type, itertools.chain.from_iterable(rows)), int) == n * n:
+        try:
+            return np.fromiter(itertools.chain.from_iterable(rows), np.int32, n * n).reshape(n, n)
+        except (OverflowError, ValueError):
+            pass
+    return rows
+
+
+def _table_array(table) -> np.ndarray:
+    """The table as an int32 array, checked once by table_order: rows of exact
+    ints as one array, any other input by its entry-by-entry scan."""
+    table = _int_rows(table)
+    table_order(table)
+    return np.asarray(table, dtype=np.int32)
+
+
+def _column_witnesses(cols, p, p_inv, z) -> list:
+    """Column z's violations, the first x per failing y: three n^2 gathers."""
+    neq = cols[p] != p[cols[:, p_inv]]      # row y: f_{(y)f_z} against f_z^-1 f_y f_z
+    return [Violation("ConjugationFail", (int(np.argmax(neq[y])), int(y), z))
+            for y in np.flatnonzero(neq.any(axis=1))]
+
+
 def _conjugation_violations(cols, n) -> list:
     """First witness (x, y, z) per failing (y, z) pair, sorted by (y, z).
 
-    Requires bijective columns.  Column z passes iff f_z is an automorphism;
-    checking it costs three n^2 gathers.  Let A be the set of such z.  If a
-    and y are in A, so are (y)f_a and (y)f_a^-1, because f_{(y)f_a} =
-    f_a^-1 f_y f_a.  So A is closed under the edges of every colour in A, and
-    a z in the component of a known member, over the edges of the checked
-    colours, is in A without a check; so is a z whose map equals a checked
-    map.  Every other z is checked, so the violations are exactly those of
-    a check of every column: n^2 work per orbit, n^3 in the worst case.
-    The components are joined over a passing colour's edges only when a
-    later z whose map has not passed finds no mark under the labels it has.
+    Requires bijective columns.  Column z passes iff f_z is an automorphism.
+    Let A be the set of such z.  If a and y are in A, so are (y)f_a and
+    (y)f_a^-1, because f_{(y)f_a} = f_a^-1 f_y f_a.  So A is closed under the
+    edges of every colour in A, and a z in the component of a known member,
+    over the edges of the checked colours, is in A without a check; so is a
+    z whose map equals a checked map.  Every other z is checked, so the
+    violations are exactly those of a check of every column.  The components
+    are joined over a passing colour's edges only when a later z whose map
+    has not passed finds no mark under the labels it has.
+
+    A check costs two d x n gathers over the d distinct maps, whose classes c
+    have least member first[c].  With p = f_z and ip[y] the class of (y)p,
+    column z passes iff (a) ip is constant on each class and (b) f_{(y)p} =
+    p^-1 f_y p for y = first[c], every c: then f_{(y)p} = p^-1 f_y p for every
+    y, as both sides depend only on y's class; a passing column meets both.
+    Only a failing column pays three n^2 gathers, for its witnesses.
     """
+    first, inverse = distinct_rows(cols)
+    reps = cols if len(first) == n else cols[first]     # row c: the map of class c
     label = np.arange(n)                # vertex -> least vertex of its component
     known = np.zeros(n, dtype=bool)     # labels of the components holding a known member of A
-    passed = set()                      # maps of the checked columns in A
+    passed = np.zeros(len(first), dtype=bool)   # classes of the checked columns in A
     pending = []                        # maps in A whose edges label does not join yet
     out = []
     for z in range(n):
-        p = cols[z]
-        key = p.tobytes()
-        if pending and key not in passed and not known[label[z]]:
+        p, c = cols[z], inverse[z]
+        if pending and not passed[c] and not known[label[z]]:
             # label is finer than the components, so a hit needs no relabel;
             # on a miss, join the pending edges, and a label that stops
             # being one keeps its mark, which no vertex can then read
@@ -142,21 +179,18 @@ def _conjugation_violations(cols, n) -> list:
             known[merged[known]] = True
             label = merged[label]
             pending = []
-        if key in passed or known[label[z]]:
+        if passed[c] or known[label[z]]:
             known[label[z]] = True
             continue
         p_inv = np.empty(n, dtype=np.int32)
         p_inv[p] = np.arange(n, dtype=np.int32)
-        lhs = cols[p]                # row y: translation of (y)f_z
-        rhs = p[cols[:, p_inv]]      # row y: f_z^-1 f_y f_z
-        neq = lhs != rhs
-        bad = np.flatnonzero(neq.any(axis=1))
-        for y in bad:
-            out.append(Violation("ConjugationFail", (int(np.argmax(neq[y])), int(y), z)))
-        if bad.size == 0:
-            passed.add(key)
+        ip = inverse[p]
+        if (ip == ip[first][inverse]).all() and (reps[ip[first]] == p[reps[:, p_inv]]).all():
+            passed[c] = True
             known[label[z]] = True
             pending.append(p)
+        else:
+            out += _column_witnesses(cols, p, p_inv, z)
     out.sort(key=lambda v: (v.witness[1], v.witness[2]))
     return out
 
@@ -164,12 +198,13 @@ def _conjugation_violations(cols, n) -> list:
 def axiom_report(table) -> AxiomReport:
     """Check the rack axioms of a well-formed table.
 
-    The conjugation rule is checked only when every column is bijective,
-    with n^2 work per orbit of the verified colours, n^3 in the worst case,
-    and the witnesses of a check of every column.
+    A table of exact Python ints is read in one C-level pass.  The conjugation
+    rule is checked only when every column is bijective, with two d x n
+    gathers per orbit of the verified colours for the d distinct maps, n^2
+    only for a failing column, and the witnesses of a check of every column.
     """
-    n = table_order(table)
-    cols = np.asarray(table, dtype=np.int32).T.copy()    # row y is the map f_y
+    cols = _table_array(table).T.copy()     # row y is the map f_y
+    n = len(cols)
     cols.flags.writeable = False
     bad = np.flatnonzero(~permutation_rows(cols))
     violations = [Violation("NotBijective", (int(y),)) for y in bad]
@@ -198,8 +233,8 @@ def _rack_rows(maps) -> np.ndarray:
 
 
 class Rack:
-    """Immutable rack; construction checks the axioms in n^2 per orbit of the
-    verified colours (n^3 in the worst case), with a full scan's witnesses.
+    """Immutable rack; construction checks the axioms as axiom_report does: two
+    d x n gathers per orbit of the verified colours, a full scan's witnesses.
     It stores only array; maps and table are built from it on each access."""
 
     __slots__ = ("array",)
@@ -212,7 +247,9 @@ class Rack:
             for y, m in enumerate(maps):
                 if len(m) != len(maps):
                     raise MalformedTableError(f"map {y} has length {len(m)}, expected {len(maps)}")
-        # array rows are checked as one array, not as a table of numpy scalars
+        # rows of exact ints and array rows are checked as one array, not as a
+        # table of numpy scalars
+        maps = _int_rows(maps)
         arrays = isinstance(maps, np.ndarray) or all(isinstance(m, np.ndarray) for m in maps)
         report = axiom_report(np.asarray(maps).T if arrays else tuple(zip(*maps)))
         if not report.is_rack:
@@ -321,8 +358,8 @@ def _group_check(table):
     Associativity compares (ab)c with a(bc) in blocks of rows a, so its
     witness is the lexicographically first failing (a, b, c).
     """
-    n = table_order(table)
-    g, x = np.asarray(table, dtype=np.intp), np.arange(n)
+    g = _table_array(table)
+    n, x = len(g), np.arange(len(g))
     units = np.flatnonzero((g == x).all(axis=1) & (g == x[:, None]).all(axis=0))
     if not len(units):
         raise NotAGroupError("NoIdentity", ())

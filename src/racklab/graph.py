@@ -57,8 +57,11 @@ class ColoredDigraph:
 
 def rack_graph(rack, colors=None) -> ColoredDigraph:
     """The graph of a rack's colour subset (all colours if None); only the
-    labels are checked, as a rack's maps are permutations."""
-    colors = sorted({operator.index(c) for c in (range(rack.n) if colors is None else colors)})
+    labels are checked, as a rack's maps are permutations.  All colours share
+    the rack's read-only array."""
+    if colors is None:
+        return ColoredDigraph._unchecked(rack.n, tuple(range(rack.n)), rack.array)
+    colors = sorted({operator.index(c) for c in colors})
     bad = [c for c in colors if not 0 <= c < rack.n]
     if bad:
         raise ValueError(f"colour {bad[0]}: not an element of [{rack.n}]")

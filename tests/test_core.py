@@ -17,7 +17,8 @@ from racklab import (AxiomReport, MalformedTableError, NotAbelianError,
 from racklab import core, enumerate_classes, enumerate_labeled, enumeration
 from racklab.core import table_order
 
-from _corpus import family_racks, pair_swap_rack, random_relabeling, random_table
+from _corpus import (commuting_rack, family_racks, pair_swap_rack, random_relabeling,
+                     random_table)
 from _reference import canonical_form as reference_canonical_form
 from _reference import (compose, find_isomorphism, group_check, inverse, is_permutation,
                         numpy_canonical_form, satisfies_rack_axioms)
@@ -201,6 +202,42 @@ def test_table_order_rejects_non_tables():
     for table in ([], 7, [[0, 1], 5], [[0, 1], [1, 0, 1]], [["a", 0], [0, 1]]):
         assert _outcome(table_order, table) == _outcome(reference_table_order, table)
     assert table_order(dihedral_quandle(64).table) == 64
+
+
+class _Int(int):
+    pass
+
+
+def _scanned(check, table):
+    """check on the table as it was read before the one-pass path: the
+    entry-by-entry scan, then np.asarray."""
+    reference_table_order(table)
+    return check(np.asarray(table, dtype=np.int32))
+
+
+def _group_result(table):
+    return _group_outcome(core._group_check, table)
+
+
+def _rack_of_table(table):
+    return Rack(table.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_tables())
+@example(((0, 1), (1, _Int(0))))
+@example(((0, 1), (1, 2 ** 40)))
+@example(((0, 1), (1, 2 ** 70)))
+@example(((0, -2 ** 40), (1, 0)))
+@example(("01", "10"))
+@example(((np.int64(0), np.int64(1)), (np.int64(1), np.int64(0))))   # numpy ints: out of range
+def test_one_pass_tables_give_the_scans_outcome(table):
+    for check in (rack_from_table, _group_result):
+        assert _outcome(check, table) == _outcome(functools.partial(_scanned, check), table)
+    # as maps: Rack's own length checks come first, then the table of the maps
+    if all(len(row) == len(table) for row in table):
+        assert _outcome(Rack, table) == _outcome(functools.partial(
+            _scanned, _rack_of_table), tuple(zip(*table)))
 
 
 def test_conjugation_quandles():
@@ -406,12 +443,18 @@ CONJ_S4 = conjugation_quandle(symmetric_group_table(4))
 
 @st.composite
 def perturbed_family_tables(draw):
-    """A relabelled dihedral, Sym(4) conjugation or permutation rack, 0-5 swaps in one column."""
-    family = draw(st.sampled_from(["dihedral", "conj_s4", "permutation"]))
+    """A relabelled dihedral, Sym(4) conjugation, permutation, pair-swap or
+    commuting rack, 0-5 swaps in one column."""
+    family = draw(st.sampled_from(["dihedral", "conj_s4", "permutation", "pair_swap",
+                                   "commuting"]))
     if family == "dihedral":
         rack = dihedral_quandle(draw(st.integers(1, 97)))
     elif family == "conj_s4":
         rack = CONJ_S4
+    elif family in ("pair_swap", "commuting"):
+        # repeated maps: fewer distinct maps d than colours n
+        build = pair_swap_rack if family == "pair_swap" else commuting_rack
+        rack = build(draw(st.integers(1, 48)), draw(st.integers(0, 10**6)))
     else:
         rack = permutation_rack(draw(st.permutations(range(draw(st.integers(1, 40))))))
     n = rack.n
@@ -440,6 +483,50 @@ def test_bad_column_in_a_large_orbit_is_found():
     report = axiom_report(table)
     assert {v.witness[2] for v in report.violations} == set(range(65))
     assert list(report.violations) == reference_violations(table)
+
+
+def _witness_columns(monkeypatch):
+    """The columns handed to the full three-gather comparison, in order."""
+    columns = []
+    original = core._column_witnesses
+
+    def counting(cols, p, p_inv, z):
+        columns.append(z)
+        return original(cols, p, p_inv, z)
+
+    monkeypatch.setattr(core, "_column_witnesses", counting)
+    return columns
+
+
+def test_only_failing_columns_pay_the_full_gathers(monkeypatch):
+    columns = _witness_columns(monkeypatch)
+    racks = [rack for _, rack in family_racks(8)]
+    racks += [pair_swap_rack(64, 3), commuting_rack(256, 1)]
+    for rack in racks:
+        assert axiom_report(rack.table).is_rack
+    assert columns == []
+    # every column of the damaged D_65 fails, and each is compared once
+    table = swapped(dihedral_quandle(65).table, 5, [(0, 1)])
+    report = axiom_report(table)
+    assert columns == sorted({v.witness[2] for v in report.violations}) == list(range(65))
+
+
+def test_each_short_path_condition_alone_sends_a_column_to_the_full_gathers(monkeypatch):
+    columns = _witness_columns(monkeypatch)
+    # classes {0, 3} and {1, 2} of equal maps; f_0 = (2 3) sends 1 and 2 to
+    # different classes, so (a) fails, but the rule holds at 0 and 1, the
+    # least member of each class, so (b) holds
+    b_only = ((0, 1, 3, 2), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2))
+    # classes {0} and {1, 2}; f_0 = (1 2) keeps them, so (a) holds, but
+    # f_0^-1 f_1 f_0 = (0 2) is not f_{(1)f_0} = f_2 = (0 1), so (b) fails
+    a_only = ((0, 2, 1), (1, 0, 2), (1, 0, 2))
+    for maps in (b_only, a_only):
+        columns.clear()
+        table = tuple(zip(*maps))
+        report = axiom_report(table)
+        assert not report.is_rack
+        assert list(report.violations) == reference_violations(table)
+        assert columns[0] == 0 and 0 in {v.witness[2] for v in report.violations}
 
 
 def test_non_bijective_column_skips_the_conjugation_check():

@@ -64,6 +64,21 @@ def test_rack_graph_rejects_colours_outside_the_rack(label):
     assert rack_graph(d3, [2, 0, 2]).colors == (0, 2)
 
 
+def test_rack_graph_of_all_colours_shares_the_rack_array():
+    for _, rack in family_racks(8):
+        graph, copied = rack_graph(rack), rack_graph(rack, range(rack.n))
+        assert np.shares_memory(graph.maps, rack.array)
+        assert not np.shares_memory(copied.maps, rack.array)
+        assert graph.colors == copied.colors == tuple(range(rack.n))
+        assert graph.maps.dtype == np.int32 and not graph.maps.flags.writeable
+        assert to_dot(graph) == to_dot(copied)
+        degrees = np.array(_reference.out_degrees(copied))
+        for delta in range(rack.n):
+            low = tuple(np.flatnonzero(degrees <= delta).tolist())
+            high = tuple(np.flatnonzero(degrees > delta).tolist())
+            assert degree_split(rack, delta) == (low, high)
+
+
 def test_components():
     empty = ColoredDigraph(4, {})
     s = components(empty)
