@@ -352,13 +352,12 @@ GROUP_BLOCK_ENTRIES = 1 << 18  # (a, b, c) triples compared at once by _group_ch
 BLOCK_ENTRIES = 1 << 14  # entries gathered at once by _rack_rows and _canonical_tables
 
 
-def _group_check(table):
-    """Return (identity, inverses) of a group table; raise NotAGroupError.
+def _group_check(g):
+    """Return (identity, inverses) of a _table_array; raise NotAGroupError.
 
     Associativity compares (ab)c with a(bc) in blocks of rows a, so its
     witness is the lexicographically first failing (a, b, c).
     """
-    g = _table_array(table)
     n, x = len(g), np.arange(len(g))
     units = np.flatnonzero((g == x).all(axis=1) & (g == x[:, None]).all(axis=0))
     if not len(units):
@@ -380,8 +379,9 @@ def _group_check(table):
 
 def conjugation_quandle(group_table) -> Rack:
     """x > y = y^-1 x y over a (checked) group multiplication table."""
-    _, inv = _group_check(group_table)
-    g, x = np.asarray(group_table), np.arange(len(inv))
+    g = _table_array(group_table)
+    _, inv = _group_check(g)
+    x = np.arange(len(g))
     # x > y = g[g[inv[y]][x]][y], row x and column y
     return Rack.from_table(g[g[inv, x[:, None]], x])
 
@@ -389,8 +389,9 @@ def conjugation_quandle(group_table) -> Rack:
 def alexander_quandle(add_table, tau) -> Rack:
     """x > y = (x - y)tau + y over a (checked) abelian group and automorphism tau;
     a failed check names its first (a, b) in row-major order."""
-    _, neg = _group_check(add_table)
-    n, add = len(neg), np.asarray(add_table, dtype=np.intp)
+    add = _table_array(add_table)
+    _, neg = _group_check(add)
+    n = len(add)
     bad = np.argwhere(add != add.T)
     if len(bad):
         a, b = bad[0]

@@ -9,10 +9,16 @@ ranks of S_n and reads conjugates from a rank table; at each free column
 one numpy pass over all ranks drops those that clash with a set column
 before forward checking starts.
 
-Classes are counted without the labeled stream.  A relabeling that fixes
-0 conjugates f_0 inside Stab(0), so every class has a rack whose f_0 is
-the first permutation of its key (cycle type, length of 0's cycle); the
-search runs from those first columns only.  Each output's orbit key is
+Classes are counted without the labeled stream, by a search that breaks
+symmetry down a stabiliser chain (the lex-leader rule).  A relabeling that
+fixes 0 conjugates f_0 inside Stab(0), so every class has a rack whose f_0
+is the first permutation of its key (cycle type, length of 0's cycle); the
+search runs from those first columns only.  Further down, G_c holds the
+relabelings that fix 0..c-1 and commute with f_0..f_{c-1}; those that also
+fix c keep columns 0..c-1 and conjugate f_c, so a branch whose f_c is not
+the least of those conjugates is dropped, whether f_c was chosen or
+forced.  The least relabeled tuple of each class is never dropped, while
+the labeled stream is not pruned at all.  Each output's orbit key is
 the least of its n! relabeled rank tuples, all read with one gather from
 the rank table, and the number of tuples equal to it is |Aut|.  Outputs
 are checked in stacks by core._rack_rows; only one that fails goes to the
@@ -78,15 +84,16 @@ def _tables(n):
             f"order {n} outside 1..{MAX_ORDER}")
     perms = all_permutations(n)
     a = np.array(perms, dtype=np.intp)
-    inv = np.argsort(a, axis=1)
     # a map written as a base-n numeral indexes a dense table of ranks
     weights = n ** np.arange(n - 1, -1, -1)
     rank_of = np.zeros(n ** n, dtype=np.uint16)
     rank_of[a @ weights] = np.arange(len(perms))
+    place = weights[a]      # place[g, y]: the weight of digit g[y]
     conj = np.empty((len(perms), len(perms)), dtype=np.uint16)
     for r, f in enumerate(a):
-        # row r: x -> g[f[g^-1[x]]] for every g at once
-        conj[r] = rank_of[np.take_along_axis(a, f[inv], axis=1) @ weights]
+        # row r: x -> g[f[g^-1[x]]] for every g at once; with x = g[y], the
+        # numeral is the sum over y of g[f[y]] times the weight of g[y]
+        conj[r] = rank_of[np.einsum("gy,gy->g", a[:, f], place)]
     conj.flags.writeable = False
     return perms, conj
 
@@ -173,8 +180,20 @@ def _candidates(n, known):
     return np.flatnonzero(ok).tolist()
 
 
-def _search(n, perms, conj, known, col):
-    while col < n and known[col] is not None:
+def _search(n, perms, conj, known, col, group):
+    """Complete known from column col on; group is G_col, or [] for no pruning."""
+    while col < n and (fc := known[col]) is not None:
+        if group:
+            # G_{col+1}: the part of G_col that fixes col and keeps f_col; one
+            # that fixes col and lowers f_col gives a smaller relabeled tuple
+            row, kept = conj[fc], []
+            for g in group:
+                if perms[g][col] == col:
+                    if row[g] < fc:
+                        return
+                    if row[g] == fc:
+                        kept.append(g)
+            group = kept
         col += 1
     if col == n:
         yield tuple(known)
@@ -183,30 +202,32 @@ def _search(n, perms, conj, known, col):
         trail = _propagate(known, col, r, perms, conj)
         if trail is None:
             continue
-        yield from _search(n, perms, conj, known, col + 1)
+        yield from _search(n, perms, conj, known, col, group)
         for c in trail:
             known[c] = None
 
 
-def _branch(n, rank):
-    """Rank tuples of the racks whose f_0 has this rank, in stream order."""
+def _branch(n, rank, prune):
+    """Rank tuples of the racks whose f_0 has this rank, in stream order;
+    with prune, only those whose maps are least down the stabiliser chain."""
     perms, conj = _tables(n)[0], _rows(n)
     known = [None] * n
     if _propagate(known, 0, rank, perms, conj) is None:
         return []
-    return list(_search(n, perms, conj, known, 1))
+    group = [g for g in range(math.factorial(n - 1)) if conj[rank][g] == rank] if prune else []
+    return list(_search(n, perms, conj, known, 1, group))
 
 
-def _branches(n, ranks, jobs):
+def _branches(n, ranks, jobs, prune):
     """_branch over each first-column rank in ranks, concatenated in order."""
     jobs = min(jobs, os.cpu_count() or 1)    # a fork pool starts all workers at once
     if jobs <= 1:
         for rank in ranks:
-            yield from _branch(n, rank)
+            yield from _branch(n, rank, prune)
         return
     # branches are independent; merging them in rank order keeps the serial order
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_branch, n, rank) for rank in ranks]
+        futures = [pool.submit(_branch, n, rank, prune) for rank in ranks]
         for fut in futures:
             yield from fut.result()
 
@@ -216,7 +237,7 @@ def enumerate_labeled(n: int, jobs: int = 1):
     Outputs are checked ORBIT_BATCH at a time; each rack keeps its rows of the
     read-only block, and the first that fails raises from Rack(rows)."""
     maps = _maps(n)
-    outputs = _branches(n, range(len(maps)), jobs)
+    outputs = _branches(n, range(len(maps)), jobs, False)
     while batch := list(itertools.islice(outputs, ORBIT_BATCH)):
         block = maps[np.array(batch, dtype=np.intp)]
         block.flags.writeable = False
@@ -283,7 +304,7 @@ def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
     """
     start = time.perf_counter()
     found = {}  # orbit key -> (first rank tuple, |Aut|)
-    outputs = _branches(n, _key_ranks(n), jobs)
+    outputs = _branches(n, _key_ranks(n), jobs, True)
     while batch := list(itertools.islice(outputs, ORBIT_BATCH)):
         for ranks, key, aut in zip(batch, *_orbits(n, batch)):
             found.setdefault(key.tobytes(), (ranks, int(aut)))

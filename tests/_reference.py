@@ -19,8 +19,10 @@ tails in exact integers and one Binomial draw per trial for the Chernoff
 check's tail counts, a per-vertex tally of every trial for the random-subset
 check's product over distinct J_v rows, per-root FIFO BFS trees
 and tuple conjugation for the BFS forest, the decoder and find_W that
-walked them one part at a time for their array forms, and the union-find
-lazy greedy with a heap for the block-scored greedy ordering.
+walked them one part at a time for their array forms, the union-find
+lazy greedy with a heap for the block-scored greedy ordering, and the class
+search that breaks symmetry at column 0 only for the one pruned down a
+stabiliser chain.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
+from racklab import enumeration
 from racklab.core import (AxiomReport, NotAGroupError, Rack, Violation, rack_from_table,
                           table_order, trivial_rack)
 from racklab.graph import ColoredDigraph, rack_graph
@@ -780,3 +783,31 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float, max_attempts:
     return WSearchResult(w=(), p=p, attempts=max_attempts, certified=False, n=n,
                          delta=delta, bad_threshold=bad_threshold, size_cap=size_cap,
                          component_count=0, maps_match=False)
+
+
+def unpruned_class_outputs(n: int) -> list:
+    """Rank tuples of every rack on [n] whose f_0 has a key rank, in stream
+    order: the class search as it was when column 0 was its only symmetry
+    break, on the library's _propagate and _candidates."""
+    perms, conj = enumeration._tables(n)[0], enumeration._rows(n)
+
+    def search(known, col):
+        while col < n and known[col] is not None:
+            col += 1
+        if col == n:
+            yield tuple(known)
+            return
+        for r in enumeration._candidates(n, known):
+            trail = enumeration._propagate(known, col, r, perms, conj)
+            if trail is None:
+                continue
+            yield from search(known, col + 1)
+            for c in trail:
+                known[c] = None
+
+    outputs = []
+    for rank in enumeration._key_ranks(n):
+        known = [None] * n
+        if enumeration._propagate(known, 0, rank, perms, conj) is not None:
+            outputs += search(known, 1)
+    return outputs

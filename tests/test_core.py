@@ -21,7 +21,7 @@ from _corpus import (commuting_rack, family_racks, pair_swap_rack, random_relabe
                      random_table)
 from _reference import canonical_form as reference_canonical_form
 from _reference import (compose, find_isomorphism, group_check, inverse, is_permutation,
-                        numpy_canonical_form, satisfies_rack_axioms)
+                        numpy_canonical_form, satisfies_rack_axioms, unpruned_class_outputs)
 
 
 def test_trivial_rack():
@@ -215,8 +215,12 @@ def _scanned(check, table):
     return check(np.asarray(table, dtype=np.int32))
 
 
+def _group_check(table):
+    return core._group_check(core._table_array(table))
+
+
 def _group_result(table):
-    return _group_outcome(core._group_check, table)
+    return _group_outcome(_group_check, table)
 
 
 def _rack_of_table(table):
@@ -281,7 +285,7 @@ def test_group_check_matches_the_triple_loop():
             rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
             tables.append(rows)
         for table in tables:
-            got = _group_outcome(core._group_check, table)
+            got = _group_outcome(_group_check, table)
             assert got == _group_outcome(group_check, table)
             assert all(type(v) is int for v in got[1])
             kinds.add(got[0])
@@ -614,11 +618,12 @@ def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
         assert axiom_report(rack.table).is_rack
         assert relabels == [rack.n] * checks
     # the axiom checks of the 19 + 74 class representatives at n = 4 and 5,
-    # the first search output of each orbit, which enumerate_classes checked
-    # one at a time before it checked them in one batch
+    # the first output of each orbit in the class search before it was pruned
+    # down the stabiliser chain, which enumerate_classes checked one at a time
+    # before it checked them in one batch
     tables = []
     for n in (4, 5):
-        outputs = list(enumeration._branches(n, enumeration._key_ranks(n), 1))
+        outputs = unpruned_class_outputs(n)
         first = {}
         for ranks, key in zip(outputs, enumeration._orbits(n, outputs)[0]):
             first.setdefault(key.tobytes(), ranks)

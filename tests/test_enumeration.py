@@ -10,12 +10,13 @@ from racklab import core, enumeration
 from racklab import (NotARackError, Rack, canonical_form, component_out_degree_constant,
                      decode, encode, enumerate_classes, enumerate_labeled,
                      oracle_enumerate)
-from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, OrderOutOfRange,
+from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, ORBIT_BATCH, OrderOutOfRange,
                                  OrderTooLarge, REFERENCE_RACK_CLASSES, _key_ranks,
                                  _orbits, _tables)
 from racklab.perms import all_permutations, conjugate
 
 from _corpus import random_relabeling
+from _reference import unpruned_class_outputs
 
 
 def test_exact_counts_n1_n2():
@@ -89,6 +90,35 @@ def test_parallel_matches_serial():
     serial = [r.maps for r in enumerate_labeled(3, jobs=1)]
     parallel = [r.maps for r in enumerate_labeled(3, jobs=2)]
     assert serial == parallel
+    # the pool runs the pruned class search too
+    serial, parallel = enumerate_classes(5, jobs=1), enumerate_classes(5, jobs=2)
+    assert (parallel.labeled_count, parallel.class_count, parallel.quandle_class_count) \
+        == (serial.labeled_count, serial.class_count, serial.quandle_class_count)
+    assert parallel.witnesses == serial.witnesses
+
+
+# outputs of the class search pruned down the stabiliser chain
+PRUNED_OUTPUTS = {1: 1, 2: 2, 3: 10, 4: 49, 5: 349, 6: 3033}
+
+
+@pytest.mark.parametrize("n", sorted(PRUNED_OUTPUTS))
+def test_chain_pruning_keeps_the_least_tuple_of_every_class(n):
+    pruned = list(enumeration._branches(n, _key_ranks(n), 1, True))
+    unpruned = unpruned_class_outputs(n)
+    assert len(pruned) == PRUNED_OUTPUTS[n]
+    # an ordered subsequence: each pruned output is found in what is left
+    rest = iter(unpruned)
+    assert all(ranks in rest for ranks in pruned)
+
+    def keys(outputs):
+        return {tuple(key.tolist()) for i in range(0, len(outputs), ORBIT_BATCH)
+                for key in _orbits(n, outputs[i:i + ORBIT_BATCH])[0]}
+
+    # the same classes, and each orbit key, the least relabeled rank tuple,
+    # survives the pruning
+    pruned_keys = keys(pruned)
+    assert pruned_keys == keys(unpruned)
+    assert pruned_keys <= set(pruned)
 
 
 def test_witness_files(tmp_path):
@@ -260,8 +290,8 @@ def test_a_non_rack_from_the_search_raises_the_checked_constructors_error(monkey
     before = list(itertools.islice(enumerate_labeled(n), at))
     branches = enumeration._branches
 
-    def injected(n, ranks, jobs):
-        outputs = branches(n, ranks, jobs)
+    def injected(n, ranks, jobs, prune):
+        outputs = branches(n, ranks, jobs, prune)
         yield from itertools.islice(outputs, at)
         yield bad
         yield from outputs
