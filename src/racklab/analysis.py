@@ -7,7 +7,8 @@ are drawn in fixed-size chunks with per-chunk derived seeds (seed, chunk
 index), so results do not depend on how work is scheduled.  The Chernoff
 check draws a chunk's tail counts, not its trials, from their multinomial law.
 Tail estimates are accepted up to bound + 3 standard errors: the bounds are
-one-sided guarantees and sampling noise must not flake the checks.
+one-sided guarantees and sampling noise must not flake the checks.  The
+exhaustive zeta sweep walks a prefix tree that carries zeta's running sums.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _zeta_rows, degree_split
+from .codec import _zeta_rows, _zeta_terms, degree_split
 from .core import Rack
 from .graph import (components, conjugate_along_forest, cycle_types, least_colours,
                     out_degrees, rack_graph)
@@ -46,88 +47,106 @@ def claim_calc_gap(x: float, y: float) -> float:
 ZETA_BLOCK_ENTRIES = 1 << 15  # rows x n entries scored at once by the zeta sweep
 
 
-def _compositions(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the weak compositions of n into n parts in lexicographic order.
-    A row is n - 1 bars among 2n - 1 slots; reflected, the bar sets run in reverse colex
-    order, so each bar is a binomial search on the colex rank (unranked blocks stay small)."""
-    rank = math.comb(2 * n - 1, n - 1) - np.arange(stop, start, -1)    # ascending
-    rows, prev = np.empty((stop - start, n), dtype=np.int64)[::-1], -1
-    for j in range(n - 1, 0, -1):
-        table = np.array([math.comb(c, j) for c in range(2 * n - 1)])
-        c = np.searchsorted(table, rank, side="right") - 1
-        rank -= table[c]
-        rows[:, n - 1 - j], prev = 2 * n - 3 - c - prev, 2 * n - 2 - c
-    rows[:, n - 1] = 2 * n - 2 - prev
-    return rows[::-1]
+def _walk(n: int, size: int):
+    """The weak compositions of n into n parts in lexicographic order, depth first
+    down the prefix tree, in blocks of at most size rows: (zeta, exact, rows(i)).
+    A node at level k holds eta_1..eta_k as base-(n + 1) digits (11^10 < 2^63),
+    its remainder r, whether it is 0 at every q that is not a power of two, and
+    codec._zeta_rows' two sums so far, term by term, and starts C(r + n-1-k, r)
+    rows.  A level is expanded whole while it fits a block or is one node, else
+    cut into runs of siblings that start at most size rows or are one node."""
+    starts = np.array([[math.comb(r + n - 1 - k, r) for r in range(n + 1)] for k in range(n)])
+    digits = (n + 1) ** np.arange(n - 2, -1, -1)
+
+    def expand(q, rem, inv, logs, free, code):     # a level's nodes -> their children
+        parent = np.repeat(np.arange(len(rem)), rem + 1)
+        v = np.arange(len(parent)) - (np.cumsum(rem + 1) - rem - 1)[parent]
+        a, b = _zeta_terms(v, q)
+        free = free[parent] if q & (q - 1) == 0 else free[parent] & (v == 0)
+        return rem[parent] - v, inv[parent] + a, logs[parent] + b, free, code[parent] * (n + 1) + v
+
+    def descend(level, k):
+        while k < n - 1 and (len(level[0]) == 1 or level[0].sum() + len(level[0]) <= size):
+            k, level = k + 1, expand(k + 1, *level)
+        ends = np.cumsum(np.r_[0, starts[k][level[0]]])
+        if ends[-1] <= size:    # so k = n - 1
+            rem, inv, logs, free, code = level
+            a, b = _zeta_terms(rem, n)
+            yield ((inv + a) * (logs + b), free & ((rem == 0) | (n & (n - 1) == 0)),
+                   lambda i: np.c_[code[i, None] // digits % (n + 1), rem[i]])
+            return
+        stop = 0
+        while stop < len(level[0]):
+            start, stop = stop, max(stop + 1, ends.searchsorted(ends[stop] + size, "right") - 1)
+            yield from descend([a[start:stop] for a in level], k)
+
+    return descend((np.array([n]), np.zeros(1), np.zeros(1), np.ones(1, bool), np.zeros(1, int)), 0)
 
 
-def _score_block(eta: np.ndarray):
-    """(zeta, exact, equal, over) for each row of an int array of eta sequences.
-
-    zeta is the float of codec._zeta_rows, as codec._zeta gives it.  A row
-    is exact when every active q is a power of two: with L the largest power
-    of two <= n, A = sum eta_q L/q and B = sum eta_q log2(q) L/q are integers,
-    zeta = AB/L^2 (correctly rounded), and equal and over compare 4AB with
-    (nL)^2 in Python ints.  Other rows have irrational zeta, over n^2/4 only
-    beyond 1e-9.
-    """
-    rows, n = eta.shape
-    zeta = _zeta_rows(eta)
+def _score_block(n: int, zeta: np.ndarray, exact: np.ndarray, rows: np.ndarray):
+    """(zeta, equal, over) for a block of eta sequences of n from each one's float
+    zeta (codec._zeta_rows), whether it is exact, and rows, the exact ones.  A row
+    is exact when every active q is a power of two: with L the largest power of
+    two <= n, A = sum eta_q L/q and B = sum eta_q log2(q) L/q are integers, its
+    zeta becomes AB/L^2 (correctly rounded, in place), and equal and over compare
+    4AB with (nL)^2 in Python ints.  Other rows have irrational zeta, over n^2/4
+    only beyond 1e-9."""
     over = zeta > n * n / 4 + 1e-9
-    equal = np.zeros(rows, dtype=bool)
-    pow2 = np.array([q & (q - 1) == 0 for q in range(1, n + 1)])
-    exact = ~eta[:, ~pow2].any(axis=1)
+    equal = np.zeros(len(zeta), dtype=bool)
     top = 1 << (n.bit_length() - 1)
     weights = [top >> k for k in range(n.bit_length())]  # L/q at q = 2^k
     target = (n * top) ** 2
-    for i, row in zip(np.flatnonzero(exact).tolist(), eta[exact][:, pow2].tolist()):
+    powers = rows[:, [(1 << k) - 1 for k in range(n.bit_length())]].tolist()
+    for i, row in zip(np.flatnonzero(exact).tolist(), powers):
         a = sum(e * w for e, w in zip(row, weights))
         b = sum(k * e * w for k, (e, w) in enumerate(zip(row, weights)))
         over[i] = 4 * a * b > target
         equal[i] = 4 * a * b == target
         zeta[i] = a * b / (top * top)
-    return zeta, exact, equal, over
+    return zeta, equal, over
 
 
 def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
     """Max of zeta over compositions of n: exhaustive for n <= 10, else sampled.
 
-    The exhaustive mode walks every weak composition of n into n parts.  The
-    sampled mode draws component histograms of the graph of a uniform random
+    The exhaustive mode walks every weak composition of n into n parts down
+    a prefix tree whose nodes carry zeta's running sums (_walk).  The sampled
+    mode draws component histograms of the graph of a uniform random
     permutation of [n] (its cycle type), so every sampled eta_q is a multiple
-    of q, as for the T-graph of a rack.  One numpy scorer takes both in
-    blocks and decides equality with n^2/4 in exact integers; the report
-    records every composition attaining it.  Either mode fails on a value
-    above the bound or an equality case other than the all-2 composition;
-    only the exhaustive one also requires that case to be found.
+    of q, as for the T-graph of a rack.  One numpy scorer takes both in blocks
+    and decides equality with n^2/4 in exact integers; the report records
+    every composition attaining it.  Either mode fails on a value above the
+    bound or an equality case other than the all-2 composition; only the
+    exhaustive one also requires that case to be found.
     """
-    if n < 1:
+    if not _is_count(n):
         raise CheckParameterError("n >= 1 required")
+    n = int(n)      # a numpy integer, too
     size = max(1, ZETA_BLOCK_ENTRIES // n)
     if n <= 10:
-        total = math.comb(2 * n - 1, n - 1)
-        blocks = (_compositions(n, i, min(i + size, total)) for i in range(0, total, size))
+        blocks = _walk(n, size)
         mode = "exhaustive"
     else:
         if not _is_count(trials):
             raise CheckParameterError("trials >= 1 required when n > 10")
         rng = np.random.default_rng(seed)
-        counts = (min(size, trials - start) for start in range(0, trials, size))
-        blocks = (cycle_types(np.array([rng.permutation(n) for _ in range(count)]))
-                  for count in counts)
+        etas = (cycle_types(np.array([rng.permutation(n) for _ in range(min(size, trials - i))]))
+                for i in range(0, trials, size))
+        blocks = ((_zeta_rows(eta), eta[:, (1 << np.arange(n.bit_length())) - 1].sum(axis=1) == n,
+                   eta.__getitem__) for eta in etas)    # exact: all of n at powers of two
         mode = "sampled"
     count = violations = 0
     max_zeta = -1.0
     argmax = None
     equality = []
-    for eta in blocks:
-        zeta, _, equal, over = _score_block(eta)
-        count += len(eta)
+    for zeta, exact, rows in blocks:
+        zeta, equal, over = _score_block(n, zeta, exact, rows(np.flatnonzero(exact)))
+        count += len(zeta)
         violations += int(over.sum())
-        equality += eta[equal].tolist()
+        equality += rows(np.flatnonzero(equal)).tolist()
         i = int(zeta.argmax())
         if zeta[i] > max_zeta:  # the first maximum wins, as in a row-by-row scan
-            max_zeta, argmax = float(zeta[i]), eta[i].tolist()
+            max_zeta, argmax = float(zeta[i]), rows([i])[0].tolist()
     bound = n * n / 4
     two_only = [0 if q != 2 else n for q in range(1, n + 1)]
     if mode == "sampled":
@@ -153,8 +172,8 @@ def _tail_se(est: float, trials: int) -> float:
 
 
 def _is_count(value) -> bool:
-    """Whether value is an integer >= 1, as trials and chunk must be."""
-    return isinstance(value, numbers.Integral) and value >= 1
+    """Whether value is an integer >= 1, not a bool, as n, trials and chunk must be."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def _run_chunks(worker, trials: int, chunk: int, threads: int):

@@ -346,6 +346,11 @@ class CodecStats:
     total_bytes: int
 
 
+def _zeta_terms(eta_q, q: int):
+    """eta_q / q and eta_q log2(q) / q, the terms at q of zeta's two sums."""
+    return eta_q / q, eta_q * math.log2(q) / q
+
+
 def _zeta_rows(eta: np.ndarray) -> np.ndarray:
     """zeta of each row of a 2-D int array of eta sequences, as floats summed
     q by q; every term is >= 0, so skipping all-zero columns leaves the sums
@@ -353,9 +358,9 @@ def _zeta_rows(eta: np.ndarray) -> np.ndarray:
     inv = np.zeros(len(eta))
     logs = np.zeros(len(eta))
     for q in (np.flatnonzero(eta.any(axis=0)) + 1).tolist():
-        col = eta[:, q - 1]
-        inv += col / q
-        logs += col * math.log2(q) / q
+        a, b = _zeta_terms(eta[:, q - 1], q)
+        inv += a
+        logs += b
     return inv * logs
 
 

@@ -203,9 +203,14 @@ def axiom_report(table) -> AxiomReport:
     gathers per orbit of the verified colours for the d distinct maps, n^2
     only for a failing column, and the witnesses of a check of every column.
     """
-    cols = _table_array(table).T.copy()     # row y is the map f_y
+    return _maps_report(_table_array(table).T.copy())  # row y is the map f_y
+
+
+def _maps_report(cols) -> AxiomReport:     # axiom_report of the maps in an int32 array it keeps
     n = len(cols)
     cols.flags.writeable = False
+    if cols.base is not None:   # rows that _int_rows read are a view of a new flat array
+        cols.base.flags.writeable = False
     bad = np.flatnonzero(~permutation_rows(cols))
     violations = [Violation("NotBijective", (int(y),)) for y in bad]
     if not violations:
@@ -247,11 +252,12 @@ class Rack:
             for y, m in enumerate(maps):
                 if len(m) != len(maps):
                     raise MalformedTableError(f"map {y} has length {len(m)}, expected {len(maps)}")
-        # rows of exact ints and array rows are checked as one array, not as a
-        # table of numpy scalars
-        maps = _int_rows(maps)
-        arrays = isinstance(maps, np.ndarray) or all(isinstance(m, np.ndarray) for m in maps)
-        report = axiom_report(np.asarray(maps).T if arrays else tuple(zip(*maps)))
+        # rows of exact ints become one new array, which the report keeps; array
+        # rows are checked as one array, not as a table of numpy scalars
+        rows = _int_rows(maps)
+        arrays = isinstance(rows, np.ndarray) or all(isinstance(m, np.ndarray) for m in rows)
+        cols = _table_array(np.asarray(rows).T if arrays else tuple(zip(*rows))).T
+        report = _maps_report(rows if rows is not maps else cols.copy())
         if not report.is_rack:
             raise NotARackError(report)
         self.array = report.array

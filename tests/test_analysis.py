@@ -17,7 +17,7 @@ from racklab import (CheckParameterError, DegreeSplitError, Rack, chernoff_check
                      claim_calc_gap, conjugation_quandle, dihedral_quandle, find_W,
                      random_subset_check, symmetric_group_table, trivial_rack,
                      zeta_bound_sweep)
-from racklab.codec import _zeta
+from racklab.codec import _zeta, _zeta_rows
 
 import _reference
 from _corpus import commuting_rack, family_racks, pair_swap_rack, random_relabeling
@@ -68,6 +68,9 @@ def test_zeta_sweep_small():
     r5 = zeta_bound_sweep(5)
     assert r5["pass"]
     assert r5["statistic"]["equality_cases"] == [[0, 5, 0, 0, 0]]
+    report = zeta_bound_sweep(np.int64(5))    # a numpy n: a native report
+    assert report == r5
+    _assert_native(report)
 
 
 def test_zeta_sweep_sampled():
@@ -120,11 +123,11 @@ def test_zeta_sweep_reports_are_pinned():
 
 def _assert_scored_like_reference(rows):
     n = len(rows[0])
-    zeta, exact, equal, over = analysis._score_block(np.array(rows, dtype=np.int64))
-    for row, z, is_exact, is_equal, is_over in zip(rows, zeta.tolist(), exact.tolist(),
-                                                  equal.tolist(), over.tolist()):
+    eta = np.array(rows, dtype=np.int64)
+    exact = np.array([zeta_of_exact(row) is not None for row in rows])
+    zeta, equal, over = analysis._score_block(n, _zeta_rows(eta), exact, eta[exact])
+    for row, z, is_equal, is_over in zip(rows, zeta.tolist(), equal.tolist(), over.tolist()):
         ref = zeta_of_exact(row)
-        assert is_exact == (ref is not None), row
         if ref is None:
             ref_z = _reference.float_zeta(row)
             assert not is_equal and is_over == (ref_z > n * n / 4 + 1e-9), row
@@ -172,18 +175,56 @@ def test_score_block_decides_equality_past_int64():
     n = 1 << 16
     row = np.zeros((1, n), dtype=np.int64)
     row[0, 1] = n
-    zeta, exact, equal, over = analysis._score_block(row)
-    assert exact[0] and equal[0] and not over[0]
+    zeta, equal, over = analysis._score_block(n, _zeta_rows(row), np.array([True]), row)
+    assert equal[0] and not over[0]
     assert zeta[0] == n * n / 4
 
 
-def test_compositions_match_stars_and_bars():
+def _walked(monkeypatch, n, cap):
+    """zeta_bound_sweep(n)'s report under a block entry cap, with the walk's rows,
+    float zetas (before the sweep overwrites exact rows with AB/L^2), exact
+    flags and block lengths."""
+    walk, blocks = analysis._walk, []
+
+    def spy(n, size):
+        for zeta, exact, rows in walk(n, size):
+            blocks.append((rows(np.arange(len(zeta))).tolist(), zeta.tolist(), exact.tolist()))
+            yield zeta, exact, rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "ZETA_BLOCK_ENTRIES", cap)
+        patch.setattr(analysis, "_walk", spy)
+        report = zeta_bound_sweep(n)
+    rows, zeta, exact = ([x for block in blocks for x in block[i]] for i in range(3))
+    return report, rows, zeta, exact, [len(block[0]) for block in blocks]
+
+
+def test_walk_gives_every_composition_in_bounded_blocks(monkeypatch):
     for n in range(1, 11):
-        rows = [list(eta) for eta in _reference.weak_compositions(n)]
-        assert analysis._compositions(n, 0, len(rows)).tolist() == rows
-        third = len(rows) // 3
-        for start, stop in ((0, 1), (third, 2 * third + 1), (len(rows) - 1, len(rows))):
-            assert analysis._compositions(n, start, stop).tolist() == rows[start:stop]
+        report, rows, zeta, exact, sizes = _walked(monkeypatch, n, analysis.ZETA_BLOCK_ENTRIES)
+        assert rows == [list(eta) for eta in _reference.weak_compositions(n)], n
+        assert [z.hex() for z in zeta] == [_reference.float_zeta(row).hex() for row in rows], n
+        assert exact == [all(e == 0 or q & (q - 1) == 0 for q, e in enumerate(row, start=1))
+                         for row in rows], n
+        assert all(1 <= size <= max(1, analysis.ZETA_BLOCK_ENTRIES // n) for size in sizes), n
+        # blocks of 50 rows at n = 10, and of one row at n >= 4 (stopped at n = 8:
+        # 92,378 one-row blocks take about 7 s)
+        for cap in (500, 7) if n <= 8 else (500,):
+            capped = _walked(monkeypatch, n, cap)
+            assert capped[:4] == (report, rows, zeta, exact), (n, cap)
+            assert all(1 <= size <= max(1, cap // n) for size in capped[4]), (n, cap)
+
+
+def test_zeta_sweep_memory_stays_bounded():
+    # the walk holds one block's levels at a time, about 0.5 MB at n = 10
+    zeta_bound_sweep(10)
+    tracemalloc.start()
+    try:
+        zeta_bound_sweep(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_zeta_sweep_matches_the_row_by_row_reference():
@@ -410,6 +451,10 @@ def test_find_w_unseparated_split_is_typed(monkeypatch):
 @pytest.mark.parametrize("n, trials, message", [
     (0, 0, "n >= 1 required"),
     (-3, 0, "n >= 1 required"),
+    (2.5, 0, "n >= 1 required"),
+    (11.5, 10, "n >= 1 required"),
+    (True, 0, "n >= 1 required"),
+    ("3", 0, "n >= 1 required"),
     (12, 0, "trials >= 1 required"),
 ])
 def test_zeta_sweep_parameters_out_of_range_are_typed(n, trials, message):

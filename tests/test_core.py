@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,23 @@ def test_one_pass_tables_give_the_scans_outcome(table):
     if all(len(row) == len(table) for row in table):
         assert _outcome(Rack, table) == _outcome(functools.partial(
             _scanned, _rack_of_table), tuple(zip(*table)))
+
+
+def test_rack_of_int_rows_holds_one_copy_of_the_maps():
+    # the report keeps the array the rows are read into; a caller's array is copied
+    rack = dihedral_quandle(512)
+    peaks = []
+    for build, rows in ((Rack, rack.maps), (rack_from_table, rack.table)):
+        tracemalloc.start()
+        try:
+            assert build(rows) == rack
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # equal but for a few Python objects (under 1 KiB); a second copy of the maps is 1 MiB
+    assert peaks[0] <= peaks[1] + 2**12
+    array = np.array(rack.maps, dtype=np.int32)
+    assert not np.shares_memory(Rack(array).array, array) and array.flags.writeable
 
 
 def test_conjugation_quandles():

@@ -256,19 +256,20 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 
 
 def _count_checks(monkeypatch):
-    """Count the calls of core.axiom_report and of the checked Rack constructor."""
+    """Count the axiom checks, core._maps_report under axiom_report and Rack(maps),
+    and the calls of the checked Rack constructor."""
     calls = {"axiom_report": 0, "Rack": 0}
-    report, init = core.axiom_report, Rack.__init__
+    report, init = core._maps_report, Rack.__init__
 
-    def counting_report(table):
+    def counting_report(cols):
         calls["axiom_report"] += 1
-        return report(table)
+        return report(cols)
 
     def counting_init(self, maps):
         calls["Rack"] += 1
         init(self, maps)
 
-    monkeypatch.setattr(core, "axiom_report", counting_report)
+    monkeypatch.setattr(core, "_maps_report", counting_report)
     monkeypatch.setattr(Rack, "__init__", counting_init)
     return calls
 
