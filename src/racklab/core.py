@@ -252,12 +252,13 @@ class Rack:
             for y, m in enumerate(maps):
                 if len(m) != len(maps):
                     raise MalformedTableError(f"map {y} has length {len(m)}, expected {len(maps)}")
-        # rows of exact ints become one new array, which the report keeps; array
-        # rows are checked as one array, not as a table of numpy scalars
+        # rows of exact ints, or array rows stacked as one array, become one new
+        # array, which the report keeps; an array the caller owns is copied
         rows = _int_rows(maps)
         arrays = isinstance(rows, np.ndarray) or all(isinstance(m, np.ndarray) for m in rows)
         cols = _table_array(np.asarray(rows).T if arrays else tuple(zip(*rows))).T
-        report = _maps_report(rows if rows is not maps else cols.copy())
+        report = _maps_report(rows if rows is not maps else cols.copy()
+                              if isinstance(maps, np.ndarray) else np.ascontiguousarray(cols))
         if not report.is_rack:
             raise NotARackError(report)
         self.array = report.array
@@ -355,7 +356,7 @@ def dihedral_quandle(n: int) -> Rack:
 
 
 GROUP_BLOCK_ENTRIES = 1 << 18  # (a, b, c) triples compared at once by _group_check
-BLOCK_ENTRIES = 1 << 14  # entries gathered at once by _rack_rows and _canonical_tables
+BLOCK_ENTRIES = 1 << 14  # entries gathered at once by _rack_rows and _canonical_tables' row 0
 
 
 def _group_check(g):
@@ -466,25 +467,31 @@ def _relabelings(n):
 
 
 def _canonical_tables(arrays) -> np.ndarray:
-    """canonical_form of each rack of a (k, n, n) stack of maps: one gather per
-    block of racks builds their n! relabeled tables, one lexsort picks the least."""
+    """canonical_form of each rack of a (k, n, n) stack of maps.  Per block of
+    racks one gather builds row 0 of their n! relabeled tables; the least table
+    starts with the least row 0, so only the relabelings that reach it build a
+    whole table, and one lexsort on (rack, row codes) picks each rack's least."""
     k, n = arrays.shape[:2]
     cells, offsets, phi = _relabelings(n)
     # a row read as one base-n numeral keeps the lexicographic row order
     weights = n ** np.arange(n - 1, -1, -1)
     out = np.empty((k, n, n), dtype=np.intp)
-    step = max(1, BLOCK_ENTRIES // cells.size)
+    step = max(1, BLOCK_ENTRIES // (len(cells) * n))
     for b in range(0, k, step):
-        tables = phi[arrays[b:b + step].reshape(-1, n * n)[:, cells] + offsets]
-        codes = tables.reshape(*tables.shape[:2], n, n) @ weights
-        least = np.lexsort(np.moveaxis(codes, -1, 0)[::-1], axis=-1)[:, 0]
-        out[b:b + step] = tables[np.arange(len(least)), least].reshape(-1, n, n)
+        flat = arrays[b:b + step].reshape(-1, n * n)
+        codes = phi[flat[:, cells[:, :n]] + offsets] @ weights
+        i, j = np.nonzero(codes == codes.min(axis=1, keepdims=True))
+        tables = phi[flat[i[:, None], cells[j]] + offsets[j]]
+        order = np.lexsort(np.vstack([(tables.reshape(-1, n, n) @ weights).T[::-1], i]))
+        first = order[np.r_[True, np.diff(i[order]) != 0]]
+        out[b:b + step] = tables[first].reshape(-1, n, n)
     return out
 
 
 def canonical_form(rack: Rack):
     """Lexicographically minimal operation table over all relabelings, equal
-    exactly for isomorphic racks; it builds all n! tables, so n <= 8."""
+    exactly for isomorphic racks.  Whole tables are built only for the
+    relabelings with the least row 0; the row-0 pass gathers n! x n, so n <= 8."""
     return tuple(map(tuple, _canonical_tables(rack.array[None])[0].tolist()))
 
 

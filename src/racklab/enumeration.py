@@ -19,11 +19,12 @@ fix c keep columns 0..c-1 and conjugate f_c, so a branch whose f_c is not
 the least of those conjugates is dropped, whether f_c was chosen or
 forced.  The least relabeled tuple of each class is never dropped, while
 the labeled stream is not pruned at all.  Each output's orbit key is
-the least of its n! relabeled rank tuples, all read with one gather from
-the rank table, and the number of tuples equal to it is |Aut|.  Outputs
-are checked in stacks by core._rack_rows; only one that fails goes to the
-checked Rack constructor, for its NotARackError.  A naive full-scan
-oracle with no shared search code cross-checks tiny orders.
+the least of its n! relabeled rank tuples, read ORBIT_ENTRIES ranks at a
+time from the rank table, and the number of tuples equal to it is |Aut|.
+Outputs are checked in stacks by core._rack_rows; only one that fails goes
+to the checked Rack constructor, for its NotARackError.  The witnesses, the
+least tables, build whole tables only for relabelings with the least row 0.
+A naive full-scan oracle with no shared search code cross-checks tiny orders.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .perms import all_permutations
 
 MAX_ORDER = 7        # hard cap: the rank table is (n!)^2 entries, 50 MB at n = 7
 ORACLE_MAX_ORDER = 3
-ORBIT_BATCH = 64     # search outputs deduplicated, or checked, per numpy batch
+ORBIT_BATCH = 64     # search outputs checked per numpy batch by enumerate_labeled
+ORBIT_ENTRIES = 1 << 19  # relabeled ranks (outputs x n! x n) enumerate_classes dedupes at once
 
 # External reference class counts, shown in reports as "reference (unverified)".
 # Never asserted by tests; the in-repo oracle is the only trusted source.
@@ -305,7 +307,7 @@ def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
     start = time.perf_counter()
     found = {}  # orbit key -> (first rank tuple, |Aut|)
     outputs = _branches(n, _key_ranks(n), jobs, True)
-    while batch := list(itertools.islice(outputs, ORBIT_BATCH)):
+    while batch := list(itertools.islice(outputs, max(1, ORBIT_ENTRIES // math.factorial(n) // n))):
         for ranks, key, aut in zip(batch, *_orbits(n, batch)):
             found.setdefault(key.tobytes(), (ranks, int(aut)))
     maps = _maps(n)[np.array([ranks for ranks, _ in found.values()])]

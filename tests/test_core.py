@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -260,6 +261,24 @@ def test_rack_of_int_rows_holds_one_copy_of_the_maps():
     assert peaks[0] <= peaks[1] + 2**12
     array = np.array(rack.maps, dtype=np.int32)
     assert not np.shares_memory(Rack(array).array, array) and array.flags.writeable
+
+
+def test_rack_of_array_rows_holds_one_copy_of_the_maps():
+    # rows stacked into a new array are kept, as a copy of the caller's array is
+    array = np.array(dihedral_quandle(512).maps, dtype=np.int32)
+    peaks = []
+    for rows in (array, list(array), list(array.astype(np.int64))):
+        tracemalloc.start()
+        try:
+            rack = Rack(rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rack.array, array) and not np.shares_memory(rack.array, array)
+        assert rack.array.flags.c_contiguous and not rack.array.flags.writeable
+    # equal but for the tuple of 512 rows (4 KiB); a second copy of the maps is 1 MiB
+    assert max(peaks[1:]) <= peaks[0] + 2**13
+    assert array.flags.writeable
 
 
 def test_conjugation_quandles():
@@ -868,13 +887,54 @@ def test_rack_rows_accept_exactly_the_enumerated_families_of_permutations():
         assert accepted == {rack.array.tobytes() for rack in enumerate_labeled(n)}
 
 
-def test_canonical_tables_match_the_per_rack_canonical_form():
+def _canonical_tables_of(racks):
+    return [tuple(map(tuple, t)) for t in
+            core._canonical_tables(np.stack([r.array for r in racks])).tolist()]
+
+
+def _sampled_classes_of_order_7(rng, count):
+    """Class search outputs of seeded key ranks, each relabeled at random."""
+    ranks = rng.sample(enumeration._key_ranks(7)[1:], 4)
+    outputs = [t for r in ranks for t in enumeration._branch(7, r, True)]
+    return [random_relabeling(rng, Rack._unchecked(enumeration._maps(7)[list(t)]))
+            for t in rng.sample(outputs, count)]
+
+
+def test_canonical_tables_match_the_per_rack_canonical_form(monkeypatch):
+    # the row-0 pruned stack against the full n! gather, at one rack per block,
+    # the default block and all racks in one block; a permutation rack ties on
+    # row 0 over many relabelings, and the trivial rack over all n!
     rng = random.Random(11)
     stacks = [[r for r in enumerate_labeled(n)] for n in range(1, 5)]
     stacks += [[random_relabeling(rng, Rack.from_table(t)) for t in _class_witnesses(n)]
                for n in (5, 6)]
+    stacks.append(_sampled_classes_of_order_7(rng, 24))
+    stacks += [[trivial_rack(n), permutation_rack([*range(1, n), 0]),
+                permutation_rack([1, 0, *range(2, n)])] for n in range(2, 8)]
     for racks in stacks:
-        maps = np.stack([r.array for r in racks])
-        assert core._rack_rows(maps).all()
-        tables = [tuple(map(tuple, t)) for t in core._canonical_tables(maps).tolist()]
-        assert tables == [numpy_canonical_form(r) for r in racks]
+        n = racks[0].n
+        assert core._rack_rows(np.stack([r.array for r in racks])).all()
+        expected = [numpy_canonical_form(r) for r in racks]
+        for cap in (1, core.BLOCK_ENTRIES, len(racks) * math.factorial(n) * n):
+            monkeypatch.setattr(core, "BLOCK_ENTRIES", cap)
+            assert _canonical_tables_of(racks) == expected, (n, cap)
+            monkeypatch.undo()
+
+
+def test_pruned_canonical_tables_build_whole_tables_only_for_the_least_row_0(monkeypatch):
+    # on the 353 classes of order 6, 52,116 relabelings reach the least row 0,
+    # against the 353 x 720 = 254,160 tables of a full gather
+    racks = [Rack.from_table(t) for t in _class_witnesses(6)]
+    cells, offsets, phi = core._relabelings(6)
+    built = []
+
+    class Spy(np.ndarray):
+        def __getitem__(self, key):
+            if getattr(key, "shape", ())[-1:] == (36,):   # whole tables, not row 0
+                built.append(len(key))
+            return np.ndarray.__getitem__(self, key)
+
+    monkeypatch.setattr(core, "_relabelings", lambda n: (cells, offsets, phi.view(Spy)))
+    tables = _canonical_tables_of(racks)
+    assert sum(built) == 52116
+    assert tables == [t for t in _class_witnesses(6)]
