@@ -257,8 +257,8 @@ class Rack:
         rows = _int_rows(maps)
         arrays = isinstance(rows, np.ndarray) or all(isinstance(m, np.ndarray) for m in rows)
         cols = _table_array(np.asarray(rows).T if arrays else tuple(zip(*rows))).T
-        report = _maps_report(rows if rows is not maps else cols.copy()
-                              if isinstance(maps, np.ndarray) else np.ascontiguousarray(cols))
+        fresh = not isinstance(maps, np.ndarray)
+        report = _maps_report(np.ascontiguousarray(cols) if fresh else cols.copy())
         if not report.is_rack:
             raise NotARackError(report)
         self.array = report.array
@@ -483,7 +483,7 @@ def _canonical_tables(arrays) -> np.ndarray:
         i, j = np.nonzero(codes == codes.min(axis=1, keepdims=True))
         tables = phi[flat[i[:, None], cells[j]] + offsets[j]]
         order = np.lexsort(np.vstack([(tables.reshape(-1, n, n) @ weights).T[::-1], i]))
-        first = order[np.r_[True, np.diff(i[order]) != 0]]
+        first = order[np.r_[True, np.diff(i) != 0]]    # i is sorted, as is i[order]
         out[b:b + step] = tables[first].reshape(-1, n, n)
     return out
 
