@@ -16,8 +16,7 @@ from .core import (AxiomReport, MalformedTableError, NotAbelianError,
                    parse_rack_table, permutation_rack, rack_from_table,
                    symmetric_group_table, trivial_rack)
 from .enumeration import (EnumReport, OrderOutOfRange, OrderTooLarge,
-                          enumerate_classes, enumerate_labeled, oracle_enumerate,
-                          oracle_labeled_tables, write_witnesses)
+                          enumerate_classes, enumerate_labeled, write_witnesses)
 from .graph import (ColoredDigraph, component_out_degree_constant, components,
                     greedy_merge_order, out_degrees, rack_graph, to_dot)
 

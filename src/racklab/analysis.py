@@ -8,7 +8,9 @@ index), so results do not depend on how work is scheduled.  The Chernoff
 check draws a chunk's tail counts, not its trials, from their multinomial law.
 Tail estimates are accepted up to bound + 3 standard errors: the bounds are
 one-sided guarantees and sampling noise must not flake the checks.  The
-exhaustive zeta sweep walks a prefix tree that carries zeta's running sums.
+zeta sweep walks every composition up to n = 10, down a prefix tree that
+carries zeta's running sums, and above that checks in integers the inequality
+that proves zeta <= n^2/4.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _zeta_rows, _zeta_terms, degree_split
+from .codec import _zeta, _zeta_terms, degree_split
 from .core import Rack
-from .graph import (components, conjugate_along_forest, cycle_types, least_colours,
-                    out_degrees, rack_graph)
+from .graph import (components, conjugate_along_forest, least_colours, out_degrees,
+                    rack_graph)
 from .perms import distinct_rows
 
 
@@ -106,62 +108,55 @@ def _score_block(n: int, zeta: np.ndarray, exact: np.ndarray, rows: np.ndarray):
     return zeta, equal, over
 
 
-def zeta_bound_sweep(n: int, trials: int = 0, seed: int = 0) -> dict:
-    """Max of zeta over compositions of n: exhaustive for n <= 10, else sampled.
+def zeta_bound_sweep(n: int) -> dict:
+    """Max of zeta over the weak compositions eta of n, against n^2/4.
 
-    The exhaustive mode walks every weak composition of n into n parts down
-    a prefix tree whose nodes carry zeta's running sums (_walk).  The sampled
-    mode draws component histograms of the graph of a uniform random
-    permutation of [n] (its cycle type), so every sampled eta_q is a multiple
-    of q, as for the T-graph of a rack.  One numpy scorer takes both in blocks
-    and decides equality with n^2/4 in exact integers; the report records
-    every composition attaining it.  Either mode fails on a value above the
-    bound or an equality case other than the all-2 composition; only the
-    exhaustive one also requires that case to be found.
+    Mode "exhaustive" (n <= 10) walks every composition down a prefix tree
+    whose nodes carry zeta's running sums (_walk), scores numpy blocks that
+    decide equality with n^2/4 in exact integers, and fails on a value above
+    the bound or equality anywhere but at the all-2 composition n e_2.
+
+    Mode "certificate" (n > 10) proves the bound.  With L1 = sum eta_q/q and
+    L2 = sum eta_q log2(q)/q, zeta = L1 L2 and L1 + L2 = sum eta_q (1 + log2 q)/q
+    <= n, as 1 + log2 q <= q, i.e. 2^(q-1) >= q.  By AM-GM, zeta <=
+    ((L1 + L2)/2)^2 <= n^2/4, with equality only if eta lives where 2^(q-1) = q,
+    at q = 1 and 2, and L1 = L2: eta = n e_2.  It checks (q - 1).bit_length()
+    <= q - 1 for each q <= n, lists in tight_q the q with q.bit_length() == q
+    (equality), and passes iff none fails and tight_q is [1, 2].  count is the
+    number of q checked; max_zeta is the zeta of n e_2, n^2/4.
     """
     if not _is_count(n):
         raise CheckParameterError("n >= 1 required")
     n = int(n)      # a numpy integer, too
-    size = max(1, ZETA_BLOCK_ENTRIES // n)
-    if n <= 10:
-        blocks = _walk(n, size)
-        mode = "exhaustive"
-    else:
-        if not _is_count(trials):
-            raise CheckParameterError("trials >= 1 required when n > 10")
-        rng = np.random.default_rng(seed)
-        etas = (cycle_types(np.array([rng.permutation(n) for _ in range(min(size, trials - i))]))
-                for i in range(0, trials, size))
-        blocks = ((_zeta_rows(eta), eta[:, (1 << np.arange(n.bit_length())) - 1].sum(axis=1) == n,
-                   eta.__getitem__) for eta in etas)    # exact: all of n at powers of two
-        mode = "sampled"
-    count = violations = 0
-    max_zeta = -1.0
-    argmax = None
-    equality = []
-    for zeta, exact, rows in blocks:
-        zeta, equal, over = _score_block(n, zeta, exact, rows(np.flatnonzero(exact)))
-        count += len(zeta)
-        violations += int(over.sum())
-        equality += rows(np.flatnonzero(equal)).tolist()
-        i = int(zeta.argmax())
-        if zeta[i] > max_zeta:  # the first maximum wins, as in a row-by-row scan
-            max_zeta, argmax = float(zeta[i]), rows([i])[0].tolist()
     bound = n * n / 4
     two_only = [0 if q != 2 else n for q in range(1, n + 1)]
-    if mode == "sampled":
-        # a sample need not contain the all-2 composition
-        ok = violations == 0 and all(e == two_only for e in equality)
+    if n > 10:
+        holds = all((q - 1).bit_length() <= q - 1 for q in range(1, n + 1))
+        tight = [q for q in range(1, n + 1) if q.bit_length() == q]
+        mode, count, ok = "certificate", n, holds and tight == [1, 2]
+        max_zeta, argmax, equality = _zeta(two_only), two_only, [two_only]
+        certificate = {"tight_q": tight}
     else:
+        mode, count, certificate = "exhaustive", 0, {}
+        max_zeta, argmax, equality = -1.0, None, []
+        violations = 0
+        for zeta, exact, rows in _walk(n, max(1, ZETA_BLOCK_ENTRIES // n)):
+            zeta, equal, over = _score_block(n, zeta, exact, rows(np.flatnonzero(exact)))
+            count += len(zeta)
+            violations += int(over.sum())
+            equality += rows(np.flatnonzero(equal)).tolist()
+            i = int(zeta.argmax())
+            if zeta[i] > max_zeta:  # the first maximum wins, as in a row-by-row scan
+                max_zeta, argmax = float(zeta[i]), rows([i])[0].tolist()
         ok = violations == 0 and equality == ([two_only] if n >= 2 else [])
         if n >= 2:
             ok = ok and abs(max_zeta - bound) <= 1e-9
     return {
         "check": "zeta-sweep",
-        "params": {"n": n, "mode": mode, "count": count, "trials": trials},
-        "seed": seed,
+        "params": {"n": n, "mode": mode, "count": count, "trials": 0},
+        "seed": 0,
         "statistic": {"max_zeta": max_zeta, "argmax": argmax,
-                      "equality_cases": equality},
+                      "equality_cases": equality, **certificate},
         "bound": bound,
         "pass": ok,
     }
@@ -172,7 +167,8 @@ def _tail_se(est: float, trials: int) -> float:
 
 
 def _is_count(value) -> bool:
-    """Whether value is an integer >= 1, not a bool, as n, trials and chunk must be."""
+    """Whether value is an integer >= 1, not a bool, as n, trials, chunk and
+    max_attempts must be."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
@@ -353,6 +349,9 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
     X-paths and compared with the rack.  Exhausting the attempts is reported,
     not fatal: at small orders the sampling regime may simply not certify.
     """
+    if not (0 < p <= 1 and _is_count(max_attempts)
+            and (bad_threshold is None or math.isfinite(bad_threshold))):
+        raise CheckParameterError("p in (0,1], max_attempts >= 1 and a finite threshold required")
     n = rack.n
     if bad_threshold is None:
         bad_threshold = (math.log2(n) ** 1.5) / 2 if n >= 2 else 0.0

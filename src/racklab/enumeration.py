@@ -24,7 +24,6 @@ time from the rank table, and the number of tuples equal to it is |Aut|.
 Outputs are checked in stacks by core._rack_rows; only one that fails goes
 to the checked Rack constructor, for its NotARackError.  The witnesses, the
 least tables, build whole tables only for relabelings with the least row 0.
-A naive full-scan oracle with no shared search code cross-checks tiny orders.
 """
 
 from __future__ import annotations
@@ -40,17 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AxiomReport, Rack, _canonical_tables, _rack_rows, format_rack,
-                   rack_from_table)
+from .core import Rack, _canonical_tables, _rack_rows, format_rack
 from .perms import all_permutations
 
 MAX_ORDER = 7        # hard cap: the rank table is (n!)^2 entries, 50 MB at n = 7
-ORACLE_MAX_ORDER = 3
 ORBIT_BATCH = 64     # search outputs checked per numpy batch by enumerate_labeled
 ORBIT_ENTRIES = 1 << 19  # relabeled ranks (outputs x n! x n) enumerate_classes dedupes at once
 
 # External reference class counts, shown in reports as "reference (unverified)".
-# Never asserted by tests; the in-repo oracle is the only trusted source.
+# Never asserted by tests; the brute-force oracle in tests/_reference.py is the
+# trusted source.
 REFERENCE_RACK_CLASSES = {1: 1, 2: 2, 3: 6, 4: 19, 5: 74, 6: 353, 7: 2080}
 REFERENCE_QUANDLE_CLASSES = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 73, 7: 298}
 
@@ -319,45 +317,6 @@ def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
     return EnumReport(
         n=n, labeled_count=sum(math.factorial(n) // aut for _, aut in found.values()),
         class_count=len(canon), quandle_class_count=sum(canon.values()),
-        elapsed=time.perf_counter() - start,
-        witnesses=tuple(sorted(canon)),
-    )
-
-
-def oracle_labeled_tables(n: int) -> list:
-    """Tables of every rack on [n] by brute force over all (n!)^n map tuples."""
-    if not 1 <= n <= ORACLE_MAX_ORDER:
-        raise (OrderOutOfRange if n < 1 else OrderTooLarge)(
-            f"oracle order {n} outside 1..{ORACLE_MAX_ORDER}")
-    perms = list(itertools.permutations(range(n)))
-    tables = []
-    for maps in itertools.product(perms, repeat=n):
-        table = tuple(tuple(maps[y][x] for y in range(n)) for x in range(n))
-        if not isinstance(rack_from_table(table), AxiomReport):
-            tables.append(table)
-    return tables
-
-
-def oracle_enumerate(n: int) -> EnumReport:
-    """Naive (n!)^n scan; shares only rack_from_table with the fast engine."""
-    start = time.perf_counter()
-    perms = list(itertools.permutations(range(n)))
-    tables = oracle_labeled_tables(n)
-
-    def relabeled(table, phi):
-        psi = [0] * n
-        for i, v in enumerate(phi):
-            psi[v] = i
-        return tuple(tuple(phi[table[psi[x]][psi[y]]] for y in range(n)) for x in range(n))
-
-    canon = {}
-    for table in tables:
-        best = min(relabeled(table, phi) for phi in perms)
-        if best not in canon:
-            canon[best] = all(best[x][x] == x for x in range(n))
-    return EnumReport(
-        n=n, labeled_count=len(tables), class_count=len(canon),
-        quandle_class_count=sum(1 for q in canon.values() if q),
         elapsed=time.perf_counter() - start,
         witnesses=tuple(sorted(canon)),
     )

@@ -9,8 +9,8 @@ its maps, and rack_graph gives a rack's colour subset as one; components
 per out-neighbour), greedy_merge_order and to_dot read that array.  The
 module also has the decoder's conjugation along a forest, the drop in
 component count and the merged parts when one more colour joins a
-forest's parts, and cycle types.  All of them, and the axiom
-check's orbit closure, label components by one numpy pass, `_min_labels`.
+forest's parts.  All of them, and the axiom check's orbit closure, label
+components by one numpy pass, `_min_labels`.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ class Forest:
     @property
     def eta(self) -> tuple:
         """eta[q-1] = number of vertices in parts of size q."""
-        return tuple(_eta_rows(self.part_index[None])[0].tolist())
+        size = np.bincount(self.part_index)[self.part_index]
+        return tuple(np.bincount(size - 1, minlength=len(size)).tolist())
 
 
 def _min_labels(size: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -123,25 +124,6 @@ def _min_labels(size: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while ((up := label[label]) != label).any():
             label = up
-
-
-def _eta_rows(label: np.ndarray) -> np.ndarray:
-    """eta of each row of label, an (r, n) array that names the part of the
-    node row * n + x by an id below r * n that no other part has: row i,
-    column q-1 counts the nodes of row i in parts of size q."""
-    r, n = label.shape
-    size = np.bincount(label.ravel(), minlength=r * n)[label]
-    rows = np.arange(0, r * n, n)[:, None]
-    return np.bincount((size - 1 + rows).ravel(), minlength=r * n).reshape(r, n)
-
-
-def cycle_types(perms: np.ndarray) -> np.ndarray:
-    """eta of the graph of each row of perms, an (r, n) array of permutations
-    of [n], on its own: its cycle type, as vertices per cycle length."""
-    nodes = np.arange(perms.size).reshape(perms.shape)
-    heads = perms + nodes[:, :1]
-    moved = heads != nodes
-    return _eta_rows(_min_labels(perms.size, nodes[moved], heads[moved]).reshape(perms.shape))
 
 
 def bfs_forest(maps: np.ndarray) -> Forest:

@@ -20,9 +20,10 @@ check's tail counts, a per-vertex tally of every trial for the random-subset
 check's product over distinct J_v rows, per-root FIFO BFS trees
 and tuple conjugation for the BFS forest, the decoder and find_W that
 walked them one part at a time for their array forms, the union-find
-lazy greedy with a heap for the block-scored greedy ordering, and the class
+lazy greedy with a heap for the block-scored greedy ordering, the class
 search that breaks symmetry at column 0 only for the one pruned down a
-stabiliser chain.
+stabiliser chain, and a brute-force scan of all (n!)^n map tuples, with
+no search code shared, for the enumeration engine at n <= 3.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import itertools
 import math
 import random
 import struct
+import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +44,13 @@ from racklab.analysis import DegreeSplitError, WSearchResult
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
 from racklab import enumeration
+from racklab.enumeration import EnumReport, OrderOutOfRange, OrderTooLarge
 from racklab.core import (AxiomReport, NotAGroupError, Rack, Violation, rack_from_table,
                           table_order, trivial_rack)
 from racklab.graph import ColoredDigraph, rack_graph
 from racklab.perms import conjugate, lehmer_unrank
+
+ORACLE_MAX_ORDER = 3     # the oracle scans (n!)^n map tuples: 216 at n = 3
 
 
 def is_permutation(p, n=None) -> bool:
@@ -811,3 +816,42 @@ def unpruned_class_outputs(n: int) -> list:
         if enumeration._propagate(known, 0, rank, perms, conj) is not None:
             outputs += search(known, 1)
     return outputs
+
+
+def oracle_labeled_tables(n: int) -> list:
+    """Tables of every rack on [n] by brute force over all (n!)^n map tuples."""
+    if not 1 <= n <= ORACLE_MAX_ORDER:
+        raise (OrderOutOfRange if n < 1 else OrderTooLarge)(
+            f"oracle order {n} outside 1..{ORACLE_MAX_ORDER}")
+    perms = list(itertools.permutations(range(n)))
+    tables = []
+    for maps in itertools.product(perms, repeat=n):
+        table = tuple(tuple(maps[y][x] for y in range(n)) for x in range(n))
+        if not isinstance(rack_from_table(table), AxiomReport):
+            tables.append(table)
+    return tables
+
+
+def oracle_enumerate(n: int) -> EnumReport:
+    """Naive (n!)^n scan; shares only rack_from_table with the fast engine."""
+    start = time.perf_counter()
+    perms = list(itertools.permutations(range(n)))
+    tables = oracle_labeled_tables(n)
+
+    def relabeled(table, phi):
+        psi = [0] * n
+        for i, v in enumerate(phi):
+            psi[v] = i
+        return tuple(tuple(phi[table[psi[x]][psi[y]]] for y in range(n)) for x in range(n))
+
+    canon = {}
+    for table in tables:
+        best = min(relabeled(table, phi) for phi in perms)
+        if best not in canon:
+            canon[best] = all(best[x][x] == x for x in range(n))
+    return EnumReport(
+        n=n, labeled_count=len(tables), class_count=len(canon),
+        quandle_class_count=sum(1 for q in canon.values() if q),
+        elapsed=time.perf_counter() - start,
+        witnesses=tuple(sorted(canon)),
+    )

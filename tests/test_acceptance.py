@@ -12,13 +12,13 @@ from racklab import (CodecParams, axiom_report, chernoff_check,
                      component_out_degree_constant, conjugation_quandle, decode,
                      dihedral_quandle, encode, encode_with_stats,
                      enumerate_classes, enumerate_labeled, find_W,
-                     merge_bound_audit, oracle_enumerate, oracle_labeled_tables,
-                     random_subset_check, symmetric_group_table, trivial_rack,
+                     merge_bound_audit, random_subset_check, symmetric_group_table, trivial_rack,
                      zeta_bound_sweep)
 from racklab.graph import ColoredDigraph, components
 
 from _corpus import family_racks, is_subrack, orbit_closure, param_grid, random_relabeling
-from _reference import multigraph_component_count, multigraph_merged_parts, satisfies_rack_axioms
+from _reference import (multigraph_component_count, multigraph_merged_parts, oracle_enumerate,
+                        oracle_labeled_tables, satisfies_rack_axioms)
 
 CONFORMANCE_TRIVIAL_3 = bytes.fromhex("524b4531000300040002f0e1c3840000")
 

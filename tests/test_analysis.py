@@ -73,25 +73,6 @@ def test_zeta_sweep_small():
     _assert_native(report)
 
 
-def test_zeta_sweep_sampled():
-    report = zeta_bound_sweep(16, trials=300, seed=9)
-    assert report["params"]["mode"] == "sampled"
-    assert report["statistic"]["max_zeta"] <= report["bound"] + 1e-9
-
-
-def test_zeta_sweep_sampled_draws_component_histograms():
-    # a component histogram has eta_q = q * (number of components of size q)
-    equality = []
-    for seed in range(1, 6):
-        report = zeta_bound_sweep(12, trials=2000, seed=seed)
-        assert report["pass"], report
-        stat = report["statistic"]
-        equality += stat["equality_cases"]
-        for eta in [stat["argmax"]] + stat["equality_cases"]:
-            assert all(e % q == 0 for q, e in enumerate(eta, start=1)), eta
-    assert equality  # some seed meets the all-2 case, so equality cases are checked too
-
-
 def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -113,12 +94,34 @@ def test_zeta_sweep_reports_are_pinned():
     exhaustive = [zeta_bound_sweep(n) for n in range(1, 11)]
     assert _digest(exhaustive) == \
         "970f95ac9e9325fd863c27fa175d9d1cd7075158744e4b447ed69f5edc120db2"
-    sampled = [zeta_bound_sweep(12, trials=2000, seed=s) for s in range(1, 6)]
-    sampled.append(zeta_bound_sweep(16, trials=300, seed=9))
-    assert _digest(sampled) == \
-        "887b3da89d689fa8df46b168b8c6f607690e60883621aadd88fe08e513c58d82"
-    for report in exhaustive + sampled:
+    for report in exhaustive:
         _assert_native(report)
+
+
+def _assert_certificate_steps(eta):
+    # the certificate's two steps on the numbers: L1 + L2 <= n, then AM-GM
+    l1 = sum(e / q for q, e in enumerate(eta, start=1))
+    l2 = sum(e * math.log2(q) / q for q, e in enumerate(eta, start=1))
+    assert l1 + l2 <= len(eta) + 1e-9, eta
+    assert _zeta_rows(np.array([eta], dtype=np.int64))[0] <= ((l1 + l2) / 2) ** 2 + 1e-9, eta
+
+
+def test_certificate_steps_hold_on_every_composition():
+    for n in range(1, 9):
+        for eta in _reference.weak_compositions(n):
+            _assert_certificate_steps(eta)
+
+
+@pytest.mark.parametrize("n", list(range(11, 65)) + [100_000])
+def test_zeta_sweep_certifies_above_ten(n):
+    report = zeta_bound_sweep(n)
+    two_only = [0 if q != 2 else n for q in range(1, n + 1)]
+    assert report["pass"] is True
+    assert report["params"] == {"n": n, "mode": "certificate", "count": n, "trials": 0}
+    assert report["statistic"] == {"max_zeta": n * n / 4, "argmax": two_only,
+                                   "equality_cases": [two_only], "tight_q": [1, 2]}
+    assert report["bound"] == n * n / 4
+    _assert_native(report)
 
 
 def _assert_scored_like_reference(rows):
@@ -144,10 +147,9 @@ def test_score_block_matches_the_reference_on_every_composition():
 
 
 def test_zeta_sweep_does_not_depend_on_the_block_size(monkeypatch):
-    cases = [(n, 0, 0) for n in range(1, 7)] + [(12, 300, 4)]
-    reports = [zeta_bound_sweep(*case) for case in cases]
+    reports = [zeta_bound_sweep(n) for n in range(1, 7)]
     monkeypatch.setattr(analysis, "ZETA_BLOCK_ENTRIES", 7)  # one row per block at n >= 4
-    assert [zeta_bound_sweep(*case) for case in cases] == reports
+    assert [zeta_bound_sweep(n) for n in range(1, 7)] == reports
 
 
 @st.composite
@@ -168,6 +170,7 @@ def _compositions(draw):
 @example([0, 0, 0, 16] + [0] * 12)
 def test_score_block_matches_the_reference_on_random_compositions(eta):
     _assert_scored_like_reference([eta])
+    _assert_certificate_steps(eta)
 
 
 def test_score_block_decides_equality_past_int64():
@@ -439,6 +442,16 @@ def test_find_w_s3():
     assert report["pass"]
 
 
+@pytest.mark.parametrize("p, threshold, attempts", [
+    (0.0, 1, 5), (-1.0, 1, 5), (1.5, 1, 5), (math.nan, 1, 5), (0.5, math.nan, 5),
+    (0.5, math.inf, 5), (0.5, -math.inf, 5), (0.5, 1, 0), (0.5, 1, -3), (0.5, 1, 2.5),
+])
+def test_find_w_parameters_out_of_range_are_typed(p, threshold, attempts):
+    s3 = conjugation_quandle(symmetric_group_table(3))
+    with pytest.raises(CheckParameterError, match="required"):
+        find_W(s3, delta=1, p=p, bad_threshold=threshold, max_attempts=attempts)
+
+
 def test_find_w_unseparated_split_is_typed(monkeypatch):
     # D_5 is one component under all colours: with vertex 0 alone called
     # high, the sampled component of 0 holds low-degree vertices too
@@ -448,24 +461,18 @@ def test_find_w_unseparated_split_is_typed(monkeypatch):
         find_W(dihedral_quandle(5), delta=1, p=1.0, bad_threshold=0, seed=0)
 
 
-@pytest.mark.parametrize("n, trials, message", [
-    (0, 0, "n >= 1 required"),
-    (-3, 0, "n >= 1 required"),
-    (2.5, 0, "n >= 1 required"),
-    (11.5, 10, "n >= 1 required"),
-    (True, 0, "n >= 1 required"),
-    ("3", 0, "n >= 1 required"),
-    (12, 0, "trials >= 1 required"),
-])
-def test_zeta_sweep_parameters_out_of_range_are_typed(n, trials, message):
-    with pytest.raises(CheckParameterError, match=message):
-        zeta_bound_sweep(n, trials=trials)
+# the ids keep the form they had while the sweep also took a trials argument
+@pytest.mark.parametrize("n", [pytest.param(n, id=f"{n}-{trials}-n >= 1 required")
+                               for n, trials in [(0, 0), (-3, 0), (2.5, 0), (11.5, 10),
+                                                 (True, 0), ("3", 0)]])
+def test_zeta_sweep_parameters_out_of_range_are_typed(n):
+    with pytest.raises(CheckParameterError, match="n >= 1 required"):
+        zeta_bound_sweep(n)
 
 
 @pytest.mark.parametrize("check", [
     lambda trials: chernoff_check(100, 0.3, 0.5, trials),
     lambda trials: random_subset_check(trivial_rack(4), 0.5, 0.5, trials),
-    lambda trials: zeta_bound_sweep(12, trials=trials),
 ])
 def test_fractional_trials_are_typed(check):
     for trials in (2.5, 0.5):

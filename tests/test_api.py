@@ -21,7 +21,6 @@ PUBLIC_NAMES = {
     "dihedral_quandle", "encode", "encode_with_stats", "encoding_stats",
     "enumerate_classes", "enumerate_labeled", "extract_residual", "find_W",
     "format_rack", "greedy_merge_order", "load_rack", "merge_bound_audit",
-    "oracle_enumerate", "oracle_labeled_tables",
     "out_degrees", "parse_rack_table", "permutation_rack", "rack_from_table",
     "rack_graph", "random_subset_check", "symmetric_group_table", "to_dot",
     "trivial_rack", "write_witnesses", "zeta_bound_sweep",

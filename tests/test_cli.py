@@ -6,7 +6,7 @@ import pytest
 
 from racklab import (CodecParams, dihedral_quandle, encode, format_rack, rack_graph, to_dot,
                      trivial_rack)
-from racklab import analysis, cli, codec, enumeration
+from racklab import analysis, cli, codec
 from racklab.cli import main
 
 from _corpus import broadcast_trivial_rack, family_racks, unchecked_non_rack
@@ -178,13 +178,12 @@ def test_decode_takes_no_codec_parameters(capsys):
         assert exc.value.code == 2
 
 
-def test_enumerate_with_oracle(capsys, tmp_path):
+def test_enumerate_writes_witnesses(capsys, tmp_path):
     wit = str(tmp_path / "wit")
-    code, out, _ = run(capsys, "enumerate", "--n", "2", "--oracle",
-                       "--witness-dir", wit, "--format", "json")
+    code, out, _ = run(capsys, "enumerate", "--n", "2", "--witness-dir", wit, "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["classes"] == 2 and payload["oracle_agrees"]
+    assert payload["classes"] == 2 and payload["witness_dir"] == wit
     summary = json.loads((tmp_path / "wit" / "summary.json").read_text())
     assert summary["classes"] == 2 and "duration_ms" in summary
 
@@ -199,15 +198,6 @@ def test_enumerate_non_positive_order_exits_with_io_code(capsys, n):
     code, out, err = run(capsys, "enumerate", "--n", n)
     assert code == 2 and out == ""
     assert err == f"error: order {n} outside 1..7\n"
-
-
-def test_enumerate_oracle_cap_is_checked_before_enumerating(capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("enumerated before the oracle cap was checked")
-    monkeypatch.setattr(enumeration, "enumerate_classes", never)
-    code, out, err = run(capsys, "enumerate", "--n", "4", "--oracle")
-    assert code == 3 and out == ""
-    assert err == "error: oracle order 4 outside 1..3\n"
 
 
 def test_json_output_thread_independent(capsys):
@@ -236,16 +226,14 @@ def test_analyze_claim_calc(capsys):
 def test_analyze_zeta_sweep(capsys):
     code, out, _ = run(capsys, "analyze", "zeta-sweep", "--n", "6", "--format", "json")
     assert code == 0
-    assert json.loads(out)["pass"]
-
-
-def test_analyze_zeta_sweep_sampled_without_equality_case(capsys):
-    # 2000 samples at n = 12 miss the all-2 composition; that is no failure
-    code, out, _ = run(capsys, "analyze", "zeta-sweep", "--n", "12", "--trials", "2000",
-                       "--seed", "1", "--format", "json")
+    payload = json.loads(out)
+    assert payload["pass"] and payload["params"]["mode"] == "exhaustive"
+    assert payload["params"]["trials"] == payload["seed"] == 0
+    code, out, _ = run(capsys, "analyze", "zeta-sweep", "--n", "200", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["pass"] and payload["statistic"]["equality_cases"] == []
+    assert payload["pass"] and payload["params"]["mode"] == "certificate"
+    assert payload["statistic"]["max_zeta"] == payload["bound"] == 10_000
 
 
 def test_analyze_chernoff(capsys):
@@ -262,6 +250,11 @@ def test_analyze_chernoff(capsys):
     ("random-subset", "--n", "5", "--p", "0"),
     ("random-subset", "--n", "5", "--eps", "1.5"),
     ("random-subset", "--n", "5", "--trials", "0"),
+    ("find-w", "--n", "16", "--threshold", "nan"),
+    ("find-w", "--n", "16", "--threshold", "inf"),
+    ("find-w", "--n", "16", "--p", "-1", "--attempts", "-3"),
+    ("find-w", "--n", "16", "--p", "1.5"),
+    ("find-w", "--n", "16", "--attempts", "0"),
 ])
 def test_analyze_parameter_out_of_range_exits_with_io_code(capsys, argv):
     code, out, err = run(capsys, "analyze", *argv)
@@ -272,7 +265,6 @@ def test_analyze_parameter_out_of_range_exits_with_io_code(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (("--n", "0"), "n >= 1 required"),
     (("--n", "-3"), "n >= 1 required"),
-    (("--n", "12", "--trials", "0"), "trials >= 1 required when n > 10"),
 ])
 def test_analyze_zeta_sweep_out_of_range_exits_with_io_code(capsys, argv, message):
     code, out, err = run(capsys, "analyze", "zeta-sweep", *argv)

@@ -8,15 +8,14 @@ import pytest
 
 from racklab import core, enumeration
 from racklab import (NotARackError, Rack, canonical_form, component_out_degree_constant,
-                     decode, encode, enumerate_classes, enumerate_labeled,
-                     oracle_enumerate)
-from racklab.enumeration import (MAX_ORDER, ORACLE_MAX_ORDER, ORBIT_BATCH, OrderOutOfRange,
+                     decode, encode, enumerate_classes, enumerate_labeled)
+from racklab.enumeration import (MAX_ORDER, ORBIT_BATCH, OrderOutOfRange,
                                  OrderTooLarge, REFERENCE_RACK_CLASSES, _key_ranks,
                                  _orbits, _tables)
 from racklab.perms import all_permutations, conjugate
 
 from _corpus import random_relabeling
-from _reference import unpruned_class_outputs
+from _reference import ORACLE_MAX_ORDER, oracle_enumerate, unpruned_class_outputs
 
 
 def test_exact_counts_n1_n2():

@@ -10,8 +10,8 @@ from racklab import (ColoredDigraph, component_out_degree_constant, components,
                      degree_split, dihedral_quandle, enumerate_labeled,
                      merge_bound_audit, out_degrees, permutation_rack, rack_graph, to_dot,
                      trivial_rack)
-from racklab.graph import (bfs_forest, conjugate_along_forest, cycle_types, greedy_merge_order,
-                           least_colours, part_merges)
+from racklab.graph import (bfs_forest, conjugate_along_forest, greedy_merge_order, least_colours,
+                           part_merges)
 
 from _corpus import (commuting_rack, family_racks, from_cycles, is_subrack, orbit_closure,
                      pair_swap_rack, param_grid, random_relabeling)
@@ -132,14 +132,6 @@ def test_directed_reachability_equals_undirected():
         for u in range(n):
             reached = {head for _, head, _ in bfs_tree(succ, u)}
             assert reached == set(s.parts[s.part_index[u]]) - {u}
-
-
-def test_cycle_types_match_the_union_find_components():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 7, 40):
-        perms = np.array([rng.permutation(n) for _ in range(50)])
-        expected = [component_structure(n, enumerate(p)).eta for p in perms.tolist()]
-        assert list(map(tuple, cycle_types(perms).tolist())) == expected
 
 
 @st.composite
