@@ -166,10 +166,10 @@ def _tail_se(est: float, trials: int) -> float:
     return math.sqrt(max(est * (1 - est), 0.0) / trials)
 
 
-def _is_count(value) -> bool:
-    """Whether value is an integer >= 1, not a bool, as n, trials, chunk and
-    max_attempts must be."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """Whether value is an integer >= least, not a bool, as n, trials, chunk and
+    max_attempts must be with least 1, and find_W's delta with least 0."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def _run_chunks(worker, trials: int, chunk: int, threads: int):
@@ -235,6 +235,27 @@ def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
     }
 
 
+SUBSET_BLOCK = 256  # trials per keep matrix in random_subset_check; a multiple of 8
+
+
+def _keep_blocks(n: int, b: int, p: float, words, tails):
+    """A chunk's keep matrix, (trials, n) bool, in blocks of at most SUBSET_BLOCK
+    trials; words(k) and tails(k) give k raw 64-bit words.  Entry (t, v) takes B, byte
+    t n + v of the words read as '<u8', as the top of a 53-bit uniform 2^45 B + tail,
+    kept iff below T = ceil(p 2^53), as rng.random() < p is: B < hi, or B == hi and
+    tail <= lo, for (hi, lo) = divmod(T - 1, 2^45).  Only ties (one entry in 256)
+    draw a tail, the top 45 bits of a tails word (Knuth and Yao's lazy comparison).
+    Blocks of a multiple of 8 trials use whole words, so they read one stream."""
+    hi, lo = divmod(math.ceil(p * 2.0 ** 53) - 1, 1 << 45)
+    for start in range(0, b, SUBSET_BLOCK):
+        m = min(SUBSET_BLOCK, b - start)
+        draw = words(-(-m * n // 8)).astype("<u8", copy=False).view(np.uint8)[:m * n]
+        keep = draw < hi
+        ties = np.flatnonzero(draw == hi)
+        keep[ties] = tails(len(ties)) >> 19 <= lo
+        yield keep.reshape(m, n)
+
+
 def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int = 0,
                         chunk: int = 2_000, threads: int = 1) -> dict:
     """Keep each element with probability p and check two tails per trial:
@@ -243,9 +264,12 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     v with positive out-degree the lower tail of |J_v & X| (one witness colour
     per out-neighbour, a Binomial(d_v, p) count that never exceeds the
     out-degree of v towards X) against exp(-eps^2 d_v p/2).  For n <= 63 the
-    out-degree towards X is also tallied directly.  Each chunk counts |J_v & X|
-    per distinct J_v over the colours some J_v holds, by one float32 product
-    (exact), against the integer cap floor((1 - eps) d_v p + 1e-12).
+    out-degree towards X is also tallied directly.  Chunk idx keeps v in trial
+    t by byte t n + v of default_rng((seed, idx, 0)), ties by (seed, idx, 1)
+    (_keep_blocks): with probability ceil(p 2^53)/2^53, one byte per entry.
+    Each block counts |J_v & X| per distinct J_v over the colours some J_v
+    holds, by one float32 product (exact), against the integer cap
+    floor((1 - eps) d_v p + 1e-12).
     """
     if not (0 < p <= 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1] and eps in (0,1] required")
@@ -265,25 +289,24 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     jd = jm[np.ix_(first, used)].astype(np.float32)
     direct = n <= 63
     if direct:
-        images = rack.array.astype(np.int64)  # images[j][v] = (v)f_j
-        self_bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        # heads[i, x, v]: bits (v)f_j other than v, or-ed over the colours j = 8i + c
+        # with bit c of x set; a trial or-s heads[i, byte i of its packed X] over i
+        bits = np.int64(1) << np.pad(rack.array, ((0, -n % 8), (0, 0)))
+        bits = (bits & ~(np.int64(1) << np.arange(n))).reshape(-1, 8, 1, n)
+        pick = (np.arange(256) >> np.arange(8)[:, None] & 1).astype(bool)[:, :, None]
+        heads = np.bitwise_or.reduce(np.where(pick, bits, 0), axis=1)
 
     def worker(idx, b):
-        rng = np.random.default_rng((seed, idx))
-        keep = rng.random((n, b)) < p
-        size = int((keep.sum(axis=0) >= (1 + eps) * n * p).sum())
-        counts = jd @ keep[used].astype(np.float32)     # exact: sums of 0/1
-        j_part = (counts <= cap[first, None]).sum(axis=1)[inverse]
-        d_part = np.zeros(n, dtype=np.int64)
-        if direct:
-            masks = np.zeros((b, n), dtype=np.int64)
-            for j in range(n):
-                rows = keep[j]
-                if rows.any():
-                    masks[rows] |= np.int64(1) << images[j]
-            masks &= ~self_bits
-            dcounts = np.bitwise_count(masks)    # n <= 63: no sign bit
-            d_part = (dcounts <= cap[None, :]).sum(axis=0).astype(np.int64)
+        raw = [np.random.default_rng((seed, idx, s)).bit_generator.random_raw for s in (0, 1)]
+        size, j_part, d_part = 0, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for keep in _keep_blocks(n, b, p, *raw):     # (trials, n)
+            size += int((keep.sum(axis=1, dtype=np.int32) >= (1 + eps) * n * p).sum())
+            counts = keep[:, used].astype(np.float32) @ jd.T     # exact: sums of 0/1
+            j_part += (counts <= cap[first]).sum(axis=0, dtype=np.int32)[inverse]
+            if direct:
+                x = np.packbits(keep, axis=1, bitorder="little")
+                masks = np.bitwise_or.reduce(heads[np.arange(x.shape[1]), x], axis=1)
+                d_part += (np.bitwise_count(masks) <= cap).sum(axis=0)    # n <= 63: no sign bit
         return size, j_part, d_part
 
     parts = _run_chunks(worker, trials, chunk, threads)
@@ -352,6 +375,8 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
     if not (0 < p <= 1 and _is_count(max_attempts)
             and (bad_threshold is None or math.isfinite(bad_threshold))):
         raise CheckParameterError("p in (0,1], max_attempts >= 1 and a finite threshold required")
+    if not _is_count(delta, 0):
+        raise CheckParameterError("delta: an integer >= 0 required")
     n = rack.n
     if bad_threshold is None:
         bad_threshold = (math.log2(n) ** 1.5) / 2 if n >= 2 else 0.0

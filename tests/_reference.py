@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from racklab.analysis import DegreeSplitError, WSearchResult
+from racklab.analysis import DegreeSplitError, WSearchResult, _keep_blocks
 from racklab.bits import BitReader, BitUnderflow, uint_width
 from racklab.codec import MAGIC, CorruptStream, InconsistentDecode, degree_split
 from racklab import enumeration
@@ -512,14 +512,19 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     """analysis.random_subset_check tallied row by row: J_v from
     witness_colours, every vertex counted on every trial against
     (1 - eps) d_v p + 1e-12, in its chunks with its per-chunk seeds; for
-    n <= 63 also v's out-degree towards X, from its heads one at a time."""
+    n <= 63 also v's out-degree towards X, from its heads one at a time.
+    Each chunk's keep matrix comes whole from analysis._keep_blocks: this
+    checks the tally, not the draw."""
     n = rack.n
     witnesses = witness_colours(n, rack.maps)
     delta = [len(j) * p for j in witnesses]
     direct = n <= 63
     size_hits, j_hits, d_hits = 0, [0] * n, [0] * n
     for idx, done in enumerate(range(0, trials, chunk)):
-        keep = np.random.default_rng((seed, idx)).random((n, min(chunk, trials - done))) < p
+        words, tails = (np.random.default_rng((seed, idx, s)).bit_generator.random_raw
+                        for s in (0, 1))
+        b = min(chunk, trials - done)
+        keep = np.concatenate(list(_keep_blocks(n, b, p, words, tails))).T
         size_hits += int((keep.sum(axis=0) >= (1 + eps) * n * p).sum())
         for v in range(n):
             cap = (1 - eps) * delta[v] + 1e-12

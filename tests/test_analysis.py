@@ -411,6 +411,80 @@ def test_random_subset_check_on_family_racks_matches_the_row_by_row_tally():
                                                          chunk=chunk), (rack.n, p, chunk)
 
 
+def _stream(seed, mask):
+    """A seeded raw-word stream for analysis._keep_blocks, masked, and the words
+    it has handed out."""
+    raw, drawn = np.random.default_rng(seed).bit_generator.random_raw, []
+
+    def words(k):
+        drawn.append(raw(k) & np.uint64(mask))
+        return drawn[-1]
+    return words, drawn
+
+
+def _keep(n, b, p, seed, masks=(2**64 - 1, 2**64 - 1)):
+    """The (trials, n) keep matrix of one chunk, its entries' bytes in trial-major
+    order, and the tails drawn for its ties, in order."""
+    (words, drawn), (tails, tail_words) = (_stream((seed, 0, s), m) for s, m in enumerate(masks))
+    keep = np.concatenate(list(analysis._keep_blocks(n, b, p, words, tails)))
+    draw = np.concatenate(drawn).astype("<u8").view(np.uint8)[:b * n].reshape(b, n)
+    return keep, draw, np.concatenate(tail_words) >> 19
+
+
+def test_keep_blocks_at_p_one_keeps_everything():
+    keep, _, _ = _keep(37, 300, 1.0, seed=1)
+    assert keep.shape == (300, 37) and keep.all()
+
+
+def test_keep_blocks_at_one_half_keeps_the_bytes_below_128():
+    # T = 2^52 = 128 2^45: byte 128 = T >> 45 is never kept, whatever its tail
+    keep, draw, _ = _keep(37, 300, 0.5, seed=2)
+    assert np.array_equal(keep, draw < 128)
+    assert (draw == 128).any() and not keep[draw == 128].any()
+
+
+def test_keep_blocks_at_two_to_minus_53_keeps_byte_and_tail_zero():
+    # T = 1: only k = 0 is kept.  Bytes masked to {0, 1} and tails to {0, 1}
+    # make both outcomes of the tie common
+    keep, draw, tails = _keep(37, 300, 2.0 ** -53, seed=3,
+                              masks=(0x0101010101010101, 1 << 19))
+    want = np.zeros(draw.size, dtype=bool)
+    ties = np.flatnonzero(draw == 0)
+    assert len(tails) == len(ties) and set(np.unique(tails).tolist()) == {0, 1}
+    want[ties] = tails == 0
+    assert np.array_equal(keep, want.reshape(draw.shape))
+    assert 0 < keep.sum() < (draw == 0).sum()
+    keep, draw, _ = _keep(37, 300, 2.0 ** -53, seed=3)
+    assert not keep.any() and (draw == 0).any()
+
+
+@pytest.mark.parametrize("p", [0.3, 128.5 / 256])
+def test_keep_blocks_frequency_is_ceil_p_2_53_over_2_53(p):
+    law = math.ceil(p * 2 ** 53) / 2 ** 53
+    keep, draw, _ = _keep(1_000, 1_000, p, seed=4)
+    assert abs(keep.mean() - law) <= 4 * math.sqrt(law * (1 - law) / keep.size)
+    if p == 128.5 / 256:        # T = 128 2^45 + 2^44: half the ties are kept
+        tied = keep[draw == 128]
+        assert abs(tied.mean() - 0.5) <= 4 * math.sqrt(0.25 / tied.size)
+
+
+@pytest.mark.parametrize("rack, chunk", [
+    pytest.param(conjugation_quandle(symmetric_group_table(3)), 500, id="conj_s3"),
+    pytest.param(dihedral_quandle(64), 500, id="dihedral_64"),
+    # 257 * 700 is not a multiple of 8: each chunk's last word is partly used
+    pytest.param(dihedral_quandle(257), 700, id="dihedral_257"),
+])
+def test_random_subset_check_does_not_depend_on_block_or_threads(monkeypatch, rack, chunk):
+    reports = []
+    for block in (8, 64, 256, 4096):
+        monkeypatch.setattr(analysis, "SUBSET_BLOCK", block)
+        for threads in (1, 3):
+            reports.append(random_subset_check(rack, 0.3, 0.2, 1_500, seed=11, chunk=chunk,
+                                               threads=threads))
+    assert all(report == reports[0] for report in reports)
+    assert reports[0]["statistic"]["worst_vertex"]["estimate"] > 0
+
+
 @pytest.mark.parametrize("chunk", [0, -5, 2.5])
 def test_chunk_below_one_or_fractional_is_typed(chunk):
     s3 = conjugation_quandle(symmetric_group_table(3))
@@ -450,6 +524,15 @@ def test_find_w_parameters_out_of_range_are_typed(p, threshold, attempts):
     s3 = conjugation_quandle(symmetric_group_table(3))
     with pytest.raises(CheckParameterError, match="required"):
         find_W(s3, delta=1, p=p, bad_threshold=threshold, max_attempts=attempts)
+
+
+@pytest.mark.parametrize("delta", [-1, -5, 1.5, True, False, "1", None])
+def test_find_w_delta_not_a_non_negative_integer_is_typed(delta):
+    # out-degree <= -1 never holds: every vertex would be high and nothing could certify
+    s3 = conjugation_quandle(symmetric_group_table(3))
+    with pytest.raises(CheckParameterError, match="delta: an integer >= 0 required"):
+        find_W(s3, delta=delta, p=0.5)
+    assert find_W(s3, delta=0, p=0.5, max_attempts=3).delta == 0
 
 
 def test_find_w_unseparated_split_is_typed(monkeypatch):

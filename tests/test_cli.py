@@ -255,6 +255,7 @@ def test_analyze_chernoff(capsys):
     ("find-w", "--n", "16", "--p", "-1", "--attempts", "-3"),
     ("find-w", "--n", "16", "--p", "1.5"),
     ("find-w", "--n", "16", "--attempts", "0"),
+    ("find-w", "--n", "16", "--delta", "-1"),
 ])
 def test_analyze_parameter_out_of_range_exits_with_io_code(capsys, argv):
     code, out, err = run(capsys, "analyze", *argv)
