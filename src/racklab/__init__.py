@@ -1,8 +1,7 @@
 """racklab: finite racks as graphs, a lossless codec, and small-order enumeration."""
 
 from .analysis import (CheckParameterError, DegreeSplitError, WSearchResult,
-                       chernoff_check, claim_calc_gap, find_W, random_subset_check,
-                       zeta_bound_sweep)
+                       chernoff_check, find_W, random_subset_check, zeta_bound_sweep)
 from .codec import (AuditFail, CodecParams, CodecStats, CorruptStream,
                     EncodeConsistencyError, InconsistentDecode, InfoTuple,
                     MergeAuditReport, OrderTooLargeForHeader, Residual, build_info,

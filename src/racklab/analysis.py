@@ -39,13 +39,6 @@ class DegreeSplitError(RuntimeError):
     """find_W met a sampled component holding high- and low-degree vertices."""
 
 
-def claim_calc_gap(x: float, y: float) -> float:
-    """(x+y)^2/8 - x^2/9 - xy/3; non-negative, equal to (x-3y)^2/72."""
-    if x < 0 or y < 0:
-        raise ValueError("arguments must be non-negative")
-    return (x + y) ** 2 / 8 - x ** 2 / 9 - x * y / 3
-
-
 ZETA_BLOCK_ENTRIES = 1 << 15  # rows x n entries scored at once by the zeta sweep
 
 
@@ -167,8 +160,8 @@ def _tail_se(est: float, trials: int) -> float:
 
 
 def _is_count(value, least: int = 1) -> bool:
-    """Whether value is an integer >= least, not a bool, as n, trials, chunk and
-    max_attempts must be with least 1, and find_W's delta with least 0."""
+    """Whether value is an integer >= least, not a bool: n, trials, chunk and max_attempts
+    with least 1, chernoff_check's n and find_W's delta with least 0."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
@@ -214,7 +207,7 @@ def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
     counts drawn per chunk of b trials as Multinomial(b, _tail_cells(n, p, eps))."""
     if not (0 < p < 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1) and eps in (0,1] required")
-    if n < 0 or not _is_count(trials):
+    if not (_is_count(n, 0) and _is_count(trials)):
         raise CheckParameterError("n >= 0 and trials >= 1 required")
     cells = _tail_cells(n, p, eps)
     draws = _run_chunks(lambda idx, b: np.random.default_rng((seed, idx)).multinomial(b, cells),
@@ -262,14 +255,15 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
 
     the subset-size upper tail against exp(-eps^2 np/3), and for every vertex
     v with positive out-degree the lower tail of |J_v & X| (one witness colour
-    per out-neighbour, a Binomial(d_v, p) count that never exceeds the
-    out-degree of v towards X) against exp(-eps^2 d_v p/2).  For n <= 63 the
-    out-degree towards X is also tallied directly.  Chunk idx keeps v in trial
-    t by byte t n + v of default_rng((seed, idx, 0)), ties by (seed, idx, 1)
-    (_keep_blocks): with probability ceil(p 2^53)/2^53, one byte per entry.
-    Each block counts |J_v & X| per distinct J_v over the colours some J_v
-    holds, by one float32 product (exact), against the integer cap
-    floor((1 - eps) d_v p + 1e-12).
+    per out-neighbour, a Binomial(d_v, p) count) against b = exp(-eps^2 d_v p/2).
+    This decides the out-degree of v towards X too: being >= |J_v & X|, it is at
+    most the cap in a share e_d <= e_j of the T trials, and as the margin
+    f(e) = e - b - 3 sqrt(e(1 - e)/T) is convex with f(0) = -b < 0,
+    f(e_d) <= max(f(0), f(e_j)).  Chunk idx keeps v in trial t by byte t n + v
+    of default_rng((seed, idx, 0)), ties by (seed, idx, 1) (_keep_blocks): with
+    probability ceil(p 2^53)/2^53, one byte per entry.  Each block counts
+    |J_v & X| per distinct J_v over the colours some J_v holds, by one float32
+    product (exact), against the integer cap floor((1 - eps) d_v p + 1e-12).
     """
     if not (0 < p <= 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1] and eps in (0,1] required")
@@ -287,30 +281,18 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     first, inverse = distinct_rows(jm)
     used = np.flatnonzero(jm.any(axis=0))
     jd = jm[np.ix_(first, used)].astype(np.float32)
-    direct = n <= 63
-    if direct:
-        # heads[i, x, v]: bits (v)f_j other than v, or-ed over the colours j = 8i + c
-        # with bit c of x set; a trial or-s heads[i, byte i of its packed X] over i
-        bits = np.int64(1) << np.pad(rack.array, ((0, -n % 8), (0, 0)))
-        bits = (bits & ~(np.int64(1) << np.arange(n))).reshape(-1, 8, 1, n)
-        pick = (np.arange(256) >> np.arange(8)[:, None] & 1).astype(bool)[:, :, None]
-        heads = np.bitwise_or.reduce(np.where(pick, bits, 0), axis=1)
 
     def worker(idx, b):
         raw = [np.random.default_rng((seed, idx, s)).bit_generator.random_raw for s in (0, 1)]
-        size, j_part, d_part = 0, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        size, j_part = 0, np.zeros(n, dtype=np.int64)
         for keep in _keep_blocks(n, b, p, *raw):     # (trials, n)
             size += int((keep.sum(axis=1, dtype=np.int32) >= (1 + eps) * n * p).sum())
             counts = keep[:, used].astype(np.float32) @ jd.T     # exact: sums of 0/1
             j_part += (counts <= cap[first]).sum(axis=0, dtype=np.int32)[inverse]
-            if direct:
-                x = np.packbits(keep, axis=1, bitorder="little")
-                masks = np.bitwise_or.reduce(heads[np.arange(x.shape[1]), x], axis=1)
-                d_part += (np.bitwise_count(masks) <= cap).sum(axis=0)    # n <= 63: no sign bit
-        return size, j_part, d_part
+        return size, j_part
 
     parts = _run_chunks(worker, trials, chunk, threads)
-    size_hits, j_hits, d_hits = (sum(column) for column in zip(*parts))
+    size_hits, j_hits = (sum(column) for column in zip(*parts))
 
     size_est = size_hits / trials
     size_bound = math.exp(-eps * eps * n * p / 3)
@@ -318,16 +300,15 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     worst = {"vertex": None, "estimate": 0.0, "bound": 1.0, "margin": -1.0}
     for v in np.flatnonzero(d > 0).tolist():
         bound_v = math.exp(-eps * eps * delta[v] / 2)
-        for hits in (j_hits, d_hits) if direct else (j_hits,):
-            est = hits[v] / trials
-            margin = est - (bound_v + 3 * _tail_se(est, trials))
-            if margin > worst["margin"]:
-                worst = {"vertex": v, "estimate": est, "bound": bound_v, "margin": margin}
-            if margin > 0:
-                ok = False
+        est = j_hits[v] / trials
+        margin = est - (bound_v + 3 * _tail_se(est, trials))
+        if margin > worst["margin"]:
+            worst = {"vertex": v, "estimate": est, "bound": bound_v, "margin": margin}
+        if margin > 0:
+            ok = False
     return {
         "check": "random-subset",
-        "params": {"n": n, "p": p, "eps": eps, "trials": trials, "direct": direct},
+        "params": {"n": n, "p": p, "eps": eps, "trials": trials},
         "seed": seed,
         "statistic": {"size_tail": size_est, "worst_vertex": worst},
         "bound": {"size": size_bound},

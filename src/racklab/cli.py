@@ -47,13 +47,6 @@ ERRORS = (
 )
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RACKLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(payload: dict, args, text_lines=None) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -224,19 +217,6 @@ def cmd_analyze(args) -> int:
         report = analysis.chernoff_check(args.n, args.p, args.eps,
                                          trials=args.trials, seed=args.seed,
                                          threads=args.threads)
-    elif args.kind == "claim-calc":
-        grid = [i / 2 for i in range(11)]
-        worst_gap = min(analysis.claim_calc_gap(x, y) for x in grid for y in grid)
-        worst_err = max(abs(analysis.claim_calc_gap(x, y) - (x - 3 * y) ** 2 / 72)
-                        for x in grid for y in grid)
-        report = {
-            "check": "claim-calc",
-            "params": {"grid": "0..5 step 0.5"},
-            "seed": args.seed,
-            "statistic": {"min_gap": worst_gap, "max_identity_error": worst_err},
-            "bound": 0.0,
-            "pass": worst_gap >= 0 and worst_err <= 1e-12,
-        }
     else:  # random-subset; argparse admits no other kind
         report = analysis.random_subset_check(_analysis_rack(args), args.p, args.eps,
                                               trials=args.trials, seed=args.seed,
@@ -262,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate racks up to isomorphism")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness-dir", default=None,
                    help="write one .rack per class plus summary.json")
     common(p)
@@ -297,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("analyze", help="numeric verification checks")
-    p.add_argument("kind", choices=("zeta-sweep", "chernoff", "claim-calc",
-                                    "random-subset", "find-w"))
+    p.add_argument("kind", choices=("zeta-sweep", "chernoff", "random-subset", "find-w"))
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.5)
@@ -307,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--attempts", type=int, default=100)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--rack", default=None, help="path to a .rack input")
     p.add_argument("--family", default=None,
                    choices=("trivial", "dihedral", "conj-s3"))

@@ -511,15 +511,13 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
                         chunk: int = 2_000) -> dict:
     """analysis.random_subset_check tallied row by row: J_v from
     witness_colours, every vertex counted on every trial against
-    (1 - eps) d_v p + 1e-12, in its chunks with its per-chunk seeds; for
-    n <= 63 also v's out-degree towards X, from its heads one at a time.
-    Each chunk's keep matrix comes whole from analysis._keep_blocks: this
-    checks the tally, not the draw."""
+    (1 - eps) d_v p + 1e-12, in its chunks with its per-chunk seeds.  Each
+    chunk's keep matrix comes whole from analysis._keep_blocks: this checks
+    the tally, not the draw."""
     n = rack.n
     witnesses = witness_colours(n, rack.maps)
     delta = [len(j) * p for j in witnesses]
-    direct = n <= 63
-    size_hits, j_hits, d_hits = 0, [0] * n, [0] * n
+    size_hits, j_hits = 0, [0] * n
     for idx, done in enumerate(range(0, trials, chunk)):
         words, tails = (np.random.default_rng((seed, idx, s)).bit_generator.random_raw
                         for s in (0, 1))
@@ -529,12 +527,6 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
         for v in range(n):
             cap = (1 - eps) * delta[v] + 1e-12
             j_hits[v] += int((keep[witnesses[v]].sum(axis=0) <= cap).sum())
-            if direct:
-                heads = rack.array[:, v]
-                reached = np.zeros(keep.shape[1], dtype=int)
-                for u in set(heads.tolist()) - {v}:
-                    reached += keep[heads == u].any(axis=0)
-                d_hits[v] += int((reached <= cap).sum())
     size_est = size_hits / trials
     size_bound = math.exp(-eps * eps * n * p / 3)
     ok = size_est <= size_bound + 3 * math.sqrt(max(size_est * (1 - size_est), 0.0) / trials)
@@ -543,15 +535,14 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
         if not witnesses[v]:
             continue
         bound_v = math.exp(-eps * eps * delta[v] / 2)
-        for hits in (j_hits, d_hits) if direct else (j_hits,):
-            est = hits[v] / trials
-            margin = est - (bound_v + 3 * math.sqrt(max(est * (1 - est), 0.0) / trials))
-            if margin > worst["margin"]:
-                worst = {"vertex": v, "estimate": est, "bound": bound_v, "margin": margin}
-            ok = ok and margin <= 0
+        est = j_hits[v] / trials
+        margin = est - (bound_v + 3 * math.sqrt(max(est * (1 - est), 0.0) / trials))
+        if margin > worst["margin"]:
+            worst = {"vertex": v, "estimate": est, "bound": bound_v, "margin": margin}
+        ok = ok and margin <= 0
     return {
         "check": "random-subset",
-        "params": {"n": n, "p": p, "eps": eps, "trials": trials, "direct": direct},
+        "params": {"n": n, "p": p, "eps": eps, "trials": trials},
         "seed": seed,
         "statistic": {"size_tail": size_est, "worst_vertex": worst},
         "bound": {"size": size_bound},

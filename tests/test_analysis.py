@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from racklab import analysis
 from racklab import (CheckParameterError, DegreeSplitError, Rack, chernoff_check,
-                     claim_calc_gap, conjugation_quandle, dihedral_quandle, find_W,
+                     conjugation_quandle, dihedral_quandle, find_W, out_degrees, rack_graph,
                      random_subset_check, symmetric_group_table, trivial_rack,
                      zeta_bound_sweep)
 from racklab.codec import _zeta, _zeta_rows
+from racklab.graph import least_colours
 
 import _reference
 from _corpus import commuting_rack, family_racks, pair_swap_rack, random_relabeling
@@ -44,17 +45,15 @@ def test_zeta_exact():
     assert abs(float(exact) - _zeta(eta8)) < 1e-12
 
 
-def test_claim_calc_gap():
-    assert claim_calc_gap(0, 0) == 0.0
-    assert abs(claim_calc_gap(3, 1)) < 1e-15
-    assert abs(claim_calc_gap(1, 1) - 4 / 72) < 1e-15
-    for x in (0.0, 0.7, 2.5, 9.0):
-        for y in (0.0, 0.3, 1.1, 4.0):
-            gap = claim_calc_gap(x, y)
-            assert gap >= -1e-15
-            assert abs(gap - (x - 3 * y) ** 2 / 72) < 1e-12
-    with pytest.raises(ValueError):
-        claim_calc_gap(-1, 0)
+def test_claim_gap_is_a_square_in_exact_coefficients():
+    # (x+y)^2/8 - x^2/9 - xy/3 - (x-3y)^2/72 has x^2, xy and y^2 coefficients 0,
+    # so (x+y)^2/8 >= x^2/9 + xy/3 with equality exactly at x = 3y
+    def square(c, a, b):    # c (ax + by)^2 as its x^2, xy and y^2 coefficients
+        return [c * a * a, 2 * c * a * b, c * b * b]
+
+    terms = [square(Fraction(1, 8), 1, 1), [Fraction(-1, 9), 0, 0], [0, Fraction(-1, 3), 0],
+             square(Fraction(-1, 72), 1, -3)]
+    assert [sum(column) for column in zip(*terms)] == [0, 0, 0]
 
 
 def test_zeta_sweep_small():
@@ -366,7 +365,27 @@ def test_random_subset_s3():
     s3 = conjugation_quandle(symmetric_group_table(3))
     report = random_subset_check(s3, 0.5, 0.5, trials=4_000, seed=7)
     assert report["pass"], report
-    assert report["params"]["direct"] is True
+    assert set(report["params"]) == {"n", "p", "eps", "trials"}
+
+
+PROPERTY_RACKS = [rack for _, rack in family_racks(8)] + [
+    commuting_rack(24, 2), pair_swap_rack(20, 3), dihedral_quandle(15)]
+
+
+@st.composite
+def _racks_with_colours(draw):
+    rack = draw(st.sampled_from(PROPERTY_RACKS))
+    return rack, draw(st.sets(st.integers(0, rack.n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_racks_with_colours())
+def test_out_degree_towards_x_is_at_least_the_j_count(case):
+    # why random_subset_check tallies only |J_v & X|: the out-degree of v in X's
+    # graph is never smaller, so it is at or below the cap in no more trials
+    rack, x = case
+    j_count = np.isin(least_colours(rack.array), sorted(x)).sum(axis=1)
+    assert (out_degrees(rack_graph(rack, x)) >= j_count).all()
 
 
 def test_random_subset_medium_dihedral():
@@ -556,11 +575,12 @@ def test_zeta_sweep_parameters_out_of_range_are_typed(n):
 @pytest.mark.parametrize("check", [
     lambda trials: chernoff_check(100, 0.3, 0.5, trials),
     lambda trials: random_subset_check(trivial_rack(4), 0.5, 0.5, trials),
+    lambda n: chernoff_check(n, 0.3, 0.5, 100),     # its message names n and trials
 ])
 def test_fractional_trials_are_typed(check):
-    for trials in (2.5, 0.5):
+    for value in (2.5, 0.5, True):
         with pytest.raises(CheckParameterError, match="trials >= 1 required"):
-            check(trials)
+            check(value)
 
 
 def _outcome(find, *args):

@@ -15,8 +15,8 @@ PUBLIC_NAMES = {
     "NotAbelianError", "NotAutomorphismError", "OrderOutOfRange", "OrderTooLarge",
     "OrderTooLargeForHeader", "Rack", "RackParseError", "Residual", "Violation",
     "WSearchResult", "alexander_quandle", "axiom_report", "build_info",
-    "canonical_form", "chernoff_check", "claim_calc_gap",
-    "component_out_degree_constant", "components", "conjugation_quandle",
+    "canonical_form", "chernoff_check", "component_out_degree_constant",
+    "components", "conjugation_quandle",
     "cyclic_group_table", "decode", "degree_split", "dihedral_group_table",
     "dihedral_quandle", "encode", "encode_with_stats", "encoding_stats",
     "enumerate_classes", "enumerate_labeled", "extract_residual", "find_W",

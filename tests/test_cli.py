@@ -217,10 +217,15 @@ def test_enumerate_reports_the_bounded_quantity(capsys):
     assert payload["log2_classes_over_n2"] == pytest.approx(math.log2(6) / 9)
 
 
-def test_analyze_claim_calc(capsys):
-    code, out, _ = run(capsys, "analyze", "claim-calc", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["pass"]
+def test_analyze_rejects_unknown_kinds_and_threads_default_to_one(monkeypatch):
+    # claim-calc is an identity of exact coefficients, tested in test_analysis;
+    # the thread count comes from --threads alone, not from the environment
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "claim-calc"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("RACKLAB_THREADS", "4")
+    for argv in (["analyze", "chernoff"], ["enumerate", "--n", "3"]):
+        assert cli.build_parser().parse_args(argv).threads == 1
 
 
 def test_analyze_zeta_sweep(capsys):
