@@ -161,7 +161,7 @@ def _tail_se(est: float, trials: int) -> float:
 
 def _is_count(value, least: int = 1) -> bool:
     """Whether value is an integer >= least, not a bool: n, trials, chunk and max_attempts
-    with least 1, chernoff_check's n and find_W's delta with least 0."""
+    with least 1, chernoff_check's n, find_W's delta and the seeds with least 0."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
@@ -207,8 +207,9 @@ def chernoff_check(n: int, p: float, eps: float, trials: int, seed: int = 0,
     counts drawn per chunk of b trials as Multinomial(b, _tail_cells(n, p, eps))."""
     if not (0 < p < 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1) and eps in (0,1] required")
-    if not (_is_count(n, 0) and _is_count(trials)):
-        raise CheckParameterError("n >= 0 and trials >= 1 required")
+    if not (_is_count(n, 0) and _is_count(trials) and _is_count(seed, 0)):
+        raise CheckParameterError("seed >= 0, n >= 0 and trials >= 1 required")
+    n, trials, seed = int(n), int(trials), int(seed)     # numpy integers, too
     cells = _tail_cells(n, p, eps)
     draws = _run_chunks(lambda idx, b: np.random.default_rng((seed, idx)).multinomial(b, cells),
                         trials, chunk, threads)
@@ -267,9 +268,9 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     """
     if not (0 < p <= 1 and 0 < eps <= 1):
         raise CheckParameterError("p in (0,1] and eps in (0,1] required")
-    if not _is_count(trials):
-        raise CheckParameterError("trials >= 1 required")
-    n = rack.n
+    if not (_is_count(trials) and _is_count(seed, 0)):
+        raise CheckParameterError("seed >= 0 and trials >= 1 required")
+    n, trials, seed = rack.n, int(trials), int(seed)     # numpy integers, too
     # row v of jm marks J_v, the least colour per out-neighbour of v (column n: none)
     jm = np.zeros((n, n + 1), dtype=bool)
     jm[np.arange(n)[:, None], least_colours(rack.array)] = True
@@ -300,7 +301,7 @@ def random_subset_check(rack: Rack, p: float, eps: float, trials: int, seed: int
     worst = {"vertex": None, "estimate": 0.0, "bound": 1.0, "margin": -1.0}
     for v in np.flatnonzero(d > 0).tolist():
         bound_v = math.exp(-eps * eps * delta[v] / 2)
-        est = j_hits[v] / trials
+        est = int(j_hits[v]) / trials
         margin = est - (bound_v + 3 * _tail_se(est, trials))
         if margin > worst["margin"]:
             worst = {"vertex": v, "estimate": est, "bound": bound_v, "margin": margin}
@@ -358,7 +359,7 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float | None = None,
         raise CheckParameterError("p in (0,1], max_attempts >= 1 and a finite threshold required")
     if not _is_count(delta, 0):
         raise CheckParameterError("delta: an integer >= 0 required")
-    n = rack.n
+    n, delta = rack.n, int(delta)     # a numpy integer, too
     if bad_threshold is None:
         bad_threshold = (math.log2(n) ** 1.5) / 2 if n >= 2 else 0.0
     size_cap = 1.5 * n * p

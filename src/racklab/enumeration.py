@@ -6,24 +6,21 @@ to f_z^-1 f_y f_z, so conflicting branches are pruned early.  Racks are
 emitted in lexicographic order of the concatenated map tuples
 (f_0, ..., f_{n-1}), each exactly once.  The search runs on lexicographic
 ranks of S_n and reads conjugates from a rank table; at each free column
-one numpy pass over all ranks drops those that clash with a set column
-before forward checking starts.
+one numpy pass over all ranks drops those that clash with a set column or
+with the column's own rule, f_{(col)f_r} = f_r, before forward checking.
 
 Classes are counted without the labeled stream, by a search that breaks
-symmetry down a stabiliser chain (the lex-leader rule).  A relabeling that
-fixes 0 conjugates f_0 inside Stab(0), so every class has a rack whose f_0
-is the first permutation of its key (cycle type, length of 0's cycle); the
-search runs from those first columns only.  Further down, G_c holds the
-relabelings that fix 0..c-1 and commute with f_0..f_{c-1}; those that also
-fix c keep columns 0..c-1 and conjugate f_c, so a branch whose f_c is not
-the least of those conjugates is dropped, whether f_c was chosen or
-forced.  The least relabeled tuple of each class is never dropped, while
-the labeled stream is not pruned at all.  Each output's orbit key is
-the least of its n! relabeled rank tuples, read ORBIT_ENTRIES ranks at a
-time from the rank table, and the number of tuples equal to it is |Aut|.
-Outputs are checked in stacks by core._rack_rows; only one that fails goes
-to the checked Rack constructor, for its NotARackError.  The witnesses, the
-least tables, build whole tables only for relabelings with the least row 0.
+symmetry down a stabiliser chain (the lex-leader rule): every class has a
+rack whose f_0 is the first permutation of its key (cycle type, length of
+0's cycle), and a branch is dropped once a relabeling that fixes 0..c and
+commutes with f_0..f_{c-1} makes f_c smaller, whether f_c was chosen or
+forced; the least relabeled tuple of each class survives.  Outputs are
+deduplicated over one key coset each: the relabelings phi with phi[y] = 0
+that give f_y its least rank, over the points y that an isomorphism-
+invariant rule picks; the least tuple they reach is the orbit key, and
+|Aut| of them reach it.  Outputs are checked in stacks by core._rack_rows;
+only one that fails goes to the checked Rack.  The witnesses build whole
+tables only for relabelings with the least row 0.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .perms import all_permutations
 
 MAX_ORDER = 7        # hard cap: the rank table is (n!)^2 entries, 50 MB at n = 7
 ORBIT_BATCH = 64     # search outputs checked per numpy batch by enumerate_labeled
-ORBIT_ENTRIES = 1 << 19  # relabeled ranks (outputs x n! x n) enumerate_classes dedupes at once
+ORBIT_ENTRIES = 1 << 16  # relabeled ranks (coset rows x n) enumerate_classes dedupes at once
 
 # External reference class counts, shown in reports as "reference (unverified)".
 # Never asserted by tests; the brute-force oracle in tests/_reference.py is the
@@ -163,16 +160,17 @@ def _images(n):
     return np.ascontiguousarray(_maps(n).T, dtype=np.intp)
 
 
-def _candidates(n, known):
-    """Ranks r that pass _propagate's first checks at a free column.
+def _candidates(n, known, col):
+    """Ranks r that pass _propagate's first checks at the free column col.
 
-    For every set column q whose image (q)f_r is set, the conjugation rule
-    needs f_{(q)f_r} = f_r^-1 f_q f_r, which has rank conj[f_q, r]; numpy
-    tests that for all r at once, and _propagate does the rest.
+    The rule f_{(q)f_r} = f_r^-1 f_q f_r, of rank conj[f_q, r], is tested by
+    numpy for all r at once at each set column q whose image (q)f_r is set.
+    At col it reads f_{(col)f_r} = f_r, so (col)f_r must be free: a set column
+    d there has f_d != f_r, as f_d = f_r would have set col, on d's f_r-cycle.
     """
     images, conj = _images(n), _tables(n)[1]
     ranks = np.array([-1 if r is None else r for r in known])
-    ok = np.ones(len(conj), dtype=bool)
+    ok = ranks[images[col]] < 0
     for q, fq in enumerate(known):
         if fq is not None:
             found = ranks[images[q]]
@@ -198,7 +196,7 @@ def _search(n, perms, conj, known, col, group):
     if col == n:
         yield tuple(known)
         return
-    for r in _candidates(n, known):
+    for r in _candidates(n, known, col):
         trail = _propagate(known, col, r, perms, conj)
         if trail is None:
             continue
@@ -246,68 +244,89 @@ def enumerate_labeled(n: int, jobs: int = 1):
 
 
 def _key_ranks(n):
-    """The least rank of each key (cycle type, length of 0's cycle), ascending.
-
-    Two maps share a key iff they are conjugate by a permutation fixing 0,
-    and those permutations have the first (n-1)! ranks.
-    """
-    return sorted(set(_tables(n)[1][:, :math.factorial(n - 1)].min(axis=1).tolist()))
-
-
-def _lexmin_rows(a):
-    """Mask over a's second-to-last axis of the rows equal to the least row.
-
-    Rows compare lexicographically along the last axis; leading axes are
-    independent batches.  Entries must be below the dtype's maximum.
-    """
-    keep = np.ones(a.shape[:-1], dtype=bool)
-    top = np.iinfo(a.dtype).max
-    for col in np.moveaxis(a, -1, 0):
-        col = np.where(keep, col, top)
-        keep &= col == col.min(axis=-1, keepdims=True)
-    return keep
+    """The least rank of each key (cycle type, length of 0's cycle), ascending."""
+    return sorted(set(_cosets(n)[0].tolist()))
 
 
 @functools.lru_cache(maxsize=None)
-def _relabel_cells(n):
-    """cells[k, x] = N phi_k^-1[x] + k over the N permutations phi_k of [n].
+def _cosets(n):
+    """(low, swapped, start, sigma, comp, inverse): the key cosets of S_n.
 
-    Read in the n rows of conj that a rank tuple selects, laid end to end,
-    cell [k, x] is position x of the tuple relabeled by phi_k.
+    A relabeling phi with phi[y] = 0 is t_y, the swap of 0 and y, then a sigma
+    fixing 0 (the first (n-1)! ranks), and comp[y, sigma] is its rank.  t_y
+    takes f_r to rank s = swapped[r, y], and the sigma[start[s]:start[s + 1]]
+    take f_s to its least rank low[s]: the key coset of (r, y), a coset of
+    Stab(y) in the centraliser of f_r.  inverse[k] inverts permutation k."""
+    conj, maps = _tables(n)[1], _maps(n)
+    fix = math.factorial(n - 1)
+    block = conj[:, :fix]
+    low = block.min(axis=1)
+    s, sigma = np.divmod(np.concatenate([    # a slice of rows at a time
+        np.flatnonzero(block[i:i + 1024] == low[i:i + 1024, None]) + i * fix
+        for i in range(0, len(conj), 1024)]), fix)
+    weights = n ** np.arange(n - 1, -1, -1)
+    codes = maps @ weights    # base-n codes, ascending as ranks are lexicographic
+    # sigma after t_y sends 0 to sigma[y] and y to sigma[0] = 0
+    comp = np.searchsorted(codes, codes[:fix] + maps[:fix].T * (weights[0] - weights)[:, None])
+    return (low, conj[:, comp[:, 0]], np.searchsorted(s, np.arange(len(conj) + 1)),
+            sigma.astype(conj.dtype), comp.astype(conj.dtype),
+            (maps[:, :, None] == np.arange(n)).argmax(axis=1).astype(np.uint8))
+
+
+def _coset_orbits(n, outputs):
+    """Yield (ranks, orbit key, |Aut|) for each rank tuple in outputs.
+
+    The least ranks c_y = low[swapped[r_y, y]] move with the points under
+    relabeling, so kappa, the c_y with the fewest coset rows over its points
+    (then the least), is an invariant.  The key is the least tuple relabeled
+    by those rows, a union of cosets of Aut, so |Aut| of them reach it.
+    Outputs are read ORBIT_ENTRIES // n^2 at a time, rows ORBIT_ENTRIES // n.
     """
-    perms = _maps(n)
-    return len(perms) * np.argsort(perms, axis=1) + np.arange(len(perms))[:, None]
-
-
-def _orbits(n, batch):
-    """(keys, auts): the orbit key and |Aut| of each rank tuple in batch.
-
-    Relabeling by the k-th permutation phi moves rank r_y to conj[r_y, k]
-    at position phi[y], so position x of the k-th relabeled tuple reads
-    conj[r_{phi^-1[x]}, k]: one gather of the tuple's n rows of conj, then
-    one take through _relabel_cells.  The key is the least relabeled tuple,
-    and the relabelings that reach it form a coset of Aut.
-    """
-    rows = _tables(n)[1][np.asarray(batch, dtype=np.intp)].reshape(len(batch), -1)
-    relabeled = np.take(rows, _relabel_cells(n), axis=1)
-    least = _lexmin_rows(relabeled)
-    return relabeled[np.arange(len(batch)), least.argmax(axis=1)], least.sum(axis=1)
+    low, swapped, start, sigma, comp, inverse = _cosets(n)
+    conj, points, sizes = _tables(n)[1], np.arange(n), np.diff(start)
+    per = 62 // len(conj).bit_length()    # ranks per int64 word, in base N
+    outputs = iter(outputs)
+    while chunk := list(itertools.islice(outputs, ORBIT_ENTRIES // n // n)):
+        ranks = np.array(chunk, dtype=np.intp)
+        s = swapped[ranks, points]
+        c, size = low[s], sizes[s]
+        # the coset rows over the points that share c_y, then c_y, in one number
+        order = ((c[:, :, None] == c[:, None, :]) @ size[:, :, None])[:, :, 0] * len(conj) + c
+        best = order.min(axis=1)
+        total = best // len(conj)
+        # a batch starts at the first output whose rows start in the next block
+        block = (np.cumsum(total) - total) * n // ORBIT_ENTRIES
+        firsts = np.flatnonzero(np.diff(block, prepend=-1)).tolist()
+        for lo, hi in itertools.pairwise([*firsts, len(chunk)]):
+            owner, y = np.nonzero(order[lo:hi] == best[lo:hi, None])
+            owner += lo
+            lens = size[owner, y]
+            at = np.repeat(start[s[owner, y]] + lens - lens.cumsum(), lens) + np.arange(lens.sum())
+            phi = comp[np.repeat(y, lens), sigma[at]]
+            # position x of the tuple relabeled by phi reads conj[r_{phi^-1[x]}, phi]
+            out = conj[ranks[np.repeat(owner, lens)[:, None], inverse[phi]], phi[:, None]]
+            seg = np.cumsum(count := total[lo:hi]) - count
+            keep = np.ones(len(out), dtype=bool)
+            for j in range(0, n, per):
+                word = out[:, j:j + per] @ len(conj) ** np.arange(min(per, n - j) - 1, -1, -1)
+                word = np.where(keep, word, np.iinfo(np.int64).max)
+                keep &= word == np.repeat(np.minimum.reduceat(word, seg), count)
+            aut = np.add.reduceat(keep, seg, dtype=np.intp)
+            keys = out[keep][np.cumsum(aut) - aut].tolist()
+            yield from zip(chunk[lo:hi], map(tuple, keys), aut.tolist())
 
 
 def enumerate_classes(n: int, jobs: int = 1) -> EnumReport:
     """One witness per isomorphism class, from the key-rank branches only.
 
-    The search outputs are deduplicated by orbit key in batches.  The first
-    output of each class is checked and canonicalised with the others in one
-    stack, which gives the witnesses.  The labeled count is the sum of
-    n!/|Aut| over the classes.
+    The first search output of each orbit key is checked and canonicalised
+    with the others in one stack, which gives the witnesses.  The labeled
+    count is the sum of n!/|Aut| over the classes.
     """
     start = time.perf_counter()
     found = {}  # orbit key -> (first rank tuple, |Aut|)
-    outputs = _branches(n, _key_ranks(n), jobs, True)
-    while batch := list(itertools.islice(outputs, max(1, ORBIT_ENTRIES // math.factorial(n) // n))):
-        for ranks, key, aut in zip(batch, *_orbits(n, batch)):
-            found.setdefault(key.tobytes(), (ranks, int(aut)))
+    for ranks, key, aut in _coset_orbits(n, _branches(n, _key_ranks(n), jobs, True)):
+        found.setdefault(key, (ranks, aut))
     maps = _maps(n)[np.array([ranks for ranks, _ in found.values()])]
     for rows in maps[~_rack_rows(maps)]:
         Rack(rows)    # raises the NotARackError of the first that fails

@@ -22,8 +22,10 @@ and tuple conjugation for the BFS forest, the decoder and find_W that
 walked them one part at a time for their array forms, the union-find
 lazy greedy with a heap for the block-scored greedy ordering, the class
 search that breaks symmetry at column 0 only for the one pruned down a
-stabiliser chain, and a brute-force scan of all (n!)^n map tuples, with
-no search code shared, for the enumeration engine at n <= 3.
+stabiliser chain, the candidate filter without the free column's own rule
+for the one with it, the least of all n! relabeled tuples for the orbit
+key read over one key coset, and a brute-force scan of all (n!)^n map
+tuples, with no search code shared, for the enumeration engine at n <= 3.
 """
 
 from __future__ import annotations
@@ -786,6 +788,51 @@ def find_W(rack: Rack, delta: int, p: float, bad_threshold: float, max_attempts:
                          component_count=0, maps_match=False)
 
 
+def candidates(n: int, known) -> list:
+    """_candidates before it tested the free column's own rule: the ranks r
+    with f_{(q)f_r} = conj[f_q, r] at each set column q whose image is set."""
+    images, conj = enumeration._images(n), enumeration._tables(n)[1]
+    ranks = np.array([-1 if r is None else r for r in known])
+    ok = np.ones(len(conj), dtype=bool)
+    for q, fq in enumerate(known):
+        if fq is not None:
+            found = ranks[images[q]]
+            ok &= (found < 0) | (found == conj[fq])
+    return np.flatnonzero(ok).tolist()
+
+
+def _lexmin_rows(a):
+    """Mask over a's second-to-last axis of the rows equal to the least row.
+
+    Rows compare lexicographically along the last axis; leading axes are
+    independent batches.  Entries must be below the dtype's maximum.
+    """
+    keep = np.ones(a.shape[:-1], dtype=bool)
+    top = np.iinfo(a.dtype).max
+    for col in np.moveaxis(a, -1, 0):
+        col = np.where(keep, col, top)
+        keep &= col == col.min(axis=-1, keepdims=True)
+    return keep
+
+
+def orbits(n: int, batch):
+    """(keys, auts): the least of the n! relabeled rank tuples of each tuple
+    in batch, and the number of relabelings that reach it, |Aut|.
+
+    Relabeling by the k-th permutation phi moves rank r_y to conj[r_y, k] at
+    position phi[y], so position x of the k-th relabeled tuple reads
+    conj[r_{phi^-1[x]}, k]: one gather of the tuple's n rows of conj, then
+    one take through cells[k, x] = N phi_k^-1[x] + k.  This is the dedupe
+    enumerate_classes ran before it read one key coset per output.
+    """
+    conj, perms = enumeration._tables(n)[1], enumeration._maps(n)
+    cells = len(perms) * np.argsort(perms, axis=1) + np.arange(len(perms))[:, None]
+    rows = conj[np.asarray(batch, dtype=np.intp)].reshape(len(batch), -1)
+    relabeled = np.take(rows, cells, axis=1)
+    least = _lexmin_rows(relabeled)
+    return relabeled[np.arange(len(batch)), least.argmax(axis=1)], least.sum(axis=1)
+
+
 def unpruned_class_outputs(n: int) -> list:
     """Rank tuples of every rack on [n] whose f_0 has a key rank, in stream
     order: the class search as it was when column 0 was its only symmetry
@@ -798,7 +845,7 @@ def unpruned_class_outputs(n: int) -> list:
         if col == n:
             yield tuple(known)
             return
-        for r in enumeration._candidates(n, known):
+        for r in enumeration._candidates(n, known, col):
             trail = enumeration._propagate(known, col, r, perms, conj)
             if trail is None:
                 continue

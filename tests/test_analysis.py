@@ -583,6 +583,31 @@ def test_fractional_trials_are_typed(check):
             check(value)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_seed_not_a_non_negative_integer_is_typed(seed):
+    # numpy's seeding raises its own ValueError for -1 and TypeError for 2.5, and takes True as 1
+    with pytest.raises(CheckParameterError, match="seed >= 0, n >= 0 and trials >= 1 required"):
+        chernoff_check(100, 0.3, 0.5, 100, seed=seed)
+    with pytest.raises(CheckParameterError, match="seed >= 0 and trials >= 1 required"):
+        random_subset_check(trivial_rack(4), 0.5, 0.5, 100, seed=seed)
+
+
+def test_reports_from_numpy_integers_are_json_ready():
+    s3 = conjugation_quandle(symmetric_group_table(3))
+    pairs = [
+        (chernoff_check(np.int64(100), 0.3, 0.5, np.int64(100), seed=np.int64(3)),
+         chernoff_check(100, 0.3, 0.5, 100, seed=3)),
+        (random_subset_check(s3, 0.5, 0.5, trials=np.int64(100), seed=np.uint32(3)),
+         random_subset_check(s3, 0.5, 0.5, trials=100, seed=3)),
+        (find_W(s3, np.int64(1), 0.8, bad_threshold=1, seed=42).to_report(),
+         find_W(s3, 1, 0.8, bad_threshold=1, seed=42).to_report()),
+    ]
+    for report, native in pairs:
+        assert report == native
+        _assert_native(report)
+        json.dumps(report)
+
+
 def _outcome(find, *args):
     try:
         return find(*args)

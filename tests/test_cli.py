@@ -252,9 +252,11 @@ def test_analyze_chernoff(capsys):
     ("chernoff", "--eps", "0"),
     ("chernoff", "--trials", "0"),
     ("chernoff", "--n", "-5"),
+    ("chernoff", "--seed", "-1"),
     ("random-subset", "--n", "5", "--p", "0"),
     ("random-subset", "--n", "5", "--eps", "1.5"),
     ("random-subset", "--n", "5", "--trials", "0"),
+    ("random-subset", "--n", "5", "--seed", "-1"),
     ("find-w", "--n", "16", "--threshold", "nan"),
     ("find-w", "--n", "16", "--threshold", "inf"),
     ("find-w", "--n", "16", "--p", "-1", "--attempts", "-3"),

@@ -23,7 +23,8 @@ from _corpus import (commuting_rack, family_racks, pair_swap_rack, random_relabe
                      random_table)
 from _reference import canonical_form as reference_canonical_form
 from _reference import (compose, find_isomorphism, group_check, inverse, is_permutation,
-                        numpy_canonical_form, satisfies_rack_axioms, unpruned_class_outputs)
+                        numpy_canonical_form, orbits, satisfies_rack_axioms,
+                        unpruned_class_outputs)
 
 
 def test_trivial_rack():
@@ -662,7 +663,7 @@ def test_axiom_check_skips_columns_in_known_orbits(monkeypatch):
     for n in (4, 5):
         outputs = unpruned_class_outputs(n)
         first = {}
-        for ranks, key in zip(outputs, enumeration._orbits(n, outputs)[0]):
+        for ranks, key in zip(outputs, orbits(n, outputs)[0]):
             first.setdefault(key.tobytes(), ranks)
         perms = enumeration._tables(n)[0]
         tables += [tuple(zip(*(perms[r] for r in ranks))) for ranks in first.values()]

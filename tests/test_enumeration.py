@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 from concurrent.futures import Future
@@ -10,12 +11,13 @@ from racklab import core, enumeration
 from racklab import (NotARackError, Rack, canonical_form, component_out_degree_constant,
                      decode, encode, enumerate_classes, enumerate_labeled)
 from racklab.enumeration import (MAX_ORDER, ORBIT_BATCH, OrderOutOfRange,
-                                 OrderTooLarge, REFERENCE_RACK_CLASSES, _key_ranks,
-                                 _orbits, _tables)
+                                 OrderTooLarge, REFERENCE_RACK_CLASSES, _coset_orbits,
+                                 _key_ranks, _tables)
 from racklab.perms import all_permutations, conjugate
 
 from _corpus import random_relabeling
-from _reference import ORACLE_MAX_ORDER, oracle_enumerate, unpruned_class_outputs
+from _reference import (ORACLE_MAX_ORDER, candidates, oracle_enumerate, orbits,
+                        unpruned_class_outputs)
 
 
 def test_exact_counts_n1_n2():
@@ -111,10 +113,10 @@ def test_chain_pruning_keeps_the_least_tuple_of_every_class(n):
 
     def keys(outputs):
         return {tuple(key.tolist()) for i in range(0, len(outputs), ORBIT_BATCH)
-                for key in _orbits(n, outputs[i:i + ORBIT_BATCH])[0]}
+                for key in orbits(n, outputs[i:i + ORBIT_BATCH])[0]}
 
-    # the same classes, and each orbit key, the least relabeled rank tuple,
-    # survives the pruning
+    # the same classes, and the least relabeled rank tuple of each, the
+    # reference orbit key, survives the pruning
     pruned_keys = keys(pruned)
     assert pruned_keys == keys(unpruned)
     assert pruned_keys <= set(pruned)
@@ -194,17 +196,96 @@ def test_key_ranks_are_the_least_rank_of_each_key():
         assert _key_ranks(n) == sorted(first.values())
 
 
+def _partition(keys):
+    """Positions grouped by their key, as a set of frozensets."""
+    parts = {}
+    for i, key in enumerate(keys):
+        parts.setdefault(key, set()).add(i)
+    return {frozenset(part) for part in parts.values()}
+
+
 def test_orbit_key_and_automorphism_count_match_brute_force():
+    # the key is read over one key coset, not all n! relabelings, so it need
+    # not be the least relabeled tuple; every relabeling gets the same one
     for n in range(1, 5):
         perms = _tables(n)[0]
         rank = {p: r for r, p in enumerate(perms)}
         for table in enumerate_classes(n).witnesses:
             rack = Rack.from_table(table)
             relabeled = [rack.relabel(phi) for phi in itertools.permutations(range(n))]
-            keys, auts = _orbits(n, [tuple(rank[f] for f in rack.maps)])
-            assert auts.tolist() == [sum(r == rack for r in relabeled)]
-            assert keys[0].tolist() == list(min(
-                tuple(rank[f] for f in r.maps) for r in relabeled))
+            tuples = [tuple(rank[f] for f in r.maps) for r in relabeled]
+            found = list(_coset_orbits(n, tuples))
+            assert [ranks for ranks, _, _ in found] == tuples
+            assert len({key for _, key, _ in found}) == 1
+            assert found[0][1] in tuples
+            assert {aut for _, _, aut in found} == {sum(r == rack for r in relabeled)}
+    # the classes of the search outputs are those of the least relabeled tuple
+    for n in (5, 6):
+        outputs = list(enumeration._branches(n, _key_ranks(n), 1, True))
+        coset_keys = [key for _, key, _ in _coset_orbits(n, outputs)]
+        least_keys = [tuple(key.tolist()) for i in range(0, len(outputs), ORBIT_BATCH)
+                      for key in orbits(n, outputs[i:i + ORBIT_BATCH])[0]]
+        assert _partition(coset_keys) == _partition(least_keys)
+
+
+@pytest.mark.parametrize("entries", [25, 64, 1000])
+def test_coset_orbits_do_not_depend_on_the_batch_sizes(monkeypatch, entries):
+    # ORBIT_ENTRIES // n^2 outputs and ORBIT_ENTRIES // n coset rows at a time:
+    # 1 output and 5 rows at 25, below one output's rows at n = 5
+    outputs = list(enumeration._branches(5, _key_ranks(5), 1, True))
+    whole = list(_coset_orbits(5, outputs))
+    monkeypatch.setattr(enumeration, "ORBIT_ENTRIES", entries)
+    assert list(_coset_orbits(5, outputs)) == whole
+
+
+def test_key_cosets_match_their_definition():
+    # low[swapped[r, y]]: the least rank phi gives f_r over the phi with phi[y] = 0,
+    # and the coset: the phi that reach it
+    for n in range(1, 6):
+        perms, conj = _tables(n)
+        low, swapped, start, sigma, comp, inverse = enumeration._cosets(n)
+        assert [[p[x] for x in inv] for p, inv in zip(perms, inverse.tolist())] \
+            == [list(range(n))] * len(perms)
+        for y in range(n):
+            phis = [k for k, p in enumerate(perms) if p[y] == 0]
+            for r in range(len(perms)):
+                least = min(conj[r][k] for k in phis)
+                s = swapped[r, y]
+                assert low[s] == least
+                coset = comp[y, sigma[start[s]:start[s + 1]]].tolist()
+                assert sorted(coset) == [k for k in phis if conj[r][k] == least]
+
+
+def test_candidate_filter_drops_only_what_propagate_rejects(monkeypatch):
+    # the free column's own rule, f_{(col)f_r} = f_r, drops ranks before
+    # forward checking: only ranks that _propagate would reject, untouched
+    counts = {}
+    filtered, propagate = enumeration._candidates, enumeration._propagate
+
+    def checked(n, known, col):
+        new, old = filtered(n, known, col), candidates(n, known)
+        assert set(new) <= set(old)
+        before, perms, conj = list(known), _tables(n)[0], enumeration._rows(n)
+        for r in sorted(set(old) - set(new)):
+            assert propagate(known, col, r, perms, conj) is None
+            assert known == before
+        counts["candidates"] += len(new)
+        return new
+
+    def counted(*args):
+        trail = propagate(*args)
+        counts["rejected"] += trail is None
+        return trail
+
+    monkeypatch.setattr(enumeration, "_candidates", checked)
+    monkeypatch.setattr(enumeration, "_propagate", counted)
+    for n in range(1, 6):
+        for ranks, prune in ((_key_ranks(n), True), (range(math.factorial(n)), False)):
+            counts.update(candidates=0, rejected=0)
+            assert list(enumeration._branches(n, ranks, 1, prune))
+            if n == 5 and prune:
+                # 2,168 and 1,675 without the free column's rule
+                assert counts == {"candidates": 1074, "rejected": 581}
 
 
 def test_conjugation_table_matches_conjugate():
